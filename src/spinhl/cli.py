@@ -11,7 +11,8 @@ Subcommands:
 Configuration is a single JSON document (--config FILE) with rationals as
 strings, e.g. {"q": "1/3", "s": "-1/2", "u": "1/2", "x": ["1/4", "1/5"],
 "seed": 7, "T": 8, "cap": 30}; command line flags override it.  Exit
-codes: 0 pass, 1 check failure, 2 configuration error.
+codes: 0 pass, 1 check failure, 2 configuration or parameter error (any
+package exception about the inputs, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -21,10 +22,33 @@ import json
 import os
 import sys
 
-from .exact import ConfigError, InvalidParams, ModelParams, RandomSource, default_spectral, frac
+from .exact import (
+    ConfigError,
+    DegenerateVandermonde,
+    DimensionMismatch,
+    InconsistentHeights,
+    InvalidParams,
+    InvalidPath,
+    ModelParams,
+    NonStochastic,
+    NotAdmissible,
+    RandomSource,
+    ScanCapExceeded,
+    ZeroSector,
+    default_spectral,
+    frac,
+)
 from . import ds6v as ds6v_mod
 from . import field as field_mod
 from . import identities
+
+# Package errors that mean the inputs cannot be run (a parameter point outside
+# a sampler's regime, an inadmissible pair, malformed data); like a bad
+# config they exit 2, so exit 1 keeps meaning "a check failed".
+INPUT_ERRORS = (
+    InvalidParams, NotAdmissible, NonStochastic, ZeroSector, ScanCapExceeded,
+    DegenerateVandermonde, DimensionMismatch, InconsistentHeights, InvalidPath,
+)
 
 
 def _load_config(path):
@@ -217,8 +241,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParams,) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
+    except INPUT_ERRORS as exc:
+        print(f"parameter error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,16 +26,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
-from .exact import (
-    InconsistentHeights,
-    InvalidParams,
-    ONE,
-    _sample_from_cumulative,
-    cumulative_boundaries,
-)
-from .transitions import length_patterns
+from .exact import InconsistentHeights, InvalidParams, _sample_from_cumulative
+from .transitions import compiled, jump_coefficients
 
 
 def b_c_coeffs(i, j, params):
@@ -45,12 +39,8 @@ def b_c_coeffs(i, j, params):
     """
     if not 1 <= i <= j:
         raise InvalidParams(f"need 1 <= i <= j, got ({i}, {j})")
-    q = params.q
-    xx = params.spectral(i - 1) * params.spectral(j)
-    den = ONE - q * xx
-    if den == 0:
-        raise InvalidParams("1 - q x_{i-1} x_j vanished")
-    return q * (ONE - xx) / den, (ONE - xx) / den
+    b, c, den = jump_coefficients(params.spectral(i - 1), params.spectral(j), params.q)
+    return Fraction(b, den), Fraction(c, den)
 
 
 def ds6v_sample(T, rng, params, per_cell_streams=True):
@@ -61,38 +51,22 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     order; per_cell_streams=False draws sequentially in sweep order from
     `rng`, which is faster and fine for bulk Monte Carlo.
     """
-    params.require_probabilistic()
+    model = compiled(params)
+    model.require_probabilistic()
     h = {(0, j): 0 for j in range(T + 1)}
-    pats = {}
     for total in range(2, 2 * T + 1):
-        for i in range(1, total // 2 + 1):
+        for i in range(max(1, total - T), total // 2 + 1):
             j = total - i
-            if j > T:
-                continue
             cell_rng = rng.substream(i, j) if per_cell_streams else rng
-            key = (i - 1, j)
-            pat = pats.get(key)
-            if pat is None:
-                pat = _length_pattern_tables(params.spectral(i - 1), params.spectral(j), params)
-                pats[key] = pat
             if i < j:
                 base = h[(i - 1, j - 1)]
                 da, db = h[(i, j - 1)] - base, h[(i - 1, j)] - base
             else:
                 base = h[(i - 1, i - 1)]
                 da, db = base % 2, h[(i - 1, i)] - base
-            deltas, cum = pat[(da, db)]
+            deltas, cum = model.patterns(i - 1, j)[2 * da + db]
             h[(i, j)] = base + deltas[_sample_from_cumulative(cum, cell_rng)]
     return h
-
-
-@lru_cache(maxsize=None)
-def _length_pattern_tables(x, y, params):
-    """length_patterns with precomputed exact cumulative boundaries."""
-    return {
-        pat: (deltas, cumulative_boundaries(probs))
-        for pat, (deltas, probs) in length_patterns(x, y, params).items()
-    }
 
 
 def check_heights(h):
@@ -193,6 +167,8 @@ def particle_step(state, rng, params):
     the height field (which tests verify exactly).
     """
     t = state.t
+    # jumps(i - 1, t + 1) holds the (b, c) laws of cell (i, t + 1); a draw of 0 is the jump
+    jumps = compiled(params).jumps
     corner_parity_even = (t - state.count()) % 2 == 0
     old = list(state.positions)  # descending
     occupied_old = set(old)
@@ -204,8 +180,7 @@ def particle_step(state, rng, params):
         blocked = prev_new is not None and prev_new == ypos + 1
         landed = None
         if not blocked:
-            _, c = b_c_coeffs(col0, t + 1, params)
-            if _bernoulli(c, rng):
+            if _sample_from_cumulative(jumps(col0 - 1, t + 1)[1], rng) == 0:
                 landed = ypos + 1  # right hop
         if landed is None:
             # leftward flight over columns col0+1, col0+2, ...
@@ -218,14 +193,12 @@ def particle_step(state, rng, params):
                     if corner_parity_even:
                         landed = 1
                     else:
-                        b, _ = b_c_coeffs(t + 1, t + 1, params)
-                        landed = None if _bernoulli(b, rng) else 1
+                        landed = 1 if _sample_from_cumulative(jumps(t, t + 1)[0], rng) else None
                     break
                 if site_scanned in occupied_old:
                     landed = site_scanned + 1  # forced to park next to the blocker
                     break
-                b, _ = b_c_coeffs(c_col, t + 1, params)
-                if not _bernoulli(b, rng):
+                if _sample_from_cumulative(jumps(c_col - 1, t + 1)[0], rng):
                     landed = site_scanned + 1  # parks: site one right of the hole
                     break
                 c_col += 1
@@ -235,20 +208,10 @@ def particle_step(state, rng, params):
         # ejected particles leave prev_new untouched (only the leftmost can eject)
     if not corner_used:
         if corner_parity_even:
-            _, c = b_c_coeffs(t + 1, t + 1, params)
-            if _bernoulli(c, rng):
+            if _sample_from_cumulative(jumps(t, t + 1)[1], rng) == 0:
                 new_positions.append(1)
         # odd corner with no incoming flight never creates
     return ParticleState(t + 1, tuple(sorted(new_positions, reverse=True)))
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_cum(p):
-    return cumulative_boundaries((p, ONE - p))
-
-
-def _bernoulli(p, rng):
-    return _sample_from_cumulative(_bernoulli_cum(p), rng) == 0
 
 
 def particle_trajectory(T, rng, params):

@@ -5,10 +5,13 @@ The stdlib type already maintains the invariants we need (reduced form,
 positive denominator, exact field arithmetic), so we use it directly and
 only add parsing helpers on top.
 
-Randomness is explicit: a :class:`RandomSource` wraps a counter-style
-numpy bit generator keyed by ``(seed, stream)``.  Identical keys replay
-identical bit sequences; distinct stream ids give independent streams
-(numpy's ``SeedSequence`` spawn-key guarantee).  Categorical sampling is
+Randomness is explicit: a :class:`RandomSource` is a bit stream keyed by
+``(seed, stream)`` and, for substreams, a key tuple.  Its bits are, bit
+for bit, those of numpy's ``SeedSequence(seed, spawn_key=(stream, *key))``
+driving ``PCG64``, computed here on Python ints without importing numpy.
+Identical keys replay identical bit sequences; distinct keys give
+independent streams (the ``SeedSequence`` spawn-key guarantee).
+Categorical sampling is
 done by lazy binary refinement of a uniform dyadic interval against exact
 rational cumulative weights, so sampled laws are exactly the requested
 ones, with no float rounding anywhere.
@@ -16,10 +19,9 @@ ones, with no float rounding anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 Frac = Fraction
 
@@ -144,43 +146,190 @@ def convergence_ratio(x, y, params):
     return (x - s) * (y - s) / den
 
 
-@dataclass
+# numpy.random.SeedSequence constants (pool of four 32-bit words) and the
+# PCG64 multiplier; RandomSource reproduces both algorithms bit for bit.
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n):
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+    if type(n) is not int:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"seed and key entries must be ints, got {n!r}") from None
+    if n < 0:
+        raise ValueError(f"seed and key entries must be non-negative, got {n}")
+    if n <= _M32:
+        return (n,)
+    out = []
+    while n:
+        out.append(n & _M32)
+        n >>= 32
+    return out
+
+
+def _hashmix(v, h):
+    """One SeedSequence hash step of word v under hash constant h; returns (value, next h)."""
+    h2 = (h * _MULT_A) & _M32
+    v = ((v ^ h) * h2) & _M32
+    return v ^ (v >> 16), h2
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool, h, words):
+    """Mix words past the pool size into a SeedSequence pool, as numpy's mix_entropy does.
+
+    Each word meets the four pool entries in turn, each through one hash
+    step (_hashmix, then _mix); both are written out here because
+    substreams run this for every lattice cell.
+    """
+    p0, p1, p2, p3 = pool
+    for w in words:
+        h1 = (h * _MULT_A) & _M32
+        v = ((w ^ h) * h1) & _M32
+        r = (_MIX_L * p0 - _MIX_R * (v ^ (v >> 16))) & _M32
+        p0 = r ^ (r >> 16)
+        h2 = (h1 * _MULT_A) & _M32
+        v = ((w ^ h1) * h2) & _M32
+        r = (_MIX_L * p1 - _MIX_R * (v ^ (v >> 16))) & _M32
+        p1 = r ^ (r >> 16)
+        h3 = (h2 * _MULT_A) & _M32
+        v = ((w ^ h2) * h3) & _M32
+        r = (_MIX_L * p2 - _MIX_R * (v ^ (v >> 16))) & _M32
+        p2 = r ^ (r >> 16)
+        h = (h3 * _MULT_A) & _M32
+        v = ((w ^ h3) * h) & _M32
+        r = (_MIX_L * p3 - _MIX_R * (v ^ (v >> 16))) & _M32
+        p3 = r ^ (r >> 16)
+    return (p0, p1, p2, p3), h
+
+
+def _seed_pool(words):
+    """SeedSequence's pool after its first pool-size words (zero-padded) and their cross-mix."""
+    words = list(words) + [0] * (4 - len(words))
+    h = _INIT_A
+    pool = []
+    for w in words[:4]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return _absorb(pool, h, words[4:])
+
+
+def _generate_consts():
+    """The (xor, multiply) pairs of the eight hash steps of generate_state(4, uint64)."""
+    out, h = [], _INIT_B
+    for idx in range(8):
+        h2 = (h * _MULT_B) & _M32
+        out.append((idx & 3, h, h2))
+        h = h2
+    return tuple(out)
+
+
+_GENERATE = _generate_consts()
+
+
+def _pcg64(pool):
+    """PCG64 (state, increment) seeded from generate_state(4, uint64) of the pool."""
+    w = []
+    for idx, x, m in _GENERATE:
+        v = ((pool[idx] ^ x) * m) & _M32
+        w.append(v ^ (v >> 16))
+    init = (w[1] << 96) | (w[0] << 64) | (w[3] << 32) | w[2]
+    inc = (((w[5] << 96) | (w[4] << 64) | (w[7] << 32) | w[6]) << 1 | 1) & _M128
+    return ((inc + init) * _PCG_MULT + inc) & _M128, inc
+
+
 class RandomSource:
     """Reproducible bit source keyed by (seed, stream).
 
     substream(*key) derives an independent deterministic child source;
     simulation modules use substream(i, j) per lattice cell so results do
     not depend on evaluation order.
+
+    The bits are exactly numpy's: a source keyed (seed, stream, *key)
+    yields the words of ``Generator(PCG64(SeedSequence(seed,
+    spawn_key=(stream, *key)))).integers(0, 2**63, dtype=uint64)``, each
+    read least significant bit first.  This module reimplements
+    SeedSequence and PCG64 on Python ints, so it needs no numpy; the test
+    suite compares the two.  Seeds and key entries must be non-negative
+    ints (ValueError otherwise).
+
+    SeedSequence hashes the spawn-key words one after another with
+    constants that do not depend on the data, so a source keeps its
+    hashed pool and a substream mixes in only its own key words, lazily:
+    at its first bit or its first substream.
     """
 
-    seed: int
-    stream: int = 0
-    _key: tuple = field(default=(), repr=False)
-    _gen: object = field(default=None, repr=False)
-    _buf: int = field(default=0, repr=False)
-    _nbits: int = field(default=0, repr=False)
+    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
 
-    def _generator(self):
-        if self._gen is None:
-            ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *self._key))
-            self._gen = np.random.Generator(np.random.PCG64(ss))
-        return self._gen
+    def __init__(self, seed, stream=0):
+        self.seed = seed
+        self.stream = stream
+        self._key = ()
+        pool, h = _seed_pool(_words(seed))
+        # (pool, hash constant, number of key entries mixed in)
+        self._mixed = (*_absorb(pool, h, _words(stream)), 0)
+        self._state = None
+        self._buf = 1  # remaining bits of the current word above a sentinel 1
+
+    def __repr__(self):
+        key = f", key={self._key}" if self._key else ""
+        return f"RandomSource(seed={self.seed}, stream={self.stream}{key})"
 
     def substream(self, *key):
-        return RandomSource(self.seed, self.stream, _key=self._key + tuple(key))
+        for k in key:
+            if type(k) is not int or k < 0:
+                _words(k)  # raises ValueError for negative and non-int entries
+        child = RandomSource.__new__(RandomSource)
+        child.seed = self.seed
+        child.stream = self.stream
+        child._key = self._key + key
+        child._mixed = self._mix_key()  # children share the work of this source's key
+        child._state = None
+        child._buf = 1
+        return child
+
+    def _mix_key(self):
+        """The pool and hash constant with this source's whole key mixed in."""
+        pool, h, done = self._mixed
+        if done < len(self._key):
+            for k in self._key[done:]:
+                pool, h = _absorb(pool, h, _words(k))
+            self._mixed = (pool, h, len(self._key))
+        return self._mixed
+
+    def _word(self):
+        """The next 63-bit word: one PCG64 output shifted right by one."""
+        if self._state is None:
+            self._state, self._inc = _pcg64(self._mix_key()[0])
+        s = (self._state * _PCG_MULT + self._inc) & _M128
+        self._state = s
+        x = ((s >> 64) ^ s) & _M64
+        rot = s >> 122
+        return (((x >> rot) | (x << (64 - rot))) & _M64) >> 1
 
     def bit(self):
-        if self._nbits == 0:
-            self._buf = int(self._generator().integers(0, 1 << 63, dtype=np.uint64))
-            self._nbits = 63
-        b = self._buf & 1
-        self._buf >>= 1
-        self._nbits -= 1
-        return b
-
-    def integers(self, low, high):
-        """Uniform integer in [low, high); convenience passthrough (not used by exact sampling)."""
-        return int(self._generator().integers(low, high))
+        buf = self._buf
+        if buf == 1:
+            buf = self._word() | (1 << 63)
+        self._buf = buf >> 1
+        return buf & 1
 
 
 def sample_categorical(probs, rng):

@@ -63,6 +63,14 @@ def interlaces(mu, lam):
     return True
 
 
+def mult_vector(p, top):
+    """Multiplicities [m_0, m_1, ..., m_top] of the parts of p (all parts <= top)."""
+    m = [0] * (top + 1)
+    for a in p:
+        m[a] += 1
+    return m
+
+
 def contains(inner, outer):
     """Containment of Young diagrams: inner_i <= outer_i for all i."""
     if len(inner) > len(outer):
@@ -81,14 +89,14 @@ def even_pair_coefficient(mu, params):
     """prod_i prod_{k=1}^{m_i(mu)/2} (1-q^{2k-1})/(1-s^2 q^{2k-1}).
 
     The multiplicity-pairing coefficient attached to conjugate-even
-    partitions in the Littlewood-type sums.  Callers in this package only
-    pass even multiplicity profiles; odd ones floor the product limit and
-    trip the debug assertion.
+    partitions in the Littlewood-type sums; an odd multiplicity raises
+    ValueError.
     """
     q, s = params.q, params.s
     out = ONE
     for i, m in multiplicities(mu).items():
-        assert m % 2 == 0, f"odd multiplicity m_{i}={m} in even_pair_coefficient"
+        if m % 2:
+            raise ValueError(f"odd multiplicity m_{i}={m} in even_pair_coefficient")
         for k in range(1, m // 2 + 1):
             den = ONE - s * s * q ** (2 * k - 1)
             if den == 0:

@@ -27,19 +27,13 @@ from functools import lru_cache
 
 from .exact import ONE, ZERO
 from .partitions import (
+    mult_vector,
     even_core,
     even_pair_coefficient,
     interlacing_above,
     interlacing_below,
 )
 from .weights import INF, L, M, Mstar
-
-
-def _mult_vector(p, top):
-    m = [0] * (top + 1)
-    for a in p:
-        m[a] += 1
-    return m
 
 
 def f_one_row(inner, outer, x, params):
@@ -50,8 +44,8 @@ def f_one_row(inner, outer, x, params):
     from the far left and is forced by conservation at every column.
     """
     top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = _mult_vector(inner, top)
-    mo = _mult_vector(outer, top)
+    mi = mult_vector(inner, top)
+    mo = mult_vector(outer, top)
     h = 0
     w = ONE
     for c in range(top, 0, -1):
@@ -71,12 +65,12 @@ def g_one_row(inner, outer, y, params):
 
     Same scan with M vertices: inner on the bottom, outer on top, state 1
     entering from the far left.  Columns above the largest part are exact
-    pass-throughs M(0,1;0,1) = 1, so the scan may start at the largest part.
+    pass-throughs M(0,1;0,1) = 1 (an identity of the weight table, tested
+    in test_weights), so the scan may start at the largest part.
     """
     top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = _mult_vector(inner, top)
-    mo = _mult_vector(outer, top)
-    assert M(0, 1, 0, 1, y, params) == ONE  # pass-through above the top column
+    mi = mult_vector(inner, top)
+    mo = mult_vector(outer, top)
     h = 1
     w = ONE
     for c in range(top, 0, -1):
@@ -96,8 +90,8 @@ def f_one_row_def2(inner, outer, x, params):
     if l0 not in (0, 1):
         return ZERO
     top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = _mult_vector(inner, top)
-    mo = _mult_vector(outer, top)
+    mi = mult_vector(inner, top)
+    mo = mult_vector(outer, top)
     w = Mstar(INF, 0, INF, l0, x, params)  # x ** l0
     h = l0
     for c in range(1, top + 1):
@@ -117,8 +111,8 @@ def g_one_row_def2(inner, outer, y, params):
     if l0 not in (0, 1):
         return ZERO
     top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = _mult_vector(inner, top)
-    mo = _mult_vector(outer, top)
+    mi = mult_vector(inner, top)
+    mo = mult_vector(outer, top)
     w = L(INF, 1, INF, l0, y, params)  # y ** l0
     h = l0
     for c in range(1, top + 1):

@@ -43,8 +43,10 @@ from functools import lru_cache
 
 from .exact import (
     InconsistentHeights,
+    InvalidParams,
     NotAdmissible,
     ONE,
+    NonStochastic,
     ScanCapExceeded,
     ZERO,
     ZeroSector,
@@ -52,7 +54,7 @@ from .exact import (
     _sample_from_cumulative,
     cumulative_boundaries,
 )
-from .partitions import even_core, even_cover, interlaces
+from .partitions import mult_vector, even_core, even_cover, interlaces
 from .weights import INF, L, Mstar, Rstar
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
@@ -79,13 +81,6 @@ class TransitionTable:
 
     def as_dict(self):
         return dict(zip(self.outcomes, self.probs))
-
-
-def _mult_vector(p, top):
-    m = [0] * (top + 1)
-    for a in p:
-        m[a] += 1
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +131,6 @@ def weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params
     return w, K_pin
 
 
-@lru_cache(maxsize=None)
 def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Forward local transition at one column: TransitionTable over (i_h, j_h, M_h).
 
@@ -187,9 +181,9 @@ def p_bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
 
 def _forward_states(kappa, lam, mu, top):
     """A-side horizontal states (k_h, l_h) for h = 0..top, from the kappa scans."""
-    mk = _mult_vector(kappa, top)
-    ml = _mult_vector(lam, top)
-    mm = _mult_vector(mu, top)
+    mk = mult_vector(kappa, top)
+    ml = mult_vector(lam, top)
+    mm = mult_vector(mu, top)
     k = [len(mu) - len(kappa)]
     l = [len(lam) - len(kappa)]
     for h in range(1, top + 1):
@@ -202,9 +196,9 @@ def _forward_states(kappa, lam, mu, top):
 
 def _backward_states(nu, lam, mu, top):
     """B-side horizontal states (i_h, j_h) for h = 0..top, from the nu scans."""
-    mn = _mult_vector(nu, top)
-    ml = _mult_vector(lam, top)
-    mm = _mult_vector(mu, top)
+    mn = mult_vector(nu, top)
+    ml = mult_vector(lam, top)
+    mm = mult_vector(mu, top)
     i = [len(nu) - len(lam)]
     j = [len(nu) - len(mu)]
     for h in range(1, top + 1):
@@ -223,11 +217,11 @@ def _require_bulk_pre(kappa, lam, mu, x, y, params):
 
 
 # ---------------------------------------------------------------------------
-# fast per-cell table cache
+# compiled per-parameter tables
 # ---------------------------------------------------------------------------
 
 class CellSampler:
-    """Forward-table cache for one (x, y, params) triple.
+    """Forward-table cache for one (x, y) pair.
 
     Monte Carlo sweeps hit the same few column contexts millions of times;
     this layer keys them by small ints (INF encoded as -1) so the hot path
@@ -253,21 +247,82 @@ class CellSampler:
         return tbl
 
 
-_CELL_SAMPLERS = {}
+class CompiledModel:
+    """The per-cell sampling laws of one ModelParams, as integer-keyed tables.
+
+    This is the one place where parameters become tables.  ``compiled``
+    stores the model on its params object, so the tables live exactly as
+    long as that object, and no lookup hashes a Fraction.  Every table is
+    filled lazily:
+
+      sampler(x, y)    the partition field's forward-table cache for the
+                       spectral pair (x, y), keyed by its integer data
+      patterns(a, b)   the height model's four length patterns for the
+                       spectral indices (a, b) = (i - 1, j) of cell (i, j),
+                       as (deltas, exact cumulative boundaries), indexed
+                       by 2 * da + db
+      jumps(a, b)      the particle jump laws (b, c) of the same cell, as
+                       cumulative boundaries of unreduced integer pairs;
+                       the exact sampler only compares num * 2^k with
+                       a * den, so unreduced pairs give the same draws
+    """
+
+    def __init__(self, params):
+        self.params = params
+        self._probabilistic = False
+        self._samplers = {}
+        self._patterns = {}
+        self._jumps = {}
+
+    def require_probabilistic(self):
+        """params.require_probabilistic(), run once per model."""
+        if not self._probabilistic:
+            self.params.require_probabilistic()
+            self._probabilistic = True
+
+    def sampler(self, x, y):
+        key = (x.numerator, x.denominator, y.numerator, y.denominator)
+        ctx = self._samplers.get(key)
+        if ctx is None:
+            ctx = self._samplers[key] = CellSampler(x, y, self.params)
+        return ctx
+
+    def patterns(self, a, b):
+        pat = self._patterns.get((a, b))
+        if pat is None:
+            law = length_patterns(self.params.spectral(a), self.params.spectral(b), self.params)
+            pat = self._patterns[(a, b)] = tuple(
+                (law[key][0], cumulative_boundaries(law[key][1]))
+                for key in ((0, 0), (0, 1), (1, 0), (1, 1))
+            )
+        return pat
+
+    def jumps(self, a, b):
+        law = self._jumps.get((a, b))
+        if law is None:
+            bn, cn, den = jump_coefficients(
+                self.params.spectral(a), self.params.spectral(b), self.params.q)
+            for name, num in (("b", bn), ("c", cn)):
+                if not 0 <= num <= den:
+                    raise NonStochastic(
+                        f"jump coefficient {name} = {num}/{den} at spectral indices "
+                        f"({a}, {b}) is not a probability")
+            law = self._jumps[(a, b)] = (((bn, den), (1, 1)), ((cn, den), (1, 1)))
+        return law
+
+
+def compiled(params):
+    """The CompiledModel of params, built on first use and stored on params itself."""
+    model = params.__dict__.get("_compiled")
+    if model is None:
+        model = CompiledModel(params)
+        object.__setattr__(params, "_compiled", model)
+    return model
 
 
 def cell_sampler(x, y, params):
-    """Shared CellSampler registry keyed by the raw integer data of (x, y, q, s)."""
-    key = (
-        x.numerator, x.denominator, y.numerator, y.denominator,
-        params.q.numerator, params.q.denominator,
-        params.s.numerator, params.s.denominator,
-    )
-    ctx = _CELL_SAMPLERS.get(key)
-    if ctx is None:
-        ctx = CellSampler(x, y, params)
-        _CELL_SAMPLERS[key] = ctx
-    return ctx
+    """The forward-table cache of the spectral pair (x, y) under params."""
+    return compiled(params).sampler(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +336,8 @@ def bulk_forward(kappa, lam, mu, x, y, rng, params, _ctx=None):
         raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
     top = max([0] + [p[0] for p in (kappa, lam, mu) if p])
     ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = _mult_vector(lam, top)
-    mmu = _mult_vector(mu, top)
+    mlam = mult_vector(lam, top)
+    mmu = mult_vector(mu, top)
     parts = []
     i_prev, j_prev = 1, 0
     h = 0
@@ -316,8 +371,8 @@ def bulk_backward(nu, lam, mu, x, y, rng, params):
         raise NotAdmissible(f"({x}, {y}) not admissible")
     top = max([0] + [p[0] for p in (nu, lam, mu) if p])
     istates, jstates = _backward_states(nu, lam, mu, top)
-    mlam = _mult_vector(lam, top)
-    mmu = _mult_vector(mu, top)
+    mlam = mult_vector(lam, top)
+    mmu = mult_vector(mu, top)
     parts = []
     k_h, l_h = 0, 0
     for h in range(top, 0, -1):
@@ -327,9 +382,8 @@ def bulk_backward(nu, lam, mu, x, y, rng, params):
         if mid:
             parts.extend([h] * mid)
         k_h, l_h = k_prev, l_prev
-    # column 0 is forced: crossing outputs must be (1, 0) with probability one
-    tbl = p_bwd(INF, INF, 1, 0, k_h, l_h, x, y, params)
-    assert tbl.outcomes == ((1, 0, INF),) and tbl.probs == (ONE,)
+    # column 0 is forced: its crossing outputs are (1, 0) with probability one
+    # (test_column0_coupling_is_the_forced_one pins this for every (k_h, l_h))
     return tuple(sorted(parts, reverse=True))
 
 
@@ -358,16 +412,17 @@ def forward_prob(kappa, lam, mu, nu, x, y, params):
         istates, jstates = _backward_states(nu, lam, mu, top)
     except ValueError:
         return ZERO
-    mlam = _mult_vector(lam, top)
-    mmu = _mult_vector(mu, top)
-    mnu = _mult_vector(nu, top)
+    mlam = mult_vector(lam, top)
+    mmu = mult_vector(mu, top)
+    mnu = mult_vector(nu, top)
+    ctx = cell_sampler(x, y, params)
     prob = ONE
     i_prev, j_prev = 1, 0
     for h in range(0, top + 1):
         I_lam, J_mu = (INF, INF) if h == 0 else (mlam[h], mmu[h])
         target = (istates[h] if h else istates[0], jstates[h] if h else jstates[0],
                   INF if h == 0 else mnu[h])
-        tbl = p_fwd(I_lam, J_mu, i_prev, j_prev, ks[h], ls[h], x, y, params)
+        tbl = ctx.fwd(I_lam, J_mu, i_prev, j_prev, ks[h], ls[h])
         prob *= tbl.prob(target)
         if prob == 0:
             return ZERO
@@ -384,9 +439,9 @@ def backward_prob(nu, lam, mu, kappa, x, y, params):
     top = max([0] + [p[0] for p in (kappa, lam, mu, nu) if p])
     istates, jstates = _backward_states(nu, lam, mu, top)
     ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = _mult_vector(lam, top)
-    mmu = _mult_vector(mu, top)
-    mkap = _mult_vector(kappa, top)
+    mlam = mult_vector(lam, top)
+    mmu = mult_vector(mu, top)
+    mkap = mult_vector(kappa, top)
     prob = ONE
     for h in range(top, 0, -1):
         tbl = p_bwd(mlam[h], mmu[h], istates[h - 1], jstates[h - 1], ks[h], ls[h], x, y, params)
@@ -406,8 +461,9 @@ def forward_distribution(kappa, lam, mu, x, y, params, part_cap):
     _require_bulk_pre(kappa, lam, mu, x, y, params)
     top = max([0] + [p[0] for p in (kappa, lam, mu) if p])
     ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = _mult_vector(lam, top)
-    mmu = _mult_vector(mu, top)
+    mlam = mult_vector(lam, top)
+    mmu = mult_vector(mu, top)
+    ctx = cell_sampler(x, y, params)
     dist = {}
     overflow = [ZERO]
 
@@ -425,7 +481,7 @@ def forward_distribution(kappa, lam, mu, x, y, params, part_cap):
             I_lam, J_mu, k_h, l_h = mlam[h], mmu[h], ks[h], ls[h]
         else:
             I_lam = J_mu = k_h = l_h = 0
-        tbl = p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params)
+        tbl = ctx.fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
         for (i_h, j_h, mid), p in zip(tbl.outcomes, tbl.probs):
             extra = [h] * mid if (h >= 1 and mid) else []
             rec(h + 1, i_h, j_h, parts + extra, prob * p)
@@ -442,7 +498,6 @@ def boundary_forward_distribution(kappa, mu, x, y, params, part_cap):
 # length projection
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def length_patterns(x, y, params):
     """The four two-step length patterns as (outcome deltas, probabilities).
 
@@ -461,6 +516,24 @@ def length_patterns(x, y, params):
         (0, 1): up1,
         (1, 0): up1,
     }
+
+
+def jump_coefficients(x, y, q):
+    """The particle jump coefficients b, c of the spectral pair (x, y), as integers.
+
+    Returns (b_num, c_num, den) with den > 0, where
+    b = q(1 - xy)/(1 - qxy) and c = (1 - xy)/(1 - qxy) are the length
+    patterns' probabilities of growing by two from (1, 1) and of not
+    growing from (0, 0).  Raises InvalidParams when 1 - qxy vanishes.
+    """
+    P = x.numerator * y.numerator
+    Q = x.denominator * y.denominator
+    den = q.denominator * Q - q.numerator * P
+    if den == 0:
+        raise InvalidParams("1 - q x_{i-1} x_j vanished")
+    c = q.denominator * (Q - P)
+    b = q.numerator * (Q - P)
+    return (b, c, den) if den > 0 else (-b, -c, -den)
 
 
 def length_transition(kind, key, x, y, params):

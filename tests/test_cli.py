@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from spinhl.cli import main
 from spinhl.ds6v import check_heights, heights_from_csv
 from spinhl.field import check_field_invariants, field_from_json
@@ -56,6 +58,20 @@ def test_bad_config_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command, cfg, error", [
+    (["verify", "--cap", "10"],
+     {"q": "1/3", "s": "-1/2", "x": ["6", "1/5", "1/6", "1/7", "1/8"]}, "NotAdmissible"),
+    (["particles", "--T", "4"], {"q": "3/2", "s": "-1/2"}, "NonStochastic"),
+])
+def test_package_errors_exit_2_with_one_line(tmp_path, capsys, command, cfg, error):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "out")] if command[0] != "verify" else []
+    assert main(["--config", str(path), *command, *out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and error in err
+
+
 def test_sample_field_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["sample-field", "--T", "4", "--seed", "7", "--out", str(a)]) == 0
@@ -102,3 +118,24 @@ def test_custom_config_params(tmp_path):
                    "--seed", "2", "--out", str(out)])
     assert res.returncode == 0
     assert check_field_invariants(field_from_json(out.read_text()))
+
+
+def test_samplers_run_without_numpy():
+    # the bit streams are pure Python; numpy is a test-only dependency
+    code = (
+        "import sys\n"
+        "import spinhl.cli\n"
+        "from spinhl import ModelParams, RandomSource\n"
+        "from spinhl.ds6v import ds6v_sample, particle_trajectory\n"
+        "from spinhl.exact import default_spectral\n"
+        "from spinhl.field import sample_field\n"
+        "p = ModelParams.make('1/3', '-1/2', '1/2', default_spectral(9))\n"
+        "sample_field(4, RandomSource(7, 0), p)\n"
+        "ds6v_sample(8, RandomSource(7, 1), p)\n"
+        "particle_trajectory(8, RandomSource(7, 2), p)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.exact import InconsistentHeights, ModelParams, RandomSource
+from spinhl.exact import InconsistentHeights, ModelParams, RandomSource, cumulative_boundaries
 from spinhl.ds6v import (
     b_c_coeffs,
     check_heights,
@@ -22,7 +22,7 @@ from spinhl.ds6v import (
     paths_from_heights,
     ParticleState,
 )
-from spinhl.transitions import length_patterns, length_transition
+from spinhl.transitions import compiled, length_patterns, length_transition
 
 
 # Reference height configuration on the T = 8 half-quadrant, with its dual
@@ -121,15 +121,15 @@ def test_duality_count_identity(params):
 
 
 def test_one_step_tables_match_length_transition(params):
-    # the sampler's pattern tables are literally the length-projection law
-    from spinhl.ds6v import _length_pattern_tables
-
+    # the sampler's compiled pattern tables are literally the length-projection law
     x, y = params.x[1], params.x[3]
-    pats = _length_pattern_tables(x, y, params)
-    for (da, db), (deltas, _) in pats.items():
+    pats = compiled(params).patterns(1, 3)
+    for (da, db) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        deltas, cum = pats[2 * da + db]
         tbl = length_transition("bulk", (5, 5 + da, 5 + db), x, y, params)
         assert tuple(5 + d for d in deltas) == tbl.outcomes
-        assert pats[(da, db)][0] == length_patterns(x, y, params)[(da, db)][0]
+        assert deltas == length_patterns(x, y, params)[(da, db)][0]
+        assert cum == cumulative_boundaries(tbl.probs)
 
 
 def test_h11_distribution(params):

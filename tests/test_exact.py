@@ -146,3 +146,44 @@ def test_expected_bit_consumption_logarithmic():
     for _ in range(n):
         sample_categorical(probs, crng)
     assert bits_before[0] / n < 4 * 4  # expected ~log2(16) + O(1)
+
+
+def _numpy_words(seed, key, n):
+    np = pytest.importorskip("numpy")
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return [int(gen.integers(0, 2**63, dtype=np.uint64)) for _ in range(n)]
+
+
+def _bits(words):
+    return [(w >> b) & 1 for w in words for b in range(63)]
+
+
+def test_random_source_matches_numpy_bit_for_bit():
+    # numpy's SeedSequence + PCG64 is the reference the pure-int generator reproduces
+    rnd = random.Random(20261018)
+    for case in range(300):
+        words = rnd.randint(1, 7)  # seeds of 1 to 7 32-bit words, and zero
+        seed = rnd.getrandbits(32 * words) | 1 << (32 * words - 1) if case % 50 else 0
+        stream = rnd.choice([0, 1, 2, rnd.getrandbits(40)])
+        key = tuple(rnd.choice([rnd.randrange(300), rnd.getrandbits(rnd.randint(33, 100))])
+                    for _ in range(rnd.randrange(5)))
+        # a nested chain of substreams; some links draw bits before they spawn
+        src = RandomSource(seed, stream)
+        cut = sorted(rnd.sample(range(len(key) + 1), min(2, len(key) + 1)))
+        for lo, hi in zip([0] + cut, cut + [len(key)]):
+            if rnd.random() < 0.3:
+                src.bit()
+            src = src.substream(*key[lo:hi])
+        n_words = 1 + case % 3
+        got = [src.bit() for _ in range(63 * n_words)]
+        assert got == _bits(_numpy_words(seed, (stream, *key), n_words)), (seed, stream, key)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+def test_random_source_rejects_bad_seed_and_key(bad):
+    with pytest.raises(ValueError):
+        RandomSource(bad)
+    with pytest.raises(ValueError):
+        RandomSource(1, bad)
+    with pytest.raises(ValueError):
+        RandomSource(1, 0).substream(2, bad)

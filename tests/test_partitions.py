@@ -3,6 +3,8 @@
 import math
 import random
 
+import pytest
+
 from spinhl.partitions import (
     conjugate,
     contains,
@@ -83,6 +85,8 @@ def test_even_pair_coefficient(params):
     assert even_pair_coefficient((1, 1, 1, 1), params) == (
         (1 - q) / (1 - s * s * q) * (1 - q**3) / (1 - s * s * q**3)
     )
+    with pytest.raises(ValueError):
+        even_pair_coefficient((3, 3, 1), params)  # odd multiplicity of 1
 
 
 def test_even_cover_core_examples():
