@@ -22,23 +22,9 @@ import json
 import os
 import sys
 
-from .exact import (
-    ConfigError,
-    DegenerateVandermonde,
-    DimensionMismatch,
-    InconsistentHeights,
-    InvalidParams,
-    InvalidPath,
-    ModelParams,
-    NonStochastic,
-    NotAdmissible,
-    RandomSource,
-    ScanCapExceeded,
-    ZeroSector,
-    default_spectral,
-    frac,
-)
+from .exact import ConfigError, ModelParams, RandomSource, default_spectral, frac
 from . import ds6v as ds6v_mod
+from . import exact
 from . import field as field_mod
 from . import identities
 
@@ -46,8 +32,9 @@ from . import identities
 # a sampler's regime, an inadmissible pair, malformed data); like a bad
 # config they exit 2, so exit 1 keeps meaning "a check failed".
 INPUT_ERRORS = (
-    InvalidParams, NotAdmissible, NonStochastic, ZeroSector, ScanCapExceeded,
-    DegenerateVandermonde, DimensionMismatch, InconsistentHeights, InvalidPath,
+    exact.InvalidParams, exact.NotAdmissible, exact.NonStochastic, exact.ZeroSector,
+    exact.ScanCapExceeded, exact.DegenerateVandermonde, exact.DimensionMismatch,
+    exact.InconsistentHeights, exact.InvalidPath,
 )
 
 

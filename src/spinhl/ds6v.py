@@ -28,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InconsistentHeights, InvalidParams, _sample_from_cumulative
+from .exact import InconsistentHeights, InvalidParams, sample_bernoulli
 from .transitions import compiled, jump_coefficients
 
 
@@ -64,8 +64,8 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
             else:
                 base = h[(i - 1, i - 1)]
                 da, db = base % 2, h[(i - 1, i)] - base
-            deltas, cum = model.patterns(i - 1, j)[2 * da + db]
-            h[(i, j)] = base + deltas[_sample_from_cumulative(cum, cell_rng)]
+            num, den, d0, d1 = model.patterns(j)[i - 1][2 * da + db]
+            h[(i, j)] = base + (d0 if sample_bernoulli(num, den, cell_rng) else d1)
     return h
 
 
@@ -167,8 +167,7 @@ def particle_step(state, rng, params):
     the height field (which tests verify exactly).
     """
     t = state.t
-    # jumps(i - 1, t + 1) holds the (b, c) laws of cell (i, t + 1); a draw of 0 is the jump
-    jumps = compiled(params).jumps
+    jumps = compiled(params).jumps(t + 1)  # (b, c, den) of cell (i, t + 1) at index i - 1
     corner_parity_even = (t - state.count()) % 2 == 0
     old = list(state.positions)  # descending
     occupied_old = set(old)
@@ -180,7 +179,8 @@ def particle_step(state, rng, params):
         blocked = prev_new is not None and prev_new == ypos + 1
         landed = None
         if not blocked:
-            if _sample_from_cumulative(jumps(col0 - 1, t + 1)[1], rng) == 0:
+            _, c, den = jumps[col0 - 1]
+            if sample_bernoulli(c, den, rng):
                 landed = ypos + 1  # right hop
         if landed is None:
             # leftward flight over columns col0+1, col0+2, ...
@@ -193,12 +193,14 @@ def particle_step(state, rng, params):
                     if corner_parity_even:
                         landed = 1
                     else:
-                        landed = 1 if _sample_from_cumulative(jumps(t, t + 1)[0], rng) else None
+                        b, _, den = jumps[t]
+                        landed = None if sample_bernoulli(b, den, rng) else 1
                     break
                 if site_scanned in occupied_old:
                     landed = site_scanned + 1  # forced to park next to the blocker
                     break
-                if _sample_from_cumulative(jumps(c_col - 1, t + 1)[0], rng):
+                b, _, den = jumps[c_col - 1]
+                if not sample_bernoulli(b, den, rng):
                     landed = site_scanned + 1  # parks: site one right of the hole
                     break
                 c_col += 1
@@ -208,7 +210,8 @@ def particle_step(state, rng, params):
         # ejected particles leave prev_new untouched (only the leftmost can eject)
     if not corner_used:
         if corner_parity_even:
-            if _sample_from_cumulative(jumps(t, t + 1)[1], rng) == 0:
+            _, c, den = jumps[t]
+            if sample_bernoulli(c, den, rng):
                 new_positions.append(1)
         # odd corner with no incoming flight never creates
     return ParticleState(t + 1, tuple(sorted(new_positions, reverse=True)))

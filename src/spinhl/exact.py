@@ -358,6 +358,25 @@ def cumulative_boundaries(probs):
         raise NonStochastic(f"probabilities sum to {total}, not 1")
     return cum
 
+def sample_bernoulli(num, den, rng):
+    """Exact draw: True with probability num/den (0 <= num <= den, den > 0).
+
+    The two-outcome case of sample_categorical, written out for the hot
+    loops of the growth samplers: it refines the same dyadic interval with
+    the same bits, so it returns True exactly when
+    sample_categorical((p, 1 - p), rng) would return 0.
+    """
+    a = 0
+    scale = 1  # the uniform variate lies in [a, a + 1) / scale
+    while True:
+        if (a + 1) * den <= num * scale:
+            return True
+        if num * scale <= a * den:
+            return False
+        a = (a << 1) | rng.bit()
+        scale <<= 1
+
+
 def _sample_from_cumulative(cum, rng):
     a = 0
     k = 0

@@ -255,24 +255,29 @@ class CompiledModel:
     long as that object, and no lookup hashes a Fraction.  Every table is
     filled lazily:
 
-      sampler(x, y)    the partition field's forward-table cache for the
-                       spectral pair (x, y), keyed by its integer data
-      patterns(a, b)   the height model's four length patterns for the
-                       spectral indices (a, b) = (i - 1, j) of cell (i, j),
-                       as (deltas, exact cumulative boundaries), indexed
-                       by 2 * da + db
-      jumps(a, b)      the particle jump laws (b, c) of the same cell, as
-                       cumulative boundaries of unreduced integer pairs;
-                       the exact sampler only compares num * 2^k with
-                       a * den, so unreduced pairs give the same draws
+      sampler(x, y)  the partition field's forward-table cache for the
+                     spectral pair (x, y), keyed by its integer data
+      jumps(j)       the particle jump coefficients of the cells (i, j),
+                     1 <= i <= j, as a list indexed by i - 1 of integer
+                     triples (b_num, c_num, den) (see jump_coefficients)
+      patterns(j)    the height model's four length patterns of the same
+                     cells, indexed by i - 1 and then by 2 * da + db, each
+                     a Bernoulli law (num, den, d0, d1): the height grows
+                     by d0 with probability num / den and by d1 otherwise.
+                     They are length_patterns, read off the jump
+                     coefficients without Fraction arithmetic.
+
+    The integer pairs are not reduced: sample_bernoulli, like
+    sample_categorical, only compares num * 2^k with a * den, so the
+    draws are the same.
     """
 
     def __init__(self, params):
         self.params = params
         self._probabilistic = False
         self._samplers = {}
-        self._patterns = {}
         self._jumps = {}
+        self._patterns = {}
 
     def require_probabilistic(self):
         """params.require_probabilistic(), run once per model."""
@@ -287,28 +292,30 @@ class CompiledModel:
             ctx = self._samplers[key] = CellSampler(x, y, self.params)
         return ctx
 
-    def patterns(self, a, b):
-        pat = self._patterns.get((a, b))
-        if pat is None:
-            law = length_patterns(self.params.spectral(a), self.params.spectral(b), self.params)
-            pat = self._patterns[(a, b)] = tuple(
-                (law[key][0], cumulative_boundaries(law[key][1]))
-                for key in ((0, 0), (0, 1), (1, 0), (1, 1))
-            )
-        return pat
-
-    def jumps(self, a, b):
-        law = self._jumps.get((a, b))
-        if law is None:
-            bn, cn, den = jump_coefficients(
-                self.params.spectral(a), self.params.spectral(b), self.params.q)
-            for name, num in (("b", bn), ("c", cn)):
-                if not 0 <= num <= den:
+    def jumps(self, j):
+        row = self._jumps.get(j)
+        if row is None:
+            q, y = self.params.q, self.params.spectral(j)
+            row = []
+            for a in range(j):
+                b, c, den = law = jump_coefficients(self.params.spectral(a), y, q)
+                if not (0 <= b <= den and 0 <= c <= den):
                     raise NonStochastic(
-                        f"jump coefficient {name} = {num}/{den} at spectral indices "
-                        f"({a}, {b}) is not a probability")
-            law = self._jumps[(a, b)] = (((bn, den), (1, 1)), ((cn, den), (1, 1)))
-        return law
+                        f"jump coefficients b = {b}/{den}, c = {c}/{den} of cell "
+                        f"({a + 1}, {j}) are not probabilities")
+                row.append(law)
+            self._jumps[j] = row
+        return row
+
+    def patterns(self, j):
+        row = self._patterns.get(j)
+        if row is None:
+            forced = (1, 1, 1, 1)  # (0, 1) and (1, 0): grow by one
+            row = self._patterns[j] = [
+                ((c, den, 0, 1), forced, forced, (den - b, den, 1, 2))
+                for b, c, den in self.jumps(j)
+            ]
+        return row
 
 
 def compiled(params):

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from spinhl.cli import main
+from spinhl import ds6v as ds6v_mod
+from spinhl.cli import INPUT_ERRORS, main
 from spinhl.ds6v import check_heights, heights_from_csv
 from spinhl.field import check_field_invariants, field_from_json
 
@@ -70,6 +71,16 @@ def test_package_errors_exit_2_with_one_line(tmp_path, capsys, command, cfg, err
     assert main(["--config", str(path), *command, *out]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and error in err
+
+
+@pytest.mark.parametrize("error", INPUT_ERRORS, ids=lambda e: e.__name__)
+def test_every_input_error_exits_2(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("bad input")
+
+    monkeypatch.setattr(ds6v_mod, "ds6v_sample", fail)
+    assert main(["ds6v", "--T", "2", "--out", str(tmp_path / "h.csv")]) == 2
+    assert capsys.readouterr().err == f"parameter error: {error.__name__}: bad input\n"
 
 
 def test_sample_field_deterministic(tmp_path):

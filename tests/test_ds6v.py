@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.exact import InconsistentHeights, ModelParams, RandomSource, cumulative_boundaries
+from spinhl.exact import InconsistentHeights, ModelParams, RandomSource
 from spinhl.ds6v import (
     b_c_coeffs,
     check_heights,
@@ -22,7 +22,7 @@ from spinhl.ds6v import (
     paths_from_heights,
     ParticleState,
 )
-from spinhl.transitions import compiled, length_patterns, length_transition
+from spinhl.transitions import compiled, length_transition
 
 
 # Reference height configuration on the T = 8 half-quadrant, with its dual
@@ -120,16 +120,18 @@ def test_duality_count_identity(params):
                 prev = cur
 
 
-def test_one_step_tables_match_length_transition(params):
+def test_one_step_tables_match_length_transition(all_points):
     # the sampler's compiled pattern tables are literally the length-projection law
-    x, y = params.x[1], params.x[3]
-    pats = compiled(params).patterns(1, 3)
-    for (da, db) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        deltas, cum = pats[2 * da + db]
-        tbl = length_transition("bulk", (5, 5 + da, 5 + db), x, y, params)
-        assert tuple(5 + d for d in deltas) == tbl.outcomes
-        assert deltas == length_patterns(x, y, params)[(da, db)][0]
-        assert cum == cumulative_boundaries(tbl.probs)
+    for params in all_points:
+        for a, b in ((0, 1), (1, 3), (2, 3), (4, 9)):
+            x, y = params.x[a], params.x[b]
+            pats = compiled(params).patterns(b)[a]
+            for (da, db) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                num, den, d0, d1 = pats[2 * da + db]
+                tbl = length_transition("bulk", (5, 5 + da, 5 + db), x, y, params)
+                law = {5 + d0: F(num, den)}
+                law[5 + d1] = law.get(5 + d1, 0) + 1 - F(num, den)
+                assert {k: p for k, p in law.items() if p} == tbl.as_dict()
 
 
 def test_h11_distribution(params):

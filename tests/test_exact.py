@@ -13,6 +13,7 @@ from spinhl.exact import (
     admissible,
     convergence_ratio,
     frac,
+    sample_bernoulli,
     sample_categorical,
 )
 
@@ -113,6 +114,21 @@ def test_sample_categorical_exactness_small():
         counts[sample_categorical(probs, rng)] += 1
     for c, p in zip(counts, probs):
         assert abs(c - n * p) < 4 * (n * float(p) * (1 - float(p))) ** 0.5
+
+
+def test_sample_bernoulli_is_the_two_cell_categorical_draw():
+    # same bits in, same outcome out, and the same number of bits consumed;
+    # unreduced (num, den) pairs give the same draws as the reduced ones
+    rnd = random.Random(11)
+    for case in range(300):
+        den = rnd.randint(1, 10**6)
+        num = rnd.choice([0, den, rnd.randint(0, den)])
+        scale = rnd.randint(1, 50)
+        a, b = RandomSource(case, 3), RandomSource(case, 3)
+        for _ in range(5):
+            first = sample_categorical((F(num, den), 1 - F(num, den)), a) == 0
+            assert sample_bernoulli(num * scale, den * scale, b) is first
+        assert [a.bit() for _ in range(70)] == [b.bit() for _ in range(70)]
 
 
 def test_random_source_reproducible_and_streams_differ():
