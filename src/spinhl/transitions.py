@@ -54,7 +54,7 @@ from .exact import (
     _sample_from_cumulative,
     cumulative_boundaries,
 )
-from .partitions import mult_vector, even_core, even_cover, interlaces
+from .partitions import even_core, even_cover, interlaces, mult_vector
 from .weights import INF, L, Mstar, Rstar
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
