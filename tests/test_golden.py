@@ -17,6 +17,7 @@ CASES = [
     (["sample-field", "--T", "4", "--seed", "7"], "sample_field_T4_seed7.json", ()),
     (["ds6v", "--T", "8", "--seed", "7"], "ds6v_T8_seed7.csv", ()),
     (["particles", "--T", "8", "--seed", "7"], "particles_T8_seed7.csv", (".currents.json",)),
+    (["verify", "--point", "0", "--cap", "20"], "verify_point0_cap20.jsonl", ()),
 ]
 
 
