@@ -19,6 +19,10 @@ Two tail-bound constructions are used:
   in probabilistic mode, so the tail is dominated by the tail of the plain
   (unrefined) identity, whose total is a known closed form; the bound is
   closed_form - retained_plain_sum, an exact rational.
+
+The truncated refined sums come from the column-transfer kernel
+``sshl.column_sums``, which returns the plain partial sum grouped by the
+length of lam; the refinement coefficient depends only on that length.
 """
 
 from __future__ import annotations
@@ -45,8 +49,9 @@ from .partitions import (
     even_cover,
     even_pair_coefficient,
     is_conjugate_even,
+    pairing_factor,
 )
-from .sshl import f_one_row, f_skew, g_one_row, g_skew
+from .sshl import column_sums, f_one_row, f_skew, g_one_row, g_skew
 from .weights import L, M, Mstar, R, Rstar
 
 
@@ -133,17 +138,22 @@ def intertwining_sides(I, J, i1, i3, j1, j3, x, y, params):
 
 def check_intertwining(params, x, y, max_occ=6):
     """Exact equality of the exchange relation for all boundary bits and occupancies <= max_occ."""
+    return _exchange_report("intertwining", intertwining_sides, params, x, y, max_occ)
+
+
+def _exchange_report(name, sides, params, x, y, max_occ):
+    """Compare both sides of an exchange relation on every occupancy pair and boundary bits."""
     bad = []
     for I in range(max_occ + 1):
         for J in range(max_occ + 1):
             for bits in range(16):
-                i1, i3, j1, j3 = (bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1
-                lhs, rhs = intertwining_sides(I, J, i1, i3, j1, j3, x, y, params)
+                b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
+                lhs, rhs = sides(I, J, *b, x, y, params)
                 if lhs != rhs:
-                    bad.append((I, J, i1, i3, j1, j3, lhs, rhs))
+                    bad.append((I, J, *b, lhs, rhs))
     total = (max_occ + 1) ** 2 * 16
     return CheckReport(
-        "intertwining", "exact", frac(total - len(bad)), frac(total),
+        name, "exact", frac(total - len(bad)), frac(total),
         not bad, detail=f"{total} labelled cases; first failure: {bad[0] if bad else None}",
     )
 
@@ -181,21 +191,8 @@ def intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
 
 
 def check_intertwining_star(params, x, y, max_occ=6):
-    bad = []
-    for I in range(max_occ + 1):
-        for J in range(max_occ + 1):
-            for bits in range(16):
-                i_in, j_in, k_out, l_out = (
-                    (bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1,
-                )
-                lhs, rhs = intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params)
-                if lhs != rhs:
-                    bad.append((I, J, i_in, j_in, k_out, l_out, lhs, rhs))
-    total = (max_occ + 1) ** 2 * 16
-    return CheckReport(
-        "intertwining-star", "exact", frac(total - len(bad)), frac(total),
-        not bad, detail=f"{total} labelled cases; first failure: {bad[0] if bad else None}",
-    )
+    """Exact equality of the starred exchange relation, labelled as check_intertwining."""
+    return _exchange_report("intertwining-star", intertwining_star_sides, params, x, y, max_occ)
 
 
 def reflection_prefactor(I, params):
@@ -534,11 +531,12 @@ def refined_cauchy_rhs(xs, ys, u, params):
 def check_refined_cauchy(xs, ys, u, cap, params):
     """Refined Cauchy identity for n x-variables against n y-variables, truncated.
 
-    Left: sum over partitions with at most n parts, largest part <= cap,
-    weighted by prod_{i=1}^{n-len(lam)} (1 - u q^i).  Tail bound: with
-    u in [0, 1] and probabilistic parameters the dropped terms are
-    dominated by the plain Cauchy tail, whose total is the closed form
-    prod Pi(x_i; y_j).
+    Left: sum over partitions with at most n parts, largest part <= cap, of
+    f_lam(xs) g_lam(ys) weighted by prod_{i=1}^{n-len(lam)} (1 - u q^i); the
+    per-length sums come from the column-transfer kernel
+    ``sshl.column_sums``.  Tail bound: with u in [0, 1] and probabilistic
+    parameters the dropped terms are dominated by the plain Cauchy tail,
+    whose total is the closed form prod Pi(x_i; y_j).
     """
     xs, ys = tuple(xs), tuple(ys)
     n = len(xs)
@@ -554,15 +552,10 @@ def check_refined_cauchy(xs, ys, u, cap, params):
     q = params.q
     lhs = ZERO
     plain = ZERO
-    for lam in enumerate_partitions(cap, n):
-        fw = f_skew((), lam, xs, params)
-        if fw == 0:
-            continue
-        gw = g_skew((), lam, ys, params)
-        term = fw * gw
+    for length, term in column_sums(xs, ys, cap, params).items():
         plain += term
         coeff = ONE
-        for i in range(1, n - len(lam) + 1):
+        for i in range(1, n - length + 1):
             coeff *= ONE - u * q**i
         lhs += coeff * term
     rhs = refined_cauchy_rhs(xs, ys, u, params)
@@ -605,9 +598,13 @@ def check_refined_littlewood(xs, u, cap, params):
     """Refined Littlewood identity for an even number of variables, truncated.
 
     Left: sum over partitions with all multiplicities even (so parts pair
-    up and the length is even), largest part <= cap.  Tail bound by the
-    plain Littlewood closed form prod_{i<j} Pi(x_i; x_j), valid for
-    u in [0, 1] in probabilistic mode.
+    up and the length is even), largest part <= cap, of
+    even_pair_coefficient(lam) f_lam(xs) weighted by the refinement
+    coefficient of len(lam).  The per-length sums come from the
+    column-transfer kernel ``sshl.column_sums`` with no g side and the
+    pairing factor of each multiplicity as its column factor (zero for an
+    odd multiplicity).  Tail bound by the plain Littlewood closed form
+    prod_{i<j} Pi(x_i; x_j), valid for u in [0, 1] in probabilistic mode.
     """
     xs = tuple(xs)
     if len(xs) % 2 != 0:
@@ -623,19 +620,14 @@ def check_refined_littlewood(xs, u, cap, params):
     n2 = len(xs)
     lhs = ZERO
     plain = ZERO
-    for lam in enumerate_partitions(cap, n2):
-        if not is_conjugate_even(lam):
-            continue
-        fw = f_skew((), lam, xs, params)
-        if fw == 0:
-            continue
-        b = even_pair_coefficient(lam, params)
-        plain += b * fw
-        m0 = n2 - len(lam)
+    sums = column_sums(xs, (), cap, params, factor=lambda m: pairing_factor(m, params))
+    for length, term in sums.items():
+        plain += term
+        m0 = n2 - length
         coeff = ONE
         for k in range(1, m0 // 2 + 1):
             coeff *= ONE - u * q ** (2 * k - 1)
-        lhs += coeff * b * fw
+        lhs += coeff * term
     rhs = refined_littlewood_rhs(xs, u, params)
     closed = ONE
     for a in range(len(xs)):

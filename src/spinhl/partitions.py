@@ -13,7 +13,7 @@ lam[0]=lam[1], lam[2]=lam[3], ...).
 from __future__ import annotations
 
 
-from .exact import InvalidParams, ONE
+from .exact import InvalidParams, ONE, ZERO
 
 EMPTY = ()
 
@@ -92,16 +92,30 @@ def even_pair_coefficient(mu, params):
     partitions in the Littlewood-type sums; an odd multiplicity raises
     ValueError.
     """
-    q, s = params.q, params.s
     out = ONE
     for i, m in multiplicities(mu).items():
         if m % 2:
             raise ValueError(f"odd multiplicity m_{i}={m} in even_pair_coefficient")
-        for k in range(1, m // 2 + 1):
-            den = ONE - s * s * q ** (2 * k - 1)
-            if den == 0:
-                raise InvalidParams(f"1 - s^2 q^{2 * k - 1} vanished")
-            out *= (ONE - q ** (2 * k - 1)) / den
+        out *= pairing_factor(m, params)
+    return out
+
+
+def pairing_factor(m, params):
+    """One multiplicity's share of even_pair_coefficient; exact zero for odd m.
+
+    prod_{k=1}^{m/2} (1-q^{2k-1})/(1-s^2 q^{2k-1}) for even m, so a product
+    of pairing_factor over the multiplicities of any partition vanishes
+    unless the partition is conjugate-even.
+    """
+    if m % 2:
+        return ZERO
+    q, s = params.q, params.s
+    out = ONE
+    for k in range(1, m // 2 + 1):
+        den = ONE - s * s * q ** (2 * k - 1)
+        if den == 0:
+            raise InvalidParams(f"1 - s^2 q^{2 * k - 1} vanished")
+        out *= (ONE - q ** (2 * k - 1)) / den
     return out
 
 

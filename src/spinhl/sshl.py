@@ -19,11 +19,14 @@ Two equivalent combinatorial definitions are implemented:
 Both take (inner, outer) partition arguments: the weight is nonzero iff
 inner ≺ outer (one variable), or iff a length-compatible interlacing
 chain exists (n variables).
+
+Global sums over lam of f_lam(xs) g_lam(ys) (the Cauchy and Littlewood
+sides) do not enumerate lam or its chains: ``column_sums`` is one exact
+column-transfer kernel over the first definition's lattice.  The one-row
+scans and chain sums stay as the reference it is tested against.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .exact import ONE, ZERO
 from .partitions import (
@@ -131,42 +134,139 @@ def f_skew(inner, outer, xs, params):
 
     The variable adjacent to the inner partition is applied first; the
     result does not depend on the order (symmetry, which tests check).
-    Memoized on (inner, outer, variable suffix, params).
+    Partial chain sums are memoized for the duration of this one call.
     """
-    return _f_skew(tuple(inner), tuple(outer), tuple(xs), params)
+    outer, xs = tuple(outer), tuple(xs)
+    memo = {}
 
+    def rest(nu, k):  # f_{outer/nu}(xs[k:])
+        key = (nu, k)
+        if key not in memo:
+            if k == len(xs):
+                memo[key] = ONE if nu == outer else ZERO
+            elif k == len(xs) - 1:
+                memo[key] = f_one_row(nu, outer, xs[k], params)
+            else:
+                total = ZERO
+                for mid in interlacing_above(nu, within=outer):
+                    w1 = f_one_row(nu, mid, xs[k], params)
+                    if w1 != 0:
+                        total += w1 * rest(mid, k + 1)
+                memo[key] = total
+        return memo[key]
 
-@lru_cache(maxsize=None)
-def _f_skew(inner, outer, xs, params):
-    if not xs:
-        return ONE if inner == outer else ZERO
-    if len(xs) == 1:
-        return f_one_row(inner, outer, xs[0], params)
-    total = ZERO
-    for nu in interlacing_above(inner, within=outer):
-        w1 = f_one_row(inner, nu, xs[0], params)
-        if w1 != 0:
-            total += w1 * _f_skew(nu, outer, xs[1:], params)
-    return total
+    return rest(tuple(inner), 0)
 
 
 def g_skew(inner, outer, ys, params):
-    """Multi-variable g_{outer/inner}(y_1..y_n); the last variable acts next to the outer partition."""
-    return _g_skew(tuple(inner), tuple(outer), tuple(ys), params)
+    """Multi-variable g_{outer/inner}(y_1..y_n); the last variable acts next to the outer partition.
+
+    Partial chain sums are memoized for the duration of this one call.
+    """
+    inner, ys = tuple(inner), tuple(ys)
+    memo = {}
+
+    def rest(nu, k):  # g_{nu/inner}(ys[:k])
+        key = (nu, k)
+        if key not in memo:
+            if k == 0:
+                memo[key] = ONE if nu == inner else ZERO
+            elif k == 1:
+                memo[key] = g_one_row(inner, nu, ys[0], params)
+            else:
+                total = ZERO
+                for mid in interlacing_below(nu):
+                    w1 = g_one_row(mid, nu, ys[k - 1], params)
+                    if w1 != 0:
+                        total += w1 * rest(mid, k - 1)
+                memo[key] = total
+        return memo[key]
+
+    return rest(tuple(outer), len(ys))
 
 
-@lru_cache(maxsize=None)
-def _g_skew(inner, outer, ys, params):
-    if not ys:
-        return ONE if inner == outer else ZERO
-    if len(ys) == 1:
-        return g_one_row(inner, outer, ys[0], params)
-    total = ZERO
-    for nu in interlacing_below(outer):
-        w1 = g_one_row(nu, outer, ys[-1], params)
-        if w1 != 0:
-            total += w1 * _g_skew(inner, nu, ys[:-1], params)
-    return total
+def column_sums(xs, ys, cap, params, factor=None):
+    """Exact sum over lam with lam_1 <= cap of f_lam(xs) g_lam(ys) prod_c factor(m_c(lam)).
+
+    Returns {len(lam): partial sum}.  One column-transfer pass replaces the
+    enumeration of lam and of its interlacing chains.  Under the first
+    definition the f rows (L vertices, entering state 0) and the g rows (M
+    vertices, entering state 1) of every chain from () to lam stack into
+    one lattice whose column c carries the multiplicities m_c of the chain
+    partitions; the only state passed between columns is the vector of
+    horizontal bits, and conservation in each row forces the multiplicities
+    from the in- and out-bits.  The vertex weights do not depend on c, so
+    each state's column row is built once and the sum is start * T^cap with
+    start = (0,...,0, 1,...,1).  Columns above the largest part are the
+    exact pass-throughs L(0,0;0,0) = M(0,1;0,1) = 1.  The f bits leaving
+    column 1 add up to len(lam).
+
+    With ys empty the g side is omitted rather than forced to lam = ()
+    (the Littlewood form): the sum is then of f_lam(xs) prod_c factor(m_c).
+    `factor` maps a multiplicity to its column factor (None means 1);
+    factor(0) must be 1, as for the pairing factor.
+    """
+    xs, ys = tuple(xs), tuple(ys)
+    n = len(xs)
+    start = (0,) * n + (1,) * len(ys)
+    rows = {}
+    vec = {start: ONE}
+    for _ in range(cap):
+        nxt = {}
+        for bits, w in vec.items():
+            row = rows.get(bits)
+            if row is None:
+                row = rows[bits] = _column_row(bits, xs, ys, params, factor)
+            for out, t in row.items():
+                nxt[out] = nxt.get(out, ZERO) + w * t
+        vec = nxt
+    sums = {}
+    for bits, w in vec.items():
+        length = sum(bits[:n])
+        sums[length] = sums.get(length, ZERO) + w
+    return sums
+
+
+def _column_row(bits, xs, ys, params, factor):
+    """{out bits: weight} of one column entered with horizontal bits `bits`."""
+    n = len(xs)
+    # f row k: L with the k-th chain multiplicity below, the (k-1)-th above
+    f_side = _row_stack(
+        bits[:n], xs, lambda prev, j, l, x: (prev + l - j, L(prev + l - j, j, prev, l, x, params)))
+    # g row k: M with the (k-1)-th chain multiplicity below, the k-th above
+    g_side = _row_stack(
+        bits[n:], ys, lambda prev, j, l, y: (prev + j - l, M(prev, j, prev + j - l, l, y, params)))
+    row = {}
+    for (m, f_out), wf in f_side.items():
+        if factor is not None:
+            wf *= factor(m)
+            if wf == 0:
+                continue
+        if not ys:
+            row[f_out] = wf
+            continue
+        for (mg, g_out), wg in g_side.items():
+            if mg == m:
+                row[f_out + g_out] = wf * wg
+    return row
+
+
+def _row_stack(bits, spectral, vertex):
+    """{(m_n, out bits): weight} for one column of n stacked rows, starting from m_0 = 0.
+
+    `vertex(prev, j, l, z)` returns the next chain multiplicity (fixed by
+    conservation) and the vertex weight for in-bit j and out-bit l.
+    """
+    layer = {(0, ()): ONE}
+    for j, z in zip(bits, spectral):
+        nxt = {}
+        for (prev, out), w in layer.items():
+            for l in (0, 1):
+                m, v = vertex(prev, j, l, z)
+                if v != 0:
+                    nxt[(m, out + (l,))] = w * v
+        layer = nxt
+    return layer
 
 
 def tail_weight(kappa, x, params):

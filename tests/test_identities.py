@@ -138,6 +138,15 @@ def test_refined_cauchy_n2(params):
         assert rep.tail_bound <= F(1, 10**5)
 
 
+def test_refined_cauchy_n3_determinant():
+    # 3x3 determinant form at a 6-variable point
+    params = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i}" for i in range(4, 10)])
+    for u in (params.u, F(1)):
+        rep = check_refined_cauchy(params.x[0::2], params.x[1::2], u, 15, params)
+        assert rep.passed, rep.to_json()
+        assert 0 < rep.tail_bound <= F(1, 10**5)
+
+
 def test_refined_cauchy_rejects_degenerate(params):
     with pytest.raises(DegenerateVandermonde):
         check_refined_cauchy((X, X), (Y, params.x[2]), params.u, 10, params)
@@ -150,6 +159,15 @@ def test_refined_littlewood_2n2(params):
     assert rep.rhs == (1 - u * q + (u - 1) * q * X * Y) / (1 - X * Y)
     # the empty partition contributes (1 - uq): check it is present in the lhs
     assert rep.lhs - (1 - u * q) > 0
+
+
+def test_refined_littlewood_2n4_pfaffian():
+    # 4x4 Pfaffian form at a 6-variable point
+    params = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i}" for i in range(4, 10)])
+    for u in (params.u, F(1)):
+        rep = check_refined_littlewood(params.x[:4], u, 15, params)
+        assert rep.passed, rep.to_json()
+        assert 0 < rep.tail_bound <= F(1, 10**5)
 
 
 def test_pfaffian_and_determinant():

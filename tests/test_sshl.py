@@ -4,14 +4,20 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from spinhl.identities import FIXTURE_POINTS
 from spinhl.partitions import (
     enumerate_partitions,
     even_core,
     even_cover,
     even_pair_coefficient,
     interlaces,
+    is_conjugate_even,
+    pairing_factor,
 )
 from spinhl.sshl import (
+    column_sums,
     f_one_row,
     f_one_row_def2,
     f_skew,
@@ -150,3 +156,40 @@ def test_tail_weight_equals_cover_side(params):
         lam = even_cover(kappa)
         cover_side = even_pair_coefficient(lam, params) * f_one_row(kappa, lam, X, params)
         assert tail_weight(kappa, X, params) == cover_side
+
+
+def _by_length(terms):
+    """{len(lam): sum of the terms}, dropping exact-zero sums."""
+    out = {}
+    for lam, w in terms:
+        out[len(lam)] = out.get(len(lam), 0) + w
+    return {k: v for k, v in out.items() if v != 0}
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_column_sums_match_chain_enumeration(point, n):
+    params = FIXTURE_POINTS[point]
+    xs, ys = params.x[:n], params.x[::-1][:n]
+    for cap in (0, 1, 5):
+        brute = _by_length(
+            (lam, f_skew((), lam, xs, params) * g_skew((), lam, ys, params))
+            for lam in enumerate_partitions(cap, n)
+        )
+        sums = column_sums(xs, ys, cap, params)
+        assert {k: v for k, v in sums.items() if v != 0} == brute, (n, cap)
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+@pytest.mark.parametrize("n2", [2, 4])
+def test_column_sums_littlewood_form(point, n2):
+    params = FIXTURE_POINTS[point]
+    xs = params.x[:n2]
+    for cap in (0, 1, 5):
+        brute = _by_length(
+            (lam, even_pair_coefficient(lam, params) * f_skew((), lam, xs, params))
+            for lam in enumerate_partitions(cap, n2)
+            if is_conjugate_even(lam)
+        )
+        sums = column_sums(xs, (), cap, params, factor=lambda m: pairing_factor(m, params))
+        assert {k: v for k, v in sums.items() if v != 0} == brute, (n2, cap)
