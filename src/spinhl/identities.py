@@ -191,7 +191,7 @@ def intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
 
 
 def check_intertwining_star(params, x, y, max_occ=6):
-    """Exact equality of the starred exchange relation, labelled as check_intertwining."""
+    """Exact equality of the starred exchange relation; occupancies <= max_occ."""
     return _exchange_report("intertwining-star", intertwining_star_sides, params, x, y, max_occ)
 
 
