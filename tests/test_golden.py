@@ -1,8 +1,10 @@
-"""Fixed-seed CLI outputs, compared byte for byte with the files in tests/golden/.
+"""Fixed-seed outputs, compared byte for byte with the files in tests/golden/.
 
 The CLI promises byte-reproducible output for a fixed seed; these files pin
 that promise across refactors.  A change that alters the sampled bytes on
-purpose must say so and regenerate the files with the commands below.
+purpose must say so and regenerate the files with the commands below.  The
+CLI draws from per-cell substreams; the library cases pin the sequential
+stream, whose bytes also depend on the order of the anti-diagonal sweep.
 """
 
 import os
@@ -10,6 +12,9 @@ import os
 import pytest
 
 from spinhl.cli import main
+from spinhl.ds6v import ds6v_sample, heights_to_csv
+from spinhl.exact import RandomSource
+from spinhl.field import field_to_json, sample_field
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -29,3 +34,21 @@ def test_cli_output_matches_golden(tmp_path, args, name, sidecars):
         with open(os.path.join(GOLDEN, name + suffix), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / (name + suffix)).read_bytes() == expected, name + suffix
+
+
+LIBRARY_CASES = [
+    ("sample_field_T4_seed7_sequential.json",
+     lambda p: field_to_json(sample_field(4, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"),
+    # at T = 4 every cell of this field is empty; T = 8 has nonempty ones
+    ("sample_field_T8_seed7_sequential.json",
+     lambda p: field_to_json(sample_field(8, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"),
+    ("ds6v_T8_seed7_sequential.csv",
+     lambda p: heights_to_csv(ds6v_sample(8, RandomSource(7, 1), p, per_cell_streams=False))),
+]
+
+
+@pytest.mark.parametrize("name, render", LIBRARY_CASES, ids=[c[0] for c in LIBRARY_CASES])
+def test_sequential_stream_matches_golden(params, name, render):
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        expected = fh.read()
+    assert render(params).encode() == expected, name
