@@ -87,7 +87,7 @@ def cmd_verify(args):
         points = (points[args.point],)
     if "q" in cfg or "s" in cfg:
         points = (_params_from(cfg, 3),)
-    reports = identities.run_suite(points, cap=int(cfg.get("cap", args.cap)),
+    reports = identities.run_suite(points, cap=int(_resolve(args, cfg, "cap", 30)),
                                    only=args.only, corrupt=corrupt)
     out = sys.stdout if args.out is None else open(args.out, "w")
     failed = 0
@@ -194,7 +194,8 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run the exact identity suite")
     p.add_argument("--only", default=None, help="restrict to checks whose name contains this")
     p.add_argument("--point", type=int, default=None, help="fixture parameter point index")
-    p.add_argument("--cap", type=int, default=30, help="largest-part truncation cap")
+    p.add_argument("--cap", type=int, default=None,
+                   help="largest-part truncation cap (default 30)")
     p.add_argument("--out", default=None, help="write JSON-lines reports here")
     p.set_defaults(func=cmd_verify)
 

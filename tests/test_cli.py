@@ -45,6 +45,18 @@ def test_verify_single_point(tmp_path):
     assert len(out.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, expect", [([], "cap=13"), (["--cap", "20"], "cap=20")])
+def test_verify_cap_flag_beats_config(tmp_path, flag, expect):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cap": 13}))
+    out = tmp_path / "reports.jsonl"
+    rc = main(["--config", str(cfg), "verify", "--point", "0", "--only", "refined-littlewood",
+               *flag, "--out", str(out)])
+    assert rc == 0
+    details = [json.loads(line)["detail"] for line in out.read_text().splitlines()]
+    assert details and all(d.endswith(expect) for d in details)
+
+
 def test_verify_corrupt_hook_fails(tmp_path):
     res = run_cli(["verify", "--only", "intertwining", "--point", "0"],
                   env_extra={"SPINHL_TEST_CORRUPT": "1"})
