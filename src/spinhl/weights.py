@@ -1,4 +1,4 @@
-"""Boltzmann weight tables for the higher-spin six-vertex model.
+"""The five Boltzmann weight tables of the higher-spin six-vertex model.
 
 Local states: a vertical edge carries any occupation number I >= 0 (or the
 INF sentinel used on the leftmost column of the second combinatorial
@@ -50,11 +50,9 @@ def _check_den(den, what):
     return den
 
 
-def L(I, j, K, l, x, params, s=None):
-    """Type-1 row vertex (grey); spectral x, spin s (params.s unless overridden)."""
-    if s is None:
-        s = params.s
-    q = params.q
+def L(I, j, K, l, x, params):
+    """Type-1 row vertex (grey); spectral x, spin params.s."""
+    s, q = params.s, params.q
     if not (_is_bit(j) and _is_bit(l)):
         return ZERO
     if I is INF or K is INF:
@@ -76,11 +74,9 @@ def L(I, j, K, l, x, params, s=None):
     return ZERO
 
 
-def M(I, j, K, l, x, params, s=None):
+def M(I, j, K, l, x, params):
     """Type-2 row vertex (red, paths up/right)."""
-    if s is None:
-        s = params.s
-    q = params.q
+    s, q = params.s, params.q
     if not (_is_bit(j) and _is_bit(l)):
         return ZERO
     if I is INF or K is INF:
@@ -101,11 +97,9 @@ def M(I, j, K, l, x, params, s=None):
     return ZERO
 
 
-def Mstar(I, j, K, l, x, params, s=None):
+def Mstar(I, j, K, l, x, params):
     """Type-3 row vertex (red, paths down/right): conservation K + j = I + l."""
-    if s is None:
-        s = params.s
-    q = params.q
+    s, q = params.s, params.q
     if not (_is_bit(j) and _is_bit(l)):
         return ZERO
     if I is INF or K is INF:
@@ -124,16 +118,6 @@ def Mstar(I, j, K, l, x, params, s=None):
     if j == 0 and l == 1 and K == I + 1:
         return x * (ONE - q**K) / den
     return ZERO
-
-
-def L0(I, j, K, l, x, params):
-    """L with the spin parameter set to zero."""
-    return L(I, j, K, l, x, params, s=ZERO)
-
-
-def M0(I, j, K, l, x, params):
-    """M with the spin parameter set to zero."""
-    return M(I, j, K, l, x, params, s=ZERO)
 
 
 def R(i, j, k, l, x, y, params):

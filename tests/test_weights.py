@@ -1,11 +1,11 @@
-"""The seven weight tables: frozen values, conservation, stochasticity."""
+"""The five weight tables: frozen values, conservation, stochasticity."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from spinhl.exact import InvalidParams, ModelParams
-from spinhl.weights import INF, L, L0, M, M0, Mstar, R, Rstar
+from spinhl.weights import INF, L, M, Mstar, R, Rstar
 
 
 X = F(1, 4)
@@ -27,7 +27,6 @@ def test_M_examples(params):
     assert M(0, 1, 1, 0, X, params) == X * (1 - q) / (1 - s * X)
     zero_s = ModelParams.make(params.q, 0)
     assert M(0, 0, 0, 0, X, zero_s) == X
-    assert M0(0, 0, 0, 0, X, params) == X
 
 
 def test_Mstar_examples(params):
@@ -42,18 +41,12 @@ def test_Mstar_examples(params):
             assert L(INF, j, INF, l, X, params) == X**l
 
 
-def test_L0_M0_are_zero_spin_specializations(params):
+def test_zero_spin_frozen_values(params):
     zero_s = ModelParams.make(params.q, 0)
-    for I in range(7):
-        for K in range(7):
-            for j in (0, 1):
-                for l in (0, 1):
-                    assert L0(I, j, K, l, X, params) == L(I, j, K, l, X, zero_s)
-                    assert M0(I, j, K, l, X, params) == M(I, j, K, l, X, zero_s)
     q = params.q
     for I in range(5):
-        assert L0(I, 1, I + 1, 0, X, params) == 1 - q ** (I + 1)
-        assert M0(I, 1, I + 1, 0, X, params) == X * (1 - q ** (I + 1))
+        assert L(I, 1, I + 1, 0, X, zero_s) == 1 - q ** (I + 1)
+        assert M(I, 1, I + 1, 0, X, zero_s) == X * (1 - q ** (I + 1))
 
 
 def test_row_tables_conserve(params):
