@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import InconsistentHeights, InvalidParams, sample_bernoulli
-from .transitions import compiled, jump_coefficients
+from .transitions import compiled, jump_coefficients, sweep
 
 
 def b_c_coeffs(i, j, params):
@@ -51,21 +51,17 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     order; per_cell_streams=False draws sequentially in sweep order from
     `rng`, which is faster and fine for bulk Monte Carlo.
     """
-    model = compiled(params)
-    model.require_probabilistic()
+    patterns = compiled(params).patterns
     h = {(0, j): 0 for j in range(T + 1)}
-    for total in range(2, 2 * T + 1):
-        for i in range(max(1, total - T), total // 2 + 1):
-            j = total - i
-            cell_rng = rng.substream(i, j) if per_cell_streams else rng
-            if i < j:
-                base = h[(i - 1, j - 1)]
-                da, db = h[(i, j - 1)] - base, h[(i - 1, j)] - base
-            else:
-                base = h[(i - 1, i - 1)]
-                da, db = base % 2, h[(i - 1, i)] - base
-            num, den, d0, d1 = model.patterns(j)[i - 1][2 * da + db]
-            h[(i, j)] = base + (d0 if sample_bernoulli(num, den, cell_rng) else d1)
+    for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
+        if i < j:
+            base = h[(i - 1, j - 1)]
+            da, db = h[(i, j - 1)] - base, h[(i - 1, j)] - base
+        else:
+            base = h[(i - 1, i - 1)]
+            da, db = base % 2, h[(i - 1, i)] - base
+        num, den, d0, d1 = patterns(j)[i - 1][2 * da + db]
+        h[(i, j)] = base + (d0 if sample_bernoulli(num, den, cell_rng) else d1)
     return h
 
 
@@ -99,15 +95,11 @@ def paths_from_heights(h):
             if v - h[(i - 1, j)] == 1:
                 vert.add((i, j))
     horiz = set()
-    # horizontal edge west of (i, j) for i >= 1: occupied iff a path is mid-flight,
-    # i.e. h(i-1, j) == h(i-1, j-1) fails to account ... recover by conservation:
-    # left(i,j) = 1 - (h(i-1,j) - h(i-1,j-1)) for i >= 2; left(1,j) = 1 (boundary inflow)
+    # the horizontal edge west of (i, j) is occupied iff h(i-1, .) does not grow
+    # from j-1 to j; at i = 1 that always holds (h(0, .) = 0), the boundary inflow
     for j in range(1, T + 1):
         for i in range(1, j + 1):
-            if i == 1:
-                left = 1
-            else:
-                left = 1 - (h[(i - 1, j)] - h[(i - 1, j - 1)])
+            left = 1 - (h[(i - 1, j)] - h[(i - 1, j - 1)])
             if left:
                 horiz.add((i - 1, j))
             bottom = (h[(i, j - 1)] - h[(i - 1, j - 1)]) if (i, j - 1) in h else 0

@@ -24,7 +24,7 @@ from .exact import InvalidPath, ONE, ZERO
 from .identities import cauchy_kernel
 from .partitions import interlaces
 from .sshl import f_one_row, g_one_row, tail_weight
-from .transitions import boundary_forward, bulk_forward, compiled
+from .transitions import boundary_forward, bulk_forward, sweep
 
 
 def sample_field(T, rng, params, per_cell_streams=True):
@@ -35,24 +35,18 @@ def sample_field(T, rng, params, per_cell_streams=True):
     (seed, stream, T) and not on evaluation order; per_cell_streams=False
     draws sequentially in sweep order, which is faster for Monte Carlo.
     """
-    model = compiled(params)
-    model.require_probabilistic()
     field = {(0, j): () for j in range(T + 1)}
-    for total in range(2, 2 * T + 1):
-        for i in range(max(1, total - T), total // 2 + 1):
-            j = total - i
-            cell_rng = rng.substream(i, j) if per_cell_streams else rng
-            x, y = params.spectral(i - 1), params.spectral(j)
-            ctx = model.sampler(x, y)
-            if i < j:
-                field[(i, j)] = bulk_forward(
-                    field[(i - 1, j - 1)], field[(i, j - 1)], field[(i - 1, j)],
-                    x, y, cell_rng, params, _ctx=ctx,
-                )
-            else:
-                field[(i, i)] = boundary_forward(
-                    field[(i - 1, i - 1)], field[(i - 1, i)], x, y, cell_rng, params, _ctx=ctx,
-                )
+    for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
+        x, y = params.spectral(i - 1), params.spectral(j)
+        if i < j:
+            field[(i, j)] = bulk_forward(
+                field[(i - 1, j - 1)], field[(i, j - 1)], field[(i - 1, j)],
+                x, y, cell_rng, params,
+            )
+        else:
+            field[(i, i)] = boundary_forward(
+                field[(i - 1, i - 1)], field[(i - 1, i)], x, y, cell_rng, params,
+            )
     return field
 
 

@@ -48,6 +48,8 @@ from .partitions import (
     even_core,
     even_cover,
     even_pair_coefficient,
+    interlacing_above,
+    interlacing_below,
     is_conjugate_even,
     pairing_factor,
 )
@@ -376,8 +378,6 @@ def _outer_sum_increments(lam, mu, x, y, cap, params):
     Terms are grouped by the largest part of kappa; the increments beyond
     max(lam_1, mu_1) feed the geometric tail certificate.
     """
-    from .partitions import interlacing_above
-
     above_lam = set(interlacing_above(lam, cap_part=cap))
     by_top = {c: ZERO for c in range(cap + 1)}
     for kappa in interlacing_above(mu, cap_part=cap):
@@ -409,8 +409,6 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
     pre = ONE / cauchy_kernel(x, y, params)
     series, inc = _outer_sum_increments(lam, mu, x, y, cap, params)
     lhs = pre * series[cap]
-    from .partitions import interlacing_below
-
     below_lam = set(interlacing_below(lam))
     rhs = ZERO
     for nu in interlacing_below(mu):
@@ -492,8 +490,6 @@ def _even_partitions_with_top(c, max_len):
 
 def _even_below(mu):
     """Conjugate-even partitions reachable below mu by up to two interlacing steps."""
-    from .partitions import interlacing_below
-
     found = set()
     for nu in interlacing_below(mu):
         for nu2 in interlacing_below(nu):

@@ -39,7 +39,6 @@ dynamic six-vertex module consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exact import (
     InconsistentHeights,
@@ -54,7 +53,7 @@ from .exact import (
     _sample_from_cumulative,
     cumulative_boundaries,
 )
-from .partitions import even_core, even_cover, interlaces, mult_vector
+from .partitions import even_core, even_cover, mult_vector
 from .weights import INF, L, Mstar, Rstar
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
@@ -131,6 +130,26 @@ def weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params
     return w, K_pin
 
 
+def _coupling(weight, side, context, x, y, params):
+    """The independence coupling of one column: each configuration's weight over the total."""
+    outcomes = []
+    weights = []
+    for a in (0, 1):
+        for b in (0, 1):
+            w, mid = weight(*context, a, b, x, y, params)
+            if w != 0:
+                outcomes.append((a, b, mid))
+                weights.append(w)
+    total = sum(weights, ZERO)
+    if total == 0:
+        I_lam, J_mu, i_prev, j_prev, k_h, l_h = context
+        raise ZeroSector(
+            f"no {side}-configuration at column context I={I_lam} J={J_mu} "
+            f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
+        )
+    return TransitionTable(tuple(outcomes), tuple(p / total for p in weights))
+
+
 def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Forward local transition at one column: TransitionTable over (i_h, j_h, M_h).
 
@@ -138,82 +157,77 @@ def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     weight over the total B-weight of the column (which equals the total
     A-weight by the starred exchange relation).
     """
-    outcomes = []
-    weights = []
-    for i_h in (0, 1):
-        for j_h in (0, 1):
-            w, mid = weight_b(I_lam, J_mu, i_prev, j_prev, k_h, l_h, i_h, j_h, x, y, params)
-            if w != 0:
-                outcomes.append((i_h, j_h, mid))
-                weights.append(w)
-    total = sum(weights, ZERO)
-    if total == 0:
-        raise ZeroSector(
-            f"no B-configuration at column context I={I_lam} J={J_mu} "
-            f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
-        )
-    return TransitionTable(tuple(outcomes), tuple(p / total for p in weights))
+    return _coupling(weight_b, "B", (I_lam, J_mu, i_prev, j_prev, k_h, l_h), x, y, params)
 
 
-@lru_cache(maxsize=None)
 def p_bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Backward local transition at one column: TransitionTable over (k_prev, l_prev, K_h)."""
-    outcomes = []
-    weights = []
-    for k_prev in (0, 1):
-        for l_prev in (0, 1):
-            w, mid = weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params)
-            if w != 0:
-                outcomes.append((k_prev, l_prev, mid))
-                weights.append(w)
-    total = sum(weights, ZERO)
-    if total == 0:
-        raise ZeroSector(
-            f"no A-configuration at column context I={I_lam} J={J_mu} "
-            f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
-        )
-    return TransitionTable(tuple(outcomes), tuple(p / total for p in weights))
+    return _coupling(weight_a, "A", (I_lam, J_mu, i_prev, j_prev, k_h, l_h), x, y, params)
 
 
 # ---------------------------------------------------------------------------
-# given-state scans
+# the column walks
 # ---------------------------------------------------------------------------
 
-def _forward_states(kappa, lam, mu, top):
-    """A-side horizontal states (k_h, l_h) for h = 0..top, from the kappa scans."""
-    mk = mult_vector(kappa, top)
-    ml = mult_vector(lam, top)
-    mm = mult_vector(mu, top)
+def _top(*partitions):
+    """The largest part among the partitions, 0 when all are empty."""
+    return max([p[0] for p in partitions if p], default=0)
+
+
+def _interlaced(*states):
+    """The interlacing check of both walks.
+
+    A state list counts #{parts of outer > h} - #{parts of inner > h} for
+    h = 0..top, and inner ≺ outer exactly when every count is 0 or 1.
+    """
+    return set().union(*states) <= {0, 1}
+
+
+def _a_walk(kappa, lam, mu, top):
+    """The A side of the column walk, as lists over the columns h = 0..top.
+
+    Returns (I_lam, J_mu, k_h, l_h, K_h): the multiplicities of lam and mu,
+    the given crossing states read off kappa, and the multiplicities of
+    kappa, with INF in every multiplicity list at column 0.  top may exceed
+    the largest part; the columns past it are all zero.  Raises ValueError
+    unless kappa ≺ lam and kappa ≺ mu.
+    """
+    I, J, K = mult_vector(lam, top), mult_vector(mu, top), mult_vector(kappa, top)
     k = [len(mu) - len(kappa)]
     l = [len(lam) - len(kappa)]
     for h in range(1, top + 1):
-        k.append(mk[h] - mm[h] + k[h - 1])
-        l.append(mk[h] - ml[h] + l[h - 1])
-    if any(v not in (0, 1) for v in k) or any(v not in (0, 1) for v in l):
-        raise ValueError("kappa does not interlace both neighbours")
-    return k, l
+        k.append(k[-1] + K[h] - J[h])
+        l.append(l[-1] + K[h] - I[h])
+    if not _interlaced(k, l):
+        raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
+    I[0] = J[0] = K[0] = INF
+    return I, J, k, l, K
 
 
-def _backward_states(nu, lam, mu, top):
-    """B-side horizontal states (i_h, j_h) for h = 0..top, from the nu scans."""
-    mn = mult_vector(nu, top)
-    ml = mult_vector(lam, top)
-    mm = mult_vector(mu, top)
+def _b_walk(nu, lam, mu, top):
+    """The B side of the column walk: (I_lam, J_mu, i_h, j_h, M_h) over h = 0..top.
+
+    Like _a_walk, with the crossing states and the middle multiplicities
+    read off nu.  Raises ValueError unless lam ≺ nu and mu ≺ nu.
+    """
+    I, J, M = mult_vector(lam, top), mult_vector(mu, top), mult_vector(nu, top)
     i = [len(nu) - len(lam)]
     j = [len(nu) - len(mu)]
     for h in range(1, top + 1):
-        i.append(ml[h] - mn[h] + i[h - 1])
-        j.append(mm[h] - mn[h] + j[h - 1])
-    if any(v not in (0, 1) for v in i) or any(v not in (0, 1) for v in j):
-        raise ValueError("nu does not interlace both neighbours from above")
-    return i, j
+        i.append(i[-1] + I[h] - M[h])
+        j.append(j[-1] + J[h] - M[h])
+    if not _interlaced(i, j):
+        raise ValueError(f"need lam ≺ nu and mu ≺ nu; got {nu}, {lam}, {mu}")
+    I[0] = J[0] = M[0] = INF
+    return I, J, i, j, M
 
 
-def _require_bulk_pre(kappa, lam, mu, x, y, params):
-    if not (interlaces(kappa, lam) and interlaces(kappa, mu)):
-        raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
-    if not admissible(x, y, params):
-        raise NotAdmissible(f"({x}, {y}) not admissible")
+def _partition(mults):
+    """The partition with multiplicity mults[h] of each part h >= 1, largest first."""
+    parts = []
+    for h in range(len(mults) - 1, 0, -1):
+        parts += [h] * mults[h]
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,29 +235,33 @@ def _require_bulk_pre(kappa, lam, mu, x, y, params):
 # ---------------------------------------------------------------------------
 
 class CellSampler:
-    """Forward-table cache for one (x, y) pair.
+    """The forward and backward column tables of one (x, y) pair.
 
-    Monte Carlo sweeps hit the same few column contexts millions of times;
-    this layer keys them by small ints (INF encoded as -1) so the hot path
-    never hashes Fractions.
+    Monte Carlo sweeps hit the same few column contexts millions of times.
+    The tables are keyed by the context (I_lam, J_mu, i_prev, j_prev, k_h,
+    l_h) itself, whose entries are small ints or INF, so the hot path never
+    hashes a Fraction.
     """
 
     def __init__(self, x, y, params):
         if not admissible(x, y, params):
             raise NotAdmissible(f"({x}, {y}) not admissible")
         self.x, self.y, self.params = x, y, params
-        self._tables = {}
+        self._fwd = {}
+        self._bwd = {}
 
-    def fwd(self, I_lam, J_mu, i_prev, j_prev, k_h, l_h):
-        key = (
-            -1 if I_lam is INF else I_lam,
-            -1 if J_mu is INF else J_mu,
-            i_prev, j_prev, k_h, l_h,
-        )
-        tbl = self._tables.get(key)
+    def fwd(self, *context):
+        """p_fwd at this (x, y) and the given column context."""
+        tbl = self._fwd.get(context)
         if tbl is None:
-            tbl = p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, self.x, self.y, self.params)
-            self._tables[key] = tbl
+            tbl = self._fwd[context] = p_fwd(*context, self.x, self.y, self.params)
+        return tbl
+
+    def bwd(self, *context):
+        """p_bwd at this (x, y) and the given column context."""
+        tbl = self._bwd.get(context)
+        if tbl is None:
+            tbl = self._bwd[context] = p_bwd(*context, self.x, self.y, self.params)
         return tbl
 
 
@@ -255,8 +273,9 @@ class CompiledModel:
     long as that object, and no lookup hashes a Fraction.  Every table is
     filled lazily:
 
-      sampler(x, y)  the partition field's forward-table cache for the
-                     spectral pair (x, y), keyed by its integer data
+      sampler(x, y)  the forward and backward column tables of the
+                     spectral pair (x, y) (a CellSampler), keyed by its
+                     integer data
       jumps(j)       the particle jump coefficients of the cells (i, j),
                      1 <= i <= j, as a list indexed by i - 1 of integer
                      triples (b_num, c_num, den) (see jump_coefficients)
@@ -328,75 +347,68 @@ def compiled(params):
 
 
 def cell_sampler(x, y, params):
-    """The forward-table cache of the spectral pair (x, y) under params."""
+    """The column tables of the spectral pair (x, y) under params."""
     return compiled(params).sampler(x, y)
+
+
+def sweep(T, rng, params, per_cell_streams):
+    """The growth order of both samplers: (i, j, cell_rng) for 1 <= i <= j <= T.
+
+    Cells come by anti-diagonal i + j and then by i, so every cell comes
+    after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  cell_rng is
+    rng.substream(i, j) with per_cell_streams and rng itself otherwise, so
+    sequential draws follow this order.  params must be in probabilistic
+    mode; that is checked here at once, also when T = 0 has no cells.
+    """
+    compiled(params).require_probabilistic()
+    return (
+        (i, total - i, rng.substream(i, total - i) if per_cell_streams else rng)
+        for total in range(2, 2 * T + 1)
+        for i in range(max(1, total - T), total // 2 + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
 # the four operators
 # ---------------------------------------------------------------------------
 
-def bulk_forward(kappa, lam, mu, x, y, rng, params, _ctx=None):
+def bulk_forward(kappa, lam, mu, x, y, rng, params):
     """Sample nu from the forward bulk operator given corner kappa and neighbours lam, mu."""
-    ctx = _ctx if _ctx is not None else cell_sampler(x, y, params)
-    if not (interlaces(kappa, lam) and interlaces(kappa, mu)):
-        raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
-    top = max([0] + [p[0] for p in (kappa, lam, mu) if p])
-    ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = mult_vector(lam, top)
-    mmu = mult_vector(mu, top)
-    parts = []
-    i_prev, j_prev = 1, 0
-    h = 0
-    while True:
-        if h == 0:
-            I_lam, J_mu = INF, INF
-            k_h, l_h = ks[0], ls[0]
-        elif h <= top:
-            I_lam, J_mu = mlam[h], mmu[h]
-            k_h, l_h = ks[h], ls[h]
-        else:
-            I_lam = J_mu = 0
-            k_h = l_h = 0
-        i_h, j_h, mid = ctx.fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h).sample(rng)
-        if h >= 1 and mid:
-            parts.extend([h] * mid)
-        i_prev, j_prev = i_h, j_h
-        h += 1
-        if h > top and (i_prev, j_prev) == (0, 0):
-            break
-        if h > top + SCAN_CAP:
+    fwd = cell_sampler(x, y, params).fwd
+    top = _top(kappa, lam, mu)
+    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, top)
+    mids = []
+    i_h, j_h = 1, 0
+    for h in range(top + 1):
+        i_h, j_h, mid = fwd(I[h], J[h], i_h, j_h, ks[h], ls[h]).sample(rng)
+        mids.append(mid)
+    # past top every context is (0, 0, i, j, 0, 0); the scan ends at carry (0, 0)
+    while i_h or j_h:
+        if len(mids) > top + SCAN_CAP:
             raise ScanCapExceeded(f"forward scan still alive {SCAN_CAP} columns past {top}")
-    return tuple(sorted(parts, reverse=True))
+        i_h, j_h, mid = fwd(0, 0, i_h, j_h, 0, 0).sample(rng)
+        mids.append(mid)
+    return _partition(mids)
 
 
 def bulk_backward(nu, lam, mu, x, y, rng, params):
     """Sample kappa from the backward bulk operator given corner nu and neighbours lam, mu."""
-    if not (interlaces(lam, nu) and interlaces(mu, nu)):
-        raise ValueError(f"need lam ≺ nu and mu ≺ nu; got {nu}, {lam}, {mu}")
-    if not admissible(x, y, params):
-        raise NotAdmissible(f"({x}, {y}) not admissible")
-    top = max([0] + [p[0] for p in (nu, lam, mu) if p])
-    istates, jstates = _backward_states(nu, lam, mu, top)
-    mlam = mult_vector(lam, top)
-    mmu = mult_vector(mu, top)
+    bwd = cell_sampler(x, y, params).bwd
+    top = _top(nu, lam, mu)
+    I, J, i, j, _ = _b_walk(nu, lam, mu, top)
     parts = []
-    k_h, l_h = 0, 0
+    k_h = l_h = 0
     for h in range(top, 0, -1):
-        k_prev, l_prev, mid = p_bwd(
-            mlam[h], mmu[h], istates[h - 1], jstates[h - 1], k_h, l_h, x, y, params
-        ).sample(rng)
-        if mid:
-            parts.extend([h] * mid)
-        k_h, l_h = k_prev, l_prev
+        k_h, l_h, mid = bwd(I[h], J[h], i[h - 1], j[h - 1], k_h, l_h).sample(rng)
+        parts += [h] * mid
     # column 0 is forced: its crossing outputs are (1, 0) with probability one
     # (test_column0_coupling_is_the_forced_one pins this for every (k_h, l_h))
-    return tuple(sorted(parts, reverse=True))
+    return tuple(parts)
 
 
-def boundary_forward(kappa, mu, x, y, rng, params, _ctx=None):
+def boundary_forward(kappa, mu, x, y, rng, params):
     """Diagonal forward operator: condition on the conjugate-even cover of kappa."""
-    return bulk_forward(kappa, even_cover(kappa), mu, x, y, rng, params, _ctx=_ctx)
+    return bulk_forward(kappa, even_cover(kappa), mu, x, y, rng, params)
 
 
 def boundary_backward(nu, mu, x, y, rng, params):
@@ -410,49 +422,36 @@ def boundary_backward(nu, mu, x, y, rng, params):
 
 def forward_prob(kappa, lam, mu, nu, x, y, params):
     """Exact probability that bulk_forward produces nu (a single forced trajectory)."""
-    _require_bulk_pre(kappa, lam, mu, x, y, params)
-    if not (interlaces(lam, nu) and interlaces(mu, nu)):
-        return ZERO
-    top = max([0] + [p[0] for p in (kappa, lam, mu, nu) if p])
-    ks, ls = _forward_states(kappa, lam, mu, top)
+    fwd = cell_sampler(x, y, params).fwd
+    top = _top(kappa, lam, mu, nu)
+    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, top)
     try:
-        istates, jstates = _backward_states(nu, lam, mu, top)
+        _, _, i, j, M = _b_walk(nu, lam, mu, top)
     except ValueError:
         return ZERO
-    mlam = mult_vector(lam, top)
-    mmu = mult_vector(mu, top)
-    mnu = mult_vector(nu, top)
-    ctx = cell_sampler(x, y, params)
     prob = ONE
     i_prev, j_prev = 1, 0
-    for h in range(0, top + 1):
-        I_lam, J_mu = (INF, INF) if h == 0 else (mlam[h], mmu[h])
-        target = (istates[h] if h else istates[0], jstates[h] if h else jstates[0],
-                  INF if h == 0 else mnu[h])
-        tbl = ctx.fwd(I_lam, J_mu, i_prev, j_prev, ks[h], ls[h])
-        prob *= tbl.prob(target)
+    for h in range(top + 1):
+        prob *= fwd(I[h], J[h], i_prev, j_prev, ks[h], ls[h]).prob((i[h], j[h], M[h]))
         if prob == 0:
             return ZERO
-        i_prev, j_prev = target[0], target[1]
+        i_prev, j_prev = i[h], j[h]
     return prob
 
 
 def backward_prob(nu, lam, mu, kappa, x, y, params):
     """Exact probability that bulk_backward produces kappa."""
-    if not (interlaces(lam, nu) and interlaces(mu, nu)):
-        raise ValueError("need lam ≺ nu and mu ≺ nu")
-    if not (interlaces(kappa, lam) and interlaces(kappa, mu)):
+    bwd = cell_sampler(x, y, params).bwd
+    top = _top(kappa, lam, mu, nu)
+    I, J, i, j, _ = _b_walk(nu, lam, mu, top)
+    try:
+        _, _, ks, ls, K = _a_walk(kappa, lam, mu, top)
+    except ValueError:
         return ZERO
-    top = max([0] + [p[0] for p in (kappa, lam, mu, nu) if p])
-    istates, jstates = _backward_states(nu, lam, mu, top)
-    ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = mult_vector(lam, top)
-    mmu = mult_vector(mu, top)
-    mkap = mult_vector(kappa, top)
     prob = ONE
     for h in range(top, 0, -1):
-        tbl = p_bwd(mlam[h], mmu[h], istates[h - 1], jstates[h - 1], ks[h], ls[h], x, y, params)
-        prob *= tbl.prob((ks[h - 1], ls[h - 1], mkap[h]))
+        tbl = bwd(I[h], J[h], i[h - 1], j[h - 1], ks[h], ls[h])
+        prob *= tbl.prob((ks[h - 1], ls[h - 1], K[h]))
         if prob == 0:
             return ZERO
     return prob
@@ -465,33 +464,23 @@ def forward_distribution(kappa, lam, mu, x, y, params, part_cap):
     overflow is the exact mass of scan trajectories still alive past the
     cap, so sum(dist.values()) + overflow == 1 exactly.
     """
-    _require_bulk_pre(kappa, lam, mu, x, y, params)
-    top = max([0] + [p[0] for p in (kappa, lam, mu) if p])
-    ks, ls = _forward_states(kappa, lam, mu, top)
-    mlam = mult_vector(lam, top)
-    mmu = mult_vector(mu, top)
-    ctx = cell_sampler(x, y, params)
+    fwd = cell_sampler(x, y, params).fwd
+    top = _top(kappa, lam, mu)
+    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, max(top, part_cap))
     dist = {}
     overflow = [ZERO]
 
-    def rec(h, i_prev, j_prev, parts, prob):
+    def rec(h, i_prev, j_prev, mids, prob):
         if h > top and (i_prev, j_prev) == (0, 0):
-            nu = tuple(sorted(parts, reverse=True))
+            nu = _partition(mids)
             dist[nu] = dist.get(nu, ZERO) + prob
             return
         if h > part_cap:
             overflow[0] += prob
             return
-        if h == 0:
-            I_lam, J_mu, k_h, l_h = INF, INF, ks[0], ls[0]
-        elif h <= top:
-            I_lam, J_mu, k_h, l_h = mlam[h], mmu[h], ks[h], ls[h]
-        else:
-            I_lam = J_mu = k_h = l_h = 0
-        tbl = ctx.fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
+        tbl = fwd(I[h], J[h], i_prev, j_prev, ks[h], ls[h])
         for (i_h, j_h, mid), p in zip(tbl.outcomes, tbl.probs):
-            extra = [h] * mid if (h >= 1 and mid) else []
-            rec(h + 1, i_h, j_h, parts + extra, prob * p)
+            rec(h + 1, i_h, j_h, mids + [mid], prob * p)
 
     rec(0, 1, 0, [], ONE)
     return dist, overflow[0]

@@ -36,12 +36,15 @@ def test_cli_output_matches_golden(tmp_path, args, name, sidecars):
         assert (tmp_path / (name + suffix)).read_bytes() == expected, name + suffix
 
 
+def _sequential_field(T):
+    return lambda p: field_to_json(
+        sample_field(T, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"
+
+
 LIBRARY_CASES = [
-    ("sample_field_T4_seed7_sequential.json",
-     lambda p: field_to_json(sample_field(4, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"),
+    ("sample_field_T4_seed7_sequential.json", _sequential_field(4)),
     # at T = 4 every cell of this field is empty; T = 8 has nonempty ones
-    ("sample_field_T8_seed7_sequential.json",
-     lambda p: field_to_json(sample_field(8, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"),
+    ("sample_field_T8_seed7_sequential.json", _sequential_field(8)),
     ("ds6v_T8_seed7_sequential.csv",
      lambda p: heights_to_csv(ds6v_sample(8, RandomSource(7, 1), p, per_cell_streams=False))),
 ]

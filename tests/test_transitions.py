@@ -1,16 +1,19 @@
 """Transition operators: local couplings, normalization, reversibility, projections."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from spinhl.exact import ModelParams, NotAdmissible, RandomSource, ZeroSector
+from spinhl.ds6v import ds6v_sample, particle_trajectory
+from spinhl.exact import InvalidParams, ModelParams, NotAdmissible, RandomSource, ZeroSector
+from spinhl.field import sample_field
 from spinhl.identities import cauchy_kernel, intertwining_star_sides
 from spinhl.partitions import (
     enumerate_partitions,
     even_core,
     even_cover,
-    even_pair_coefficient,
     interlaces,
     interlacing_above,
 )
@@ -253,3 +256,34 @@ def test_preconditions(params):
     bad = ModelParams.make("1/3", "-1/2")
     with pytest.raises(NotAdmissible):
         bulk_forward((), (), (), F(1), F(1), rng, bad)
+
+
+def _fresh_params(q="1/3", u="1/2"):
+    return ModelParams.make(q, "-1/2", u, [f"1/{i + 4}" for i in range(10)])
+
+
+LIFETIME_CASES = {
+    "sample_field": lambda p: sample_field(4, RandomSource(0, 0), p),
+    "ds6v_sample": lambda p: ds6v_sample(4, RandomSource(0, 1), p),
+    "particle_trajectory": lambda p: particle_trajectory(4, RandomSource(0, 2), p),
+    "bulk_backward": lambda p: bulk_backward(
+        (2, 1), (1, 1), (2,), p.x[0], p.x[1], RandomSource(0, 3), p),
+    "backward_prob": lambda p: backward_prob((2, 1), (1, 1), (2,), (1,), p.x[0], p.x[1], p),
+}
+
+
+@pytest.mark.parametrize("case", list(LIFETIME_CASES))
+def test_tables_live_only_as_long_as_params(case):
+    # u differs per case, so a cache keyed by equal params cannot hit across cases
+    params = _fresh_params(u=F(1, 2 + list(LIFETIME_CASES).index(case)))
+    ref = weakref.ref(params)
+    LIFETIME_CASES[case](params)
+    del params
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("sampler", [sample_field, ds6v_sample])
+def test_samplers_check_params_even_with_no_cells(sampler):
+    with pytest.raises(InvalidParams):
+        sampler(0, RandomSource(0, 0), _fresh_params(q="3/2"))
