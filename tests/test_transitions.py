@@ -33,6 +33,8 @@ from spinhl.transitions import (
     p_fwd,
     weight_a,
     weight_b,
+    _a_walk,
+    _b_walk,
 )
 
 
@@ -249,6 +251,22 @@ def test_forward_backward_round_trip_support(params):
     assert interlaces(kap, even_core(nu))
 
 
+def test_walks_check_interlacing_like_interlaces():
+    # the walks' 0/1 state check is the operators' only interlacing check
+    shapes = enumerate_partitions(3, 3)
+    for p in shapes:
+        for a in shapes:
+            for b in shapes:
+                for walk, expect in ((_a_walk, interlaces(p, a) and interlaces(p, b)),
+                                     (_b_walk, interlaces(a, p) and interlaces(b, p))):
+                    try:
+                        walk(p, a, b, 3)
+                        ok = True
+                    except ValueError:
+                        ok = False
+                    assert ok == expect, (walk.__name__, p, a, b)
+
+
 def test_preconditions(params):
     rng = RandomSource(0, 0)
     with pytest.raises(ValueError):
@@ -272,10 +290,10 @@ LIFETIME_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(LIFETIME_CASES))
-def test_tables_live_only_as_long_as_params(case):
+@pytest.mark.parametrize("k, case", enumerate(LIFETIME_CASES), ids=list(LIFETIME_CASES))
+def test_tables_live_only_as_long_as_params(k, case):
     # u differs per case, so a cache keyed by equal params cannot hit across cases
-    params = _fresh_params(u=F(1, 2 + list(LIFETIME_CASES).index(case)))
+    params = _fresh_params(u=F(1, 2 + k))
     ref = weakref.ref(params)
     LIFETIME_CASES[case](params)
     del params
