@@ -3,8 +3,10 @@
 The CLI promises byte-reproducible output for a fixed seed; these files pin
 that promise across refactors.  A change that alters the sampled bytes on
 purpose must say so and regenerate the files with the commands below.  The
-CLI draws from per-cell substreams; the library cases pin the sequential
-stream, whose bytes also depend on the order of the anti-diagonal sweep.
+CLI draws from per-cell substreams, but its T = 4 field has every cell
+empty, so a library case pins a per-cell field with nonempty cells; the
+other library cases pin the sequential stream, whose bytes also depend on
+the order of the anti-diagonal sweep.
 """
 
 import os
@@ -36,22 +38,31 @@ def test_cli_output_matches_golden(tmp_path, args, name, sidecars):
         assert (tmp_path / (name + suffix)).read_bytes() == expected, name + suffix
 
 
-def _sequential_field(T):
+def _field(T, seed, per_cell_streams):
     return lambda p: field_to_json(
-        sample_field(T, RandomSource(7, 0), p, per_cell_streams=False)) + "\n"
+        sample_field(T, RandomSource(seed, 0), p, per_cell_streams=per_cell_streams)) + "\n"
 
 
 LIBRARY_CASES = [
-    ("sample_field_T4_seed7_sequential.json", _sequential_field(4)),
+    ("sample_field_T4_seed7_sequential.json", _field(4, 7, False)),
     # at T = 4 every cell of this field is empty; T = 8 has nonempty ones
-    ("sample_field_T8_seed7_sequential.json", _sequential_field(8)),
+    ("sample_field_T8_seed7_sequential.json", _field(8, 7, False)),
     ("ds6v_T8_seed7_sequential.csv",
      lambda p: heights_to_csv(ds6v_sample(8, RandomSource(7, 1), p, per_cell_streams=False))),
 ]
 
 
-@pytest.mark.parametrize("name, render", LIBRARY_CASES, ids=[c[0] for c in LIBRARY_CASES])
-def test_sequential_stream_matches_golden(params, name, render):
+def _check_library_case(params, name, render):
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         expected = fh.read()
     assert render(params).encode() == expected, name
+
+
+@pytest.mark.parametrize("name, render", LIBRARY_CASES, ids=[c[0] for c in LIBRARY_CASES])
+def test_sequential_stream_matches_golden(params, name, render):
+    _check_library_case(params, name, render)
+
+
+def test_per_cell_streams_match_golden(params):
+    # 70 nonempty cells, with up to two parts each
+    _check_library_case(params, "sample_field_T16_seed8.json", _field(16, 8, True))
