@@ -157,8 +157,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _words(n):
-    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+def _index(n):
+    """n as a plain non-negative int (bools and numpy ints through operator.index)."""
     if type(n) is not int:
         try:
             n = operator.index(n)
@@ -166,6 +166,12 @@ def _words(n):
             raise ValueError(f"seed and key entries must be ints, got {n!r}") from None
     if n < 0:
         raise ValueError(f"seed and key entries must be non-negative, got {n}")
+    return n
+
+
+def _words(n):
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+    n = _index(n)
     if n <= _M32:
         return (n,)
     out = []
@@ -213,6 +219,22 @@ def _absorb(pool, h, words):
         r = (_MIX_L * p3 - _MIX_R * (v ^ (v >> 16))) & _M32
         p3 = r ^ (r >> 16)
     return (p0, p1, p2, p3), h
+
+
+def _second_word_consts(h):
+    """Hash steps of the second of two key words absorbed from hash constant h.
+
+    Returns the four (xor, multiply) pairs of that word's hash steps and
+    the hash constant after both words; none depends on the words.
+    """
+    for _ in range(4):
+        h = (h * _MULT_A) & _M32
+    steps = []
+    for _ in range(4):
+        h2 = (h * _MULT_A) & _M32
+        steps.append((h, h2))
+        h = h2
+    return tuple(steps), h
 
 
 def _seed_pool(words):
@@ -272,11 +294,17 @@ class RandomSource:
 
     SeedSequence hashes the spawn-key words one after another with
     constants that do not depend on the data, so a source keeps its
-    hashed pool and a substream mixes in only its own key words, lazily:
-    at its first bit or its first substream.
+    hashed pool and a substream mixes in only its own key words.  For a
+    lattice cell, substream(i, j) with i and j below 2**32, that is done
+    at once from two memos on the parent: the pool after absorbing i
+    (one row per distinct i) and the four hashed values of j at the next
+    depth (one column per distinct j), so a cell costs four mix steps.
+    The memos live as long as the parent.  Any other key is mixed in
+    lazily, at the substream's first bit or first substream; the PCG64
+    state is always seeded lazily, at the first bit.
     """
 
-    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
+    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf", "_cells")
 
     def __init__(self, seed, stream=0):
         self.seed = seed
@@ -287,23 +315,64 @@ class RandomSource:
         self._mixed = (*_absorb(pool, h, _words(stream)), 0)
         self._state = None
         self._buf = 1  # remaining bits of the current word above a sentinel 1
+        self._cells = None
 
     def __repr__(self):
         key = f", key={self._key}" if self._key else ""
         return f"RandomSource(seed={self.seed}, stream={self.stream}{key})"
 
     def substream(self, *key):
-        for k in key:
-            if type(k) is not int or k < 0:
-                _words(k)  # raises ValueError for negative and non-int entries
+        mixed = None
+        if len(key) == 2:
+            i, j = key
+            if type(i) is not int or type(j) is not int:
+                i, j = _index(i), _index(j)
+            if 0 <= i <= _M32 and 0 <= j <= _M32:
+                mixed = self._cell(i, j)
+        if mixed is None:
+            for k in key:
+                if type(k) is not int or k < 0:
+                    _index(k)  # raises ValueError for negative and non-int entries
+            mixed = self._mix_key()  # children share the work of this source's key
         child = RandomSource.__new__(RandomSource)
         child.seed = self.seed
         child.stream = self.stream
         child._key = self._key + key
-        child._mixed = self._mix_key()  # children share the work of this source's key
+        child._mixed = mixed
         child._state = None
         child._buf = 1
+        child._cells = None
         return child
+
+    def _cell(self, i, j):
+        """The mixed pool of the child keyed (i, j), both single words, from the memo.
+
+        Absorbing i takes this source's pool to a row that every j shares;
+        the hashed values of j at the next depth form a column that every i
+        shares.  Both are kept premultiplied by the mix constants (mod
+        2^32), so a cell costs four subtractions and shifts.
+        """
+        cells = self._cells
+        if cells is None:
+            pool, h, _ = self._mix_key()
+            steps, h_after = _second_word_consts(h)
+            cells = self._cells = ({}, {}, pool, h, steps, (h_after, len(self._key) + 2))
+        rows, cols, pool, h, steps, tail = cells
+        row = rows.get(i)
+        if row is None:
+            row = rows[i] = tuple((_MIX_L * p) & _M32 for p in _absorb(pool, h, (i,))[0])
+        col = cols.get(j)
+        if col is None:
+            col = []
+            for x, m in steps:
+                v = ((j ^ x) * m) & _M32
+                col.append((_MIX_R * (v ^ (v >> 16))) & _M32)
+            col = cols[j] = tuple(col)
+        r0 = (row[0] - col[0]) & _M32
+        r1 = (row[1] - col[1]) & _M32
+        r2 = (row[2] - col[2]) & _M32
+        r3 = (row[3] - col[3]) & _M32
+        return (r0 ^ (r0 >> 16), r1 ^ (r1 >> 16), r2 ^ (r2 >> 16), r3 ^ (r3 >> 16)), *tail
 
     def _mix_key(self):
         """The pool and hash constant with this source's whole key mixed in."""

@@ -16,6 +16,7 @@ from spinhl.exact import (
     sample_bernoulli,
     sample_categorical,
 )
+from spinhl.field import sample_field
 
 
 def rand_frac(rng, span=50):
@@ -203,3 +204,67 @@ def test_random_source_rejects_bad_seed_and_key(bad):
         RandomSource(1, bad)
     with pytest.raises(ValueError):
         RandomSource(1, 0).substream(2, bad)
+
+
+def _numpy_bits(seed, key, n_words=1):
+    return _bits(_numpy_words(seed, key, n_words))
+
+
+def test_cell_substreams_match_numpy_and_the_one_word_chain():
+    # substream(i, j) with single-word i, j mixes a row and a column kept on
+    # the parent; substream(i).substream(j) absorbs the words one by one
+    pytest.importorskip("numpy")
+    rnd = random.Random(20261019)
+    edge = [0, 2**32 - 1, 2**32]  # the last one takes the general path
+    for case in range(48):
+        words = case % 8  # seeds of 0 to 7 32-bit words
+        seed = rnd.getrandbits(32 * words) | 1 << (32 * words - 1) if words else 0
+        stream = rnd.choice([0, 2, rnd.getrandbits(40)])
+        pkey = tuple(rnd.choice([rnd.randrange(50), rnd.getrandbits(rnd.randint(33, 70))])
+                     for _ in range(rnd.randrange(3)))
+        parent = RandomSource(seed, stream).substream(*pkey)
+        for _ in range(case % 3 * 40):  # some parents draw bits before they spawn
+            parent.bit()
+        cells = [(rnd.choice(edge + [rnd.randrange(40)]), rnd.choice(edge + [rnd.randrange(40)]))
+                 for _ in range(5)]
+        cells += [cells[1], (cells[0][1], cells[0][0])]  # a repeat, and the transpose
+        for i, j in cells:
+            key = (stream, *pkey, i, j)
+            cell = parent.substream(i, j)
+            want = _numpy_bits(seed, key, 2)
+            assert [cell.bit() for _ in range(126)] == want, (seed, key)
+            chain = RandomSource(seed, stream).substream(*pkey).substream(i).substream(j)
+            assert [chain.bit() for _ in range(126)] == want, (seed, key)
+        i, j = cells[-1]
+        cell = parent.substream(i, j)
+        grandchild = cell.substream(5)
+        assert [grandchild.bit() for _ in range(63)] == _numpy_bits(seed, (stream, *pkey, i, j, 5))
+        nested = cell.substream(j, i)
+        assert [nested.bit() for _ in range(63)] == _numpy_bits(seed, (stream, *pkey, i, j, j, i))
+
+
+def test_cell_substream_keys_go_through_operator_index():
+    np = pytest.importorskip("numpy")
+    top = 2**32 - 1
+    for key, plain in [
+        ((True, np.int64(7)), (1, 7)),
+        ((np.uint32(top), np.uint32(top)), (top, top)),
+        ((np.uint8(200), False), (200, 0)),
+        ((np.uint64(2**32), np.int16(3)), (2**32, 3)),
+    ]:
+        src = RandomSource(11, 4)
+        cell = src.substream(*key)
+        assert [cell.bit() for _ in range(63)] == _numpy_bits(11, (4, *plain)), key
+        if src._cells is not None:
+            rows, cols = src._cells[:2]
+            assert all(type(k) is int for k in [*rows, *cols])
+    with pytest.raises(ValueError):
+        RandomSource(11, 4).substream(np.int64(-1), 3)
+
+
+@pytest.mark.parametrize("T", [0, 1, 5, 16])
+def test_cell_memo_holds_at_most_one_row_and_column_per_lattice_index(params, T):
+    src = RandomSource(8, 0)
+    sample_field(T, src, params)
+    rows, cols = src._cells[:2] if src._cells is not None else ((), ())
+    assert len(rows) + len(cols) <= 2 * T
