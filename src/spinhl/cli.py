@@ -150,40 +150,13 @@ def cmd_particles(args):
 
 
 def cmd_compare(args):
-    from collections import Counter
-
-    from scipy.stats import chi2_contingency
-
     cfg = _load_config(args.config)
     params = _params_from(cfg, args.T)
-    counts_field = {pt: Counter() for pt in _sites(args.T)}
-    counts_h = {pt: Counter() for pt in _sites(args.T)}
-    for k in range(args.samples):
-        fld = field_mod.sample_field(args.T, RandomSource(args.seed, 0).substream(k), params)
-        hts = ds6v_mod.ds6v_sample(args.T, RandomSource(args.seed, 1).substream(k), params)
-        for pt in counts_field:
-            counts_field[pt][len(fld[pt])] += 1
-            counts_h[pt][hts[pt]] += 1
-    worst = 1.0
-    report = {}
-    for pt in counts_field:
-        keys = sorted(set(counts_field[pt]) | set(counts_h[pt]))
-        if len(keys) < 2:
-            pv = 1.0
-        else:
-            table = [
-                [counts_field[pt][k] for k in keys],
-                [counts_h[pt][k] for k in keys],
-            ]
-            pv = float(chi2_contingency(table).pvalue)
-        report[f"{pt}"] = pv
-        worst = min(worst, pv)
+    p_values = ds6v_mod.paired_marginals(args.T, args.samples, args.seed, params)
+    worst = min(1.0, *p_values.values())
+    report = {f"{pt}": pv for pt, pv in p_values.items()}
     print(json.dumps({"samples": args.samples, "p_values": report, "worst": worst}))
     return 0 if worst > 1e-3 else 1
-
-
-def _sites(T):
-    return [(i, j) for j in range(1, T + 1) for i in range(1, j + 1)]
 
 
 def main(argv=None):

@@ -25,10 +25,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InconsistentHeights, InvalidParams, sample_bernoulli
+from .exact import InconsistentHeights, InvalidParams, RandomSource, sample_bernoulli
+from .field import sample_field
 from .transitions import compiled, jump_coefficients, sweep
 
 
@@ -63,6 +65,38 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
         num, den, d0, d1 = patterns(j)[i - 1][2 * da + db]
         h[(i, j)] = base + (d0 if sample_bernoulli(num, den, cell_rng) else d1)
     return h
+
+
+def paired_marginals(T, samples, seed, params, per_cell_streams=True):
+    """Chi-square p-values of field lengths against heights, site by site.
+
+    Sample k grows sample_field from RandomSource(seed, 0).substream(k)
+    and ds6v_sample from RandomSource(seed, 1).substream(k); at every
+    site the paper's length-height matching makes the two laws equal.
+    Returns {(i, j): p} for 1 <= i <= j <= T, ordered by j and then i; a
+    site where both sides only ever took one value gets p = 1.0.
+    """
+    from scipy.stats import chi2_contingency
+
+    sites = [(i, j) for j in range(1, T + 1) for i in range(1, j + 1)]
+    lengths = {pt: Counter() for pt in sites}
+    heights = {pt: Counter() for pt in sites}
+    base_f, base_h = RandomSource(seed, 0), RandomSource(seed, 1)
+    for k in range(samples):
+        fld = sample_field(T, base_f.substream(k), params, per_cell_streams)
+        hts = ds6v_sample(T, base_h.substream(k), params, per_cell_streams)
+        for pt in sites:
+            lengths[pt][len(fld[pt])] += 1
+            heights[pt][hts[pt]] += 1
+    p_values = {}
+    for pt in sites:
+        keys = sorted(set(lengths[pt]) | set(heights[pt]))
+        if len(keys) < 2:
+            p_values[pt] = 1.0
+        else:
+            table = [[lengths[pt][k] for k in keys], [heights[pt][k] for k in keys]]
+            p_values[pt] = float(chi2_contingency(table).pvalue)
+    return p_values
 
 
 def check_heights(h):

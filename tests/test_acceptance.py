@@ -43,7 +43,6 @@ from spinhl.sshl import (
     tail_weight,
 )
 from spinhl import ds6v
-from spinhl import field as field_mod
 from spinhl.transitions import (
     INF,
     backward_prob,
@@ -268,25 +267,8 @@ def test_criterion_12_length_projection(params):
 
 def test_criterion_13_distribution_equality(params):
     t0 = time.time()
-    T, n = 4, 100_000
-    sites = [(i, j) for j in range(1, T + 1) for i in range(1, j + 1)]
-    counts_field = {pt: Counter() for pt in sites}
-    counts_h = {pt: Counter() for pt in sites}
-    base_f = RandomSource(131, 0)
-    base_h = RandomSource(131, 1)
-    for k in range(n):
-        fld = field_mod.sample_field(T, base_f.substream(k), params, per_cell_streams=False)
-        hts = ds6v.ds6v_sample(T, base_h.substream(k), params, per_cell_streams=False)
-        for pt in sites:
-            counts_field[pt][len(fld[pt])] += 1
-            counts_h[pt][hts[pt]] += 1
-    worst = 1.0
-    for pt in sites:
-        keys = sorted(set(counts_field[pt]) | set(counts_h[pt]))
-        if len(keys) < 2:
-            continue
-        table = [[counts_field[pt][k] for k in keys], [counts_h[pt][k] for k in keys]]
-        worst = min(worst, float(chi2_contingency(table).pvalue))
+    p_values = ds6v.paired_marginals(4, 100_000, 131, params, per_cell_streams=False)
+    worst = min(p_values.values())
     elapsed = time.time() - t0
     record_acceptance(
         13,
