@@ -1,4 +1,4 @@
-"""Integer partitions: interlacing, conjugation, even pairings, enumeration.
+"""Integer partitions: interlacing, conjugate-even pairings, enumeration.
 
 A partition is a plain tuple of weakly decreasing positive ints; the empty
 partition is ().  Zero parts are never stored, so len(p) is the length.
@@ -24,11 +24,6 @@ def validate(p):
     return tuple(p)
 
 
-def mult(p, i):
-    """Number of parts equal to i (i >= 1)."""
-    return sum(1 for a in p if a == i)
-
-
 def multiplicities(p, up_to=None):
     """Multiplicity vector m[1..up_to] as a dict; up_to defaults to the largest part."""
     m = {}
@@ -37,12 +32,6 @@ def multiplicities(p, up_to=None):
     if up_to is not None:
         return {i: m.get(i, 0) for i in range(1, up_to + 1)}
     return m
-
-
-def conjugate(p):
-    if not p:
-        return EMPTY
-    return tuple(sum(1 for a in p if a >= i) for i in range(1, p[0] + 1))
 
 
 def interlaces(mu, lam):
@@ -69,13 +58,6 @@ def mult_vector(p, top):
     for a in p:
         m[a] += 1
     return m
-
-
-def contains(inner, outer):
-    """Containment of Young diagrams: inner_i <= outer_i for all i."""
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
 def is_conjugate_even(p):

@@ -6,8 +6,6 @@ import random
 import pytest
 
 from spinhl.partitions import (
-    conjugate,
-    contains,
     enumerate_partitions,
     even_core,
     even_cover,
@@ -17,9 +15,24 @@ from spinhl.partitions import (
     interlacing_above,
     interlacing_below,
     is_conjugate_even,
-    mult,
+    multiplicities,
+    mult_vector,
     parse_partition,
 )
+
+
+def conjugate(p):
+    """The transposed Young diagram (column lengths of p)."""
+    if not p:
+        return ()
+    return tuple(sum(1 for a in p if a >= i) for i in range(1, p[0] + 1))
+
+
+def contains(inner, outer):
+    """Containment of Young diagrams: inner_i <= outer_i for all i."""
+    if len(inner) > len(outer):
+        return False
+    return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
 def random_partition(rng, max_part=8, max_len=6):
@@ -137,7 +150,9 @@ def test_interlacing_enumerators_match_predicate():
 
 def test_mult_and_text_forms():
     lam = (4, 4, 3, 1)
-    assert mult(lam, 4) == 2 and mult(lam, 2) == 0
+    assert multiplicities(lam) == {4: 2, 3: 1, 1: 1}
+    assert multiplicities(lam, up_to=4) == {1: 1, 2: 0, 3: 1, 4: 2}
+    assert mult_vector(lam, 5) == [0, 1, 0, 1, 2, 0]
     assert format_partition(lam) == "4,4,3,1"
     assert format_partition(()) == "∅"
     assert parse_partition("4,4,3,1") == lam
