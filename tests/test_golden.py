@@ -25,6 +25,7 @@ CASES = [
     (["ds6v", "--T", "8", "--seed", "7"], "ds6v_T8_seed7.csv", ()),
     (["particles", "--T", "8", "--seed", "7"], "particles_T8_seed7.csv", (".currents.json",)),
     (["verify", "--point", "0", "--cap", "20"], "verify_point0_cap20.jsonl", ()),
+    (["verify", "--cap", "16"], "verify_all_cap16.jsonl", ()),
 ]
 
 
