@@ -5,7 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.exact import DegenerateVandermonde, DimensionMismatch, ModelParams, NotAdmissible
+from spinhl.exact import (
+    DegenerateVandermonde,
+    DimensionMismatch,
+    InvalidParams,
+    ModelParams,
+    NotAdmissible,
+)
 from spinhl.identities import (
     cauchy_kernel,
     check_cauchy_closed_form,
@@ -120,6 +126,23 @@ def test_skew_littlewood_two_variables(params):
     assert rep.rhs == cauchy_kernel(X, Y, params)
     rep = check_skew_littlewood((2, 1), (X, Y), 25, params)
     assert rep.passed
+
+
+@pytest.mark.parametrize("cap", range(4))
+@pytest.mark.parametrize("which", ["skew-cauchy", "skew-littlewood"])
+def test_skew_checks_small_cap(params, which, cap):
+    # the geometric certificate needs three increments above the fixed
+    # parts (lo = 1 and 0 here): a smaller cap, including one below the
+    # largest fixed part, is a parameter error, not a lookup failure
+    if which == "skew-cauchy":
+        lo, run = 1, lambda: check_skew_cauchy((1,), (), X, Y, cap, params)
+    else:
+        lo, run = 0, lambda: check_skew_littlewood((), (X, Y), cap, params)
+    if cap < lo + 3:
+        with pytest.raises(InvalidParams, match="cap too small"):
+            run()
+    else:
+        assert run().passed
 
 
 def test_refined_cauchy_n1_closed_form(params):
