@@ -10,9 +10,9 @@ accompanied by a certified rational tail bound, so a pass means
 Two tail-bound constructions are used:
 
 * one-largest-part sums (skew Cauchy with one x and one y, skew Littlewood
-  with one or two variables): increments at consecutive caps are exactly
+  with two variables): increments at consecutive caps are exactly
   geometric with the pairwise convergence ratio once the cap clears the
-  fixed parts; the code verifies that exact recursion on the retained
+  fixed parts; the code verifies that exact recursion on the last three
   increments and then sums the geometric tail in closed form;
 
 * refined sums: the u-dependent coefficients lie in [0, 1] for u in [0, 1]
@@ -20,9 +20,12 @@ Two tail-bound constructions are used:
   (unrefined) identity, whose total is a known closed form; the bound is
   closed_form - retained_plain_sum, an exact rational.
 
-The truncated refined sums come from the column-transfer kernel
-``sshl.column_sums``, which returns the plain partial sum grouped by the
-length of lam; the refinement coefficient depends only on that length.
+Every truncated sum comes from the column-transfer kernel
+``sshl.column_sums``, which returns the partial sum grouped by the length
+of lam: the refined sums weight each length by its refinement
+coefficient, and the skew sums start the kernel's chains from their
+fixed inner partitions and run it at the caps cap - 3 .. cap for the
+increments.
 """
 
 from __future__ import annotations
@@ -44,16 +47,14 @@ from .exact import (
     frac,
 )
 from .partitions import (
-    enumerate_partitions,
     even_core,
     even_cover,
     even_pair_coefficient,
-    interlacing_above,
     interlacing_below,
     is_conjugate_even,
     pairing_factor,
 )
-from .sshl import column_sums, f_one_row, f_skew, g_one_row, g_skew
+from .sshl import column_sums, f_one_row, g_one_row, g_skew
 from .weights import L, M, Mstar, R, Rstar
 
 
@@ -324,26 +325,27 @@ def pfaffian_exact(rows):
 # tail machinery
 # ---------------------------------------------------------------------------
 
-def geometric_tail(increments, ratio, name):
-    """Certified tail for a one-largest-part sum truncated at cap.
+def geometric_tail(total, lo, cap, ratio, name):
+    """Partial sum and certified tail of a one-largest-part sum truncated at cap.
 
-    increments[c] must be the exact mass added when the largest-part cap
-    moves from c-1 to c.  Beyond the fixed parts the recursion
-    increments[c+1] == ratio * increments[c] holds exactly; we verify it
-    on the last retained steps and return increments[cap] * r / (1 - r).
+    total(c) must be the exact sum of the terms with largest part <= c,
+    and lo the largest fixed part.  Beyond lo the increments
+    total(c) - total(c-1) are exactly geometric with the ratio; we verify
+    that recursion on the last three increments and return
+    (total(cap), increment(cap) * r / (1 - r)).
     """
     if not ZERO <= ratio < ONE:
         raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
-    caps = sorted(increments)
-    if len(caps) < 3:
+    if cap < lo + 3:
         raise InvalidParams(f"{name}: cap too small to certify the geometric tail")
-    c = caps[-1]
-    for cc in (c - 1, c):
-        if increments[cc] != ratio * increments[cc - 1]:
+    partial = [total(c) for c in range(cap - 3, cap + 1)]
+    inc = [b - a for a, b in zip(partial, partial[1:])]
+    for k in (1, 2):
+        if inc[k] != ratio * inc[k - 1]:
             raise InvalidParams(
-                f"{name}: increment at cap {cc} is not yet geometric; raise cap"
+                f"{name}: increment at cap {cap - 2 + k} is not yet geometric; raise cap"
             )
-    return increments[c] * ratio / (ONE - ratio)
+    return partial[-1], inc[-1] * ratio / (ONE - ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -372,52 +374,31 @@ def check_cauchy_closed_form(x, y, params):
     return _exact_report("cauchy-closed-form", lhs, rhs)
 
 
-def _outer_sum_increments(lam, mu, x, y, cap, params):
-    """Partial sums and per-cap increments of sum_{kappa} g_{kappa/lam}(y) f_{kappa/mu}(x).
-
-    Terms are grouped by the largest part of kappa; the increments beyond
-    max(lam_1, mu_1) feed the geometric tail certificate.
-    """
-    above_lam = set(interlacing_above(lam, cap_part=cap))
-    by_top = {c: ZERO for c in range(cap + 1)}
-    for kappa in interlacing_above(mu, cap_part=cap):
-        if kappa not in above_lam:
-            continue
-        top = kappa[0] if kappa else 0
-        by_top[top] += g_one_row(lam, kappa, y, params) * f_one_row(mu, kappa, x, params)
-    lo = max(lam[0] if lam else 0, mu[0] if mu else 0)
-    running = ZERO
-    series = {}
-    inc = {}
-    for c in range(cap + 1):
-        running += by_top[c]
-        series[c] = running
-        if c > lo:
-            inc[c] = by_top[c]
-    return series, inc
-
-
 def check_skew_cauchy(lam, mu, x, y, cap, params):
     """Skew Cauchy identity with one x and one y variable, truncated at parts <= cap.
 
     (1/Pi) * sum over outer kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
     equals the finite sum over inner nu of f_{lam/nu}(x) g_{mu/nu}(y);
-    the outer side carries the certified geometric tail.
+    the outer side comes from the column-transfer kernel with inner
+    partitions mu (f side) and lam (g side), and carries the certified
+    geometric tail.
     """
     if not admissible(x, y, params):
         raise NotAdmissible(f"({x}, {y}) not admissible")
     pre = ONE / cauchy_kernel(x, y, params)
-    series, inc = _outer_sum_increments(lam, mu, x, y, cap, params)
-    lhs = pre * series[cap]
+
+    def total(c):
+        return sum(column_sums((x,), (y,), c, params, f_inner=mu, g_inner=lam).values(), ZERO)
+
+    lo = max(lam[0] if lam else 0, mu[0] if mu else 0)
+    outer, tail = geometric_tail(total, lo, cap, convergence_ratio(x, y, params), "skew-cauchy")
     below_lam = set(interlacing_below(lam))
     rhs = ZERO
     for nu in interlacing_below(mu):
         if nu in below_lam:
             rhs += f_one_row(nu, lam, x, params) * g_one_row(nu, mu, y, params)
-    r = convergence_ratio(x, y, params)
-    tail = pre * geometric_tail(inc, r, "skew-cauchy")
     return _truncated_report(
-        f"skew-cauchy[{lam}/{mu}]", lhs, rhs, tail,
+        f"skew-cauchy[{lam}/{mu}]", pre * outer, rhs, pre * tail,
         detail=f"cap={cap}",
     )
 
@@ -428,7 +409,9 @@ def check_skew_littlewood(mu, xs, cap, params):
     One variable: both conjugate-even sums collapse to single terms
     (the even cover above, the even core below); exact equality.
     Two variables: the cover side is an infinite sum over conjugate-even
-    lam truncated by largest part with a certified geometric tail.
+    lam, taken from the column-transfer kernel with inner partition mu and
+    the pairing factor as column factor, truncated by largest part with a
+    certified geometric tail.
     """
     xs = tuple(xs)
     for a in range(len(xs)):
@@ -444,24 +427,7 @@ def check_skew_littlewood(mu, xs, cap, params):
     if len(xs) != 2:
         raise InvalidParams("truncated skew Littlewood implemented for one or two variables")
     x1, x2 = xs
-    pre = ONE
-    pre *= cauchy_kernel(x1, x2, params)
-    # left side: sum over conjugate-even lam above mu, truncated by largest part
-    inc = {}
-    series = {}
-    s = ZERO
-    lo = mu[0] if mu else 0
-    for c in range(0, cap + 1):
-        tot = ZERO
-        for lam in _even_partitions_with_top(c, max_len=len(mu) + 2):
-            w = f_skew(mu, lam, xs, params)
-            if w != 0:
-                tot += even_pair_coefficient(lam, params) * w
-        s += tot
-        series[c] = s
-        if c > lo:
-            inc[c] = tot
-    lhs = series[cap]
+    pre = cauchy_kernel(x1, x2, params)
     # right side: finite sum over conjugate-even nu reachable below mu
     rhs = ZERO
     for nu in sorted(_even_below(mu)):
@@ -469,23 +435,14 @@ def check_skew_littlewood(mu, xs, cap, params):
         if w != 0:
             rhs += even_pair_coefficient(nu, params) * w
     rhs *= pre
-    r = convergence_ratio(x1, x2, params)
-    tail = geometric_tail(inc, r, "skew-littlewood")
+
+    def total(c):
+        sums = column_sums(xs, (), c, params, lambda m: pairing_factor(m, params), f_inner=mu)
+        return sum(sums.values(), ZERO)
+
+    lo = mu[0] if mu else 0
+    lhs, tail = geometric_tail(total, lo, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
     return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
-
-
-def _even_partitions_with_top(c, max_len):
-    """Conjugate-even partitions whose largest part is exactly c (0 -> just the empty one)."""
-    if c == 0:
-        return [()]
-    if max_len < 2:
-        return []
-    out = []
-    for rest in enumerate_partitions(c, max_len - 2):
-        lam = (c, c) + rest
-        if is_conjugate_even(lam):
-            out.append(lam)
-    return out
 
 
 def _even_below(mu):

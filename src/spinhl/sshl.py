@@ -20,10 +20,11 @@ Both take (inner, outer) partition arguments: the weight is nonzero iff
 inner ≺ outer (one variable), or iff a length-compatible interlacing
 chain exists (n variables).
 
-Global sums over lam of f_lam(xs) g_lam(ys) (the Cauchy and Littlewood
-sides) do not enumerate lam or its chains: ``column_sums`` is one exact
-column-transfer kernel over the first definition's lattice.  The one-row
-scans and chain sums stay as the reference it is tested against.
+Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys) (the Cauchy and
+Littlewood sides, plain, refined and skew) do not enumerate lam or its
+chains: ``column_sums`` is one exact column-transfer kernel over the first
+definition's lattice.  The one-row scans and chain sums stay as the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -185,57 +186,70 @@ def g_skew(inner, outer, ys, params):
     return rest(tuple(outer), len(ys))
 
 
-def column_sums(xs, ys, cap, params, factor=None):
-    """Exact sum over lam with lam_1 <= cap of f_lam(xs) g_lam(ys) prod_c factor(m_c(lam)).
+def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
+    """Exact sum over lam with lam_1 <= cap of f_{lam/f_inner}(xs) g_{lam/g_inner}(ys) prod_c factor(m_c(lam)).
 
     Returns {len(lam): partial sum}.  One column-transfer pass replaces the
     enumeration of lam and of its interlacing chains.  Under the first
     definition the f rows (L vertices, entering state 0) and the g rows (M
-    vertices, entering state 1) of every chain from () to lam stack into
-    one lattice whose column c carries the multiplicities m_c of the chain
-    partitions; the only state passed between columns is the vector of
-    horizontal bits, and conservation in each row forces the multiplicities
-    from the in- and out-bits.  The vertex weights do not depend on c, so
-    each state's column row is built once and the sum is start * T^cap with
-    start = (0,...,0, 1,...,1).  Columns above the largest part are the
-    exact pass-throughs L(0,0;0,0) = M(0,1;0,1) = 1.  The f bits leaving
-    column 1 add up to len(lam).
+    vertices, entering state 1) of every chain from the inner partitions to
+    lam stack into one lattice whose column c carries the multiplicities
+    m_c of the chain partitions; the only state passed between columns is
+    the vector of horizontal bits, and conservation in each row forces the
+    multiplicities from the in- and out-bits, starting from m_c(f_inner)
+    below the first f row and m_c(g_inner) below the first g row.  The
+    vertex weights do not depend on c, so each column row is built once
+    per (bits, start multiplicities), and the scan runs from column cap
+    down to 1 starting from (0,...,0, 1,...,1).  Columns above the largest
+    part are the exact pass-throughs L(0,0;0,0) = M(0,1;0,1) = 1.  The f
+    bits leaving column 1 add up to len(lam) - len(f_inner).  A cap below
+    the largest inner part leaves nothing to sum: the result is {}.
 
-    With ys empty the g side is omitted rather than forced to lam = ()
-    (the Littlewood form): the sum is then of f_lam(xs) prod_c factor(m_c).
-    `factor` maps a multiplicity to its column factor (None means 1);
-    factor(0) must be 1, as for the pairing factor.
+    With ys empty the g side (and g_inner) is omitted rather than forced to
+    lam = g_inner (the Littlewood form): the sum is then of
+    f_{lam/f_inner}(xs) prod_c factor(m_c).  `factor` maps a multiplicity
+    to its column factor (None means 1); factor(0) must be 1, as for the
+    pairing factor.
     """
-    xs, ys = tuple(xs), tuple(ys)
+    xs, ys, f_inner, g_inner = tuple(xs), tuple(ys), tuple(f_inner), tuple(g_inner)
     n = len(xs)
-    start = (0,) * n + (1,) * len(ys)
+    if cap < max(f_inner[:1] + g_inner[:1], default=0):
+        return {}
+    mf, mg = mult_vector(f_inner, cap), mult_vector(g_inner, cap)
     rows = {}
-    vec = {start: ONE}
-    for _ in range(cap):
+    vec = {(0,) * n + (1,) * len(ys): ONE}
+    for c in range(cap, 0, -1):
         nxt = {}
         for bits, w in vec.items():
-            row = rows.get(bits)
+            key = (bits, mf[c], mg[c])
+            row = rows.get(key)
             if row is None:
-                row = rows[bits] = _column_row(bits, xs, ys, params, factor)
+                row = rows[key] = _column_row(*key, xs, ys, params, factor)
             for out, t in row.items():
                 nxt[out] = nxt.get(out, ZERO) + w * t
         vec = nxt
     sums = {}
     for bits, w in vec.items():
-        length = sum(bits[:n])
+        length = len(f_inner) + sum(bits[:n])
         sums[length] = sums.get(length, ZERO) + w
     return sums
 
 
-def _column_row(bits, xs, ys, params, factor):
-    """{out bits: weight} of one column entered with horizontal bits `bits`."""
+def _column_row(bits, f_m0, g_m0, xs, ys, params, factor):
+    """{out bits: weight} of one column entered with horizontal bits `bits`.
+
+    f_m0 and g_m0 are the column's multiplicities in the inner partitions
+    of the f and the g side.
+    """
     n = len(xs)
     # f row k: L with the k-th chain multiplicity below, the (k-1)-th above
     f_side = _row_stack(
-        bits[:n], xs, lambda prev, j, l, x: (prev + l - j, L(prev + l - j, j, prev, l, x, params)))
+        bits[:n], f_m0, xs,
+        lambda prev, j, l, x: (prev + l - j, L(prev + l - j, j, prev, l, x, params)))
     # g row k: M with the (k-1)-th chain multiplicity below, the k-th above
     g_side = _row_stack(
-        bits[n:], ys, lambda prev, j, l, y: (prev + j - l, M(prev, j, prev + j - l, l, y, params)))
+        bits[n:], g_m0, ys,
+        lambda prev, j, l, y: (prev + j - l, M(prev, j, prev + j - l, l, y, params)))
     row = {}
     for (m, f_out), wf in f_side.items():
         if factor is not None:
@@ -251,13 +265,13 @@ def _column_row(bits, xs, ys, params, factor):
     return row
 
 
-def _row_stack(bits, spectral, vertex):
-    """{(m_n, out bits): weight} for one column of n stacked rows, starting from m_0 = 0.
+def _row_stack(bits, m0, spectral, vertex):
+    """{(m_n, out bits): weight} for one column of n stacked rows, starting from m_0.
 
     `vertex(prev, j, l, z)` returns the next chain multiplicity (fixed by
     conservation) and the vertex weight for in-bit j and out-bit l.
     """
-    layer = {(0, ()): ONE}
+    layer = {(m0, ()): ONE}
     for j, z in zip(bits, spectral):
         nxt = {}
         for (prev, out), w in layer.items():

@@ -166,18 +166,37 @@ def _by_length(terms):
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _nonzero(sums):
+    return {k: v for k, v in sums.items() if v != 0}
+
+
+def _caps(*inner):
+    """Caps 0, 1, 5 and the largest inner part up to four above it."""
+    top = max((p[0] for p in inner if p), default=0)
+    return sorted({0, 1, 5, *range(top, top + 5)})
+
+
+# (lam, mu) of test_identities.test_skew_cauchy_small_shapes: the outer
+# sum there is over kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
+SKEW_CAUCHY_SHAPES = [((1,), ()), ((2, 1), (1, 1)), ((3, 1), (2, 2)), ((2,), (3, 1))]
+
+
 @pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_column_sums_match_chain_enumeration(point, n):
     params = FIXTURE_POINTS[point]
     xs, ys = params.x[:n], params.x[::-1][:n]
-    for cap in (0, 1, 5):
-        brute = _by_length(
-            (lam, f_skew((), lam, xs, params) * g_skew((), lam, ys, params))
-            for lam in enumerate_partitions(cap, n)
-        )
-        sums = column_sums(xs, ys, cap, params)
-        assert {k: v for k, v in sums.items() if v != 0} == brute, (n, cap)
+    # inner partitions with one x and one y (the skew Cauchy form); chain
+    # sums over these shapes with two variables take seconds a point to enumerate
+    shapes = [((), ())] + (SKEW_CAUCHY_SHAPES if n == 1 else [])
+    for lam, mu in shapes:
+        for cap in _caps(lam, mu):
+            brute = _by_length(
+                (kappa, f_skew(mu, kappa, xs, params) * g_skew(lam, kappa, ys, params))
+                for kappa in enumerate_partitions(cap, max(len(lam), len(mu)) + n)
+            )
+            sums = column_sums(xs, ys, cap, params, f_inner=mu, g_inner=lam)
+            assert _nonzero(sums) == brute, (n, lam, mu, cap)
 
 
 @pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
@@ -185,11 +204,15 @@ def test_column_sums_match_chain_enumeration(point, n):
 def test_column_sums_littlewood_form(point, n2):
     params = FIXTURE_POINTS[point]
     xs = params.x[:n2]
-    for cap in (0, 1, 5):
-        brute = _by_length(
-            (lam, even_pair_coefficient(lam, params) * f_skew((), lam, xs, params))
-            for lam in enumerate_partitions(cap, n2)
-            if is_conjugate_even(lam)
-        )
-        sums = column_sums(xs, (), cap, params, factor=lambda m: pairing_factor(m, params))
-        assert {k: v for k, v in sums.items() if v != 0} == brute, (n2, cap)
+    # inner partitions with two variables (the skew Littlewood form)
+    inners = [()] + ([(1,), (2, 1), (3, 1)] if n2 == 2 else [])
+    for mu in inners:
+        for cap in _caps(mu):
+            brute = _by_length(
+                (lam, even_pair_coefficient(lam, params) * f_skew(mu, lam, xs, params))
+                for lam in enumerate_partitions(cap, len(mu) + n2)
+                if is_conjugate_even(lam)
+            )
+            sums = column_sums(
+                xs, (), cap, params, lambda m: pairing_factor(m, params), f_inner=mu)
+            assert _nonzero(sums) == brute, (n2, mu, cap)
