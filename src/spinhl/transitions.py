@@ -52,6 +52,7 @@ from .exact import (
     admissible,
     _sample_from_cumulative,
     cumulative_boundaries,
+    frac,
 )
 from .partitions import even_core, even_cover, mult_vector
 from .weights import INF, L, Mstar, Rstar
@@ -499,16 +500,16 @@ def length_patterns(x, y, params):
 
     Keyed by (delta to the first neighbour, delta to the second); the
     boundary tables are the bulk ones with the first delta fixed by the
-    parity of the corner value.
+    parity of the corner value.  The two random patterns are the jump
+    coefficients: (0, 0) stays with probability c and (1, 1) grows by two
+    with probability b (see jump_coefficients, which raises InvalidParams
+    when 1 - qxy vanishes).
     """
-    q = params.q
-    den = ONE - q * x * y
-    if den == 0:
-        raise NotAdmissible("1 - qxy vanished")
+    b, c, den = jump_coefficients(x, y, params.q)
     up1 = ((1,), (ONE,))
     return {
-        (0, 0): ((0, 1), ((ONE - x * y) / den, (ONE - q) * x * y / den)),
-        (1, 1): ((1, 2), ((ONE - q) / den, q * (ONE - x * y) / den)),
+        (0, 0): ((0, 1), (frac(c, den), frac(den - c, den))),
+        (1, 1): ((1, 2), (frac(den - b, den), frac(b, den))),
         (0, 1): up1,
         (1, 0): up1,
     }

@@ -28,6 +28,7 @@ from spinhl.transitions import (
     bulk_forward,
     forward_distribution,
     forward_prob,
+    length_patterns,
     length_transition,
     p_bwd,
     p_fwd,
@@ -208,6 +209,14 @@ def test_length_tables_frozen_values(params):
         4: (1 - q) / den, 5: q * (1 - X * Y) / den,
     }
     assert length_transition("bulk", (1, 1, 2), X, Y, params).as_dict() == {2: F(1)}
+
+
+def test_length_patterns_reject_vanishing_denominator(params):
+    # 1 - qxy = 0 at q = 1/3, xy = 3: the laws come from jump_coefficients,
+    # which raises InvalidParams (exit 2, like NotAdmissible before)
+    assert params.q == F(1, 3)
+    with pytest.raises(InvalidParams, match="vanished"):
+        length_patterns(F(3), F(1), params)
 
 
 def test_boundary_length_projection(params):
