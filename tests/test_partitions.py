@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinhl.partitions import (
     enumerate_partitions,
@@ -146,6 +147,28 @@ def test_interlacing_enumerators_match_predicate():
     for lam in enumerate_partitions(3, 3):
         below = set(interlacing_below(lam))
         assert below == {mu for mu in ps if interlaces(mu, lam)}
+
+
+# deterministic examples and no example database, so runs repeat exactly
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PARTITIONS = st.lists(st.integers(1, 6), max_size=5).map(lambda a: tuple(sorted(a, reverse=True)))
+
+
+@PROPERTY
+@given(mu=PARTITIONS, k=st.integers(0, 8))
+def test_interlacing_above_matches_brute_force(mu, k):
+    # any lam above mu has at most one more part, each part at most k
+    box = enumerate_partitions(k, len(mu) + 1)
+    expect = sorted(lam for lam in box if interlaces(mu, lam))
+    assert sorted(interlacing_above(mu, cap_part=k)) == expect
+
+
+@PROPERTY
+@given(lam=PARTITIONS)
+def test_interlacing_below_matches_brute_force(lam):
+    box = enumerate_partitions(lam[0] if lam else 0, len(lam))
+    expect = sorted(mu for mu in box if interlaces(mu, lam))
+    assert sorted(interlacing_below(lam)) == expect
 
 
 def test_mult_and_text_forms():
