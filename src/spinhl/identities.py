@@ -440,8 +440,8 @@ def check_skew_littlewood(mu, xs, cap, params):
         sums = column_sums(xs, (), c, params, lambda m: pairing_factor(m, params), f_inner=mu)
         return sum(sums.values(), ZERO)
 
-    lo = mu[0] if mu else 0
-    lhs, tail = geometric_tail(total, lo, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
+    lhs, tail = geometric_tail(
+        total, mu[0] if mu else 0, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
     return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
 
 

@@ -187,7 +187,7 @@ def g_skew(inner, outer, ys, params):
 
 
 def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
-    """Exact sum over lam with lam_1 <= cap of f_{lam/f_inner}(xs) g_{lam/g_inner}(ys) prod_c factor(m_c(lam)).
+    """Exact sum of f_{lam/f_inner}(xs) g_{lam/g_inner}(ys) prod_c factor(m_c(lam)), lam_1 <= cap.
 
     Returns {len(lam): partial sum}.  One column-transfer pass replaces the
     enumeration of lam and of its interlacing chains.  Under the first

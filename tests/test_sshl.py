@@ -158,16 +158,16 @@ def test_tail_weight_equals_cover_side(params):
         assert tail_weight(kappa, X, params) == cover_side
 
 
+def _nonzero(sums):
+    return {k: v for k, v in sums.items() if v != 0}
+
+
 def _by_length(terms):
     """{len(lam): sum of the terms}, dropping exact-zero sums."""
     out = {}
     for lam, w in terms:
         out[len(lam)] = out.get(len(lam), 0) + w
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _nonzero(sums):
-    return {k: v for k, v in sums.items() if v != 0}
+    return _nonzero(out)
 
 
 def _caps(*inner):
