@@ -128,9 +128,14 @@ def default_spectral(n):
 
 
 def admissible(x, y, params):
-    """True iff (x-s)(y-s) < (1-sx)(1-sy); the pairwise condition every Cauchy-type sum needs."""
+    """True iff (x-s)(y-s) < (1-sx)(1-sy); the pairwise condition every Cauchy-type sum needs.
+
+    The difference of the two sides is (1 - s^2)(1 - xy), so this reads
+    the sign of that product off the numerators and denominators.
+    """
     s = params.s
-    return (x - s) * (y - s) < (ONE - s * x) * (ONE - s * y)
+    return ((s.denominator ** 2 - s.numerator ** 2)
+            * (x.denominator * y.denominator - x.numerator * y.numerator)) > 0
 
 
 def convergence_ratio(x, y, params):

@@ -38,8 +38,6 @@ dynamic six-vertex module consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import (
     InconsistentHeights,
     InvalidParams,
@@ -55,23 +53,83 @@ from .exact import (
     frac,
 )
 from .partitions import even_core, even_cover, mult_vector
-from .weights import INF, L, Mstar, Rstar
+from .weights import (
+    INF,
+    L,
+    L_TABLE,
+    MSTAR_TABLE,
+    Mstar,
+    RSTAR_SLOTS,
+    Rstar,
+    VertexRow,
+    rstar_num,
+)
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
 
 
-@dataclass(frozen=True)
 class TransitionTable:
-    """Finite distribution over successor states with exact probabilities."""
+    """Finite distribution over successor states, held as integer cumulative pairs.
 
-    outcomes: tuple
-    probs: tuple
+    cum[k] = (num, den) is the exact probability num / den of the first
+    k + 1 outcomes; the pairs need not be reduced, because drawing only
+    compares num * 2^k with a * den.  The Fraction views (probs, prob,
+    as_dict) are read off the same pairs, once, when first asked for.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "_cum", cumulative_boundaries(self.probs))
+    __slots__ = ("outcomes", "cum", "_probs")
+
+    def __init__(self, outcomes, cum):
+        self.outcomes = outcomes
+        self.cum = cum
+        self._probs = None
+
+    @classmethod
+    def from_probs(cls, outcomes, probs):
+        """The table of Fraction probabilities probs (NonStochastic unless they sum to 1)."""
+        return cls(tuple(outcomes), tuple(cumulative_boundaries(probs)))
+
+    @classmethod
+    def from_weights(cls, outcomes, weights, side, context):
+        """The table proportional to integer weights over one common denominator.
+
+        The weights are the column configurations' exact weights times
+        that denominator, whose sign is unknown, so the law is the same
+        whichever sign the total has.  ZeroSector when the total vanishes,
+        NonStochastic when a weight has the opposite sign.
+        """
+        total = sum(weights)
+        if total == 0:
+            I_lam, J_mu, i_prev, j_prev, k_h, l_h = context
+            raise ZeroSector(
+                f"no {side}-configuration at column context I={I_lam} J={J_mu} "
+                f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
+            )
+        sign = 1 if total > 0 else -1
+        cum = []
+        acc = 0
+        for w in weights:
+            w *= sign
+            if w < 0:
+                raise NonStochastic(f"negative probability {frac(w, total * sign)}")
+            acc += w
+            cum.append((acc, total * sign))
+        return cls(tuple(outcomes), tuple(cum))
 
     def sample(self, rng):
-        return self.outcomes[_sample_from_cumulative(self._cum, rng)]
+        return self.outcomes[_sample_from_cumulative(self.cum, rng)]
+
+    @property
+    def probs(self):
+        if self._probs is None:
+            out = []
+            prev = ZERO
+            for num, den in self.cum:
+                c = frac(num, den)
+                out.append(c - prev)
+                prev = c
+            self._probs = tuple(out)
+        return self._probs
 
     def prob(self, outcome):
         for o, p in zip(self.outcomes, self.probs):
@@ -131,39 +189,23 @@ def weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params
     return w, K_pin
 
 
-def _coupling(weight, side, context, x, y, params):
-    """The independence coupling of one column: each configuration's weight over the total."""
-    outcomes = []
-    weights = []
-    for a in (0, 1):
-        for b in (0, 1):
-            w, mid = weight(*context, a, b, x, y, params)
-            if w != 0:
-                outcomes.append((a, b, mid))
-                weights.append(w)
-    total = sum(weights, ZERO)
-    if total == 0:
-        I_lam, J_mu, i_prev, j_prev, k_h, l_h = context
-        raise ZeroSector(
-            f"no {side}-configuration at column context I={I_lam} J={J_mu} "
-            f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
-        )
-    return TransitionTable(tuple(outcomes), tuple(p / total for p in weights))
-
-
 def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Forward local transition at one column: TransitionTable over (i_h, j_h, M_h).
 
     Independence coupling: the probability of a B-configuration is its
-    weight over the total B-weight of the column (which equals the total
-    A-weight by the starred exchange relation).
+    weight (weight_b) over the total B-weight of the column, which equals
+    the total A-weight by the starred exchange relation.  This is the
+    table cell_sampler(x, y, params).fwd builds and keeps.
     """
-    return _coupling(weight_b, "B", (I_lam, J_mu, i_prev, j_prev, k_h, l_h), x, y, params)
+    return cell_sampler(x, y, params).fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
 
 
 def p_bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
-    """Backward local transition at one column: TransitionTable over (k_prev, l_prev, K_h)."""
-    return _coupling(weight_a, "A", (I_lam, J_mu, i_prev, j_prev, k_h, l_h), x, y, params)
+    """Backward local transition at one column: TransitionTable over (k_prev, l_prev, K_h).
+
+    The A-configurations' weights (weight_a) over their total.
+    """
+    return cell_sampler(x, y, params).bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
 
 
 # ---------------------------------------------------------------------------
@@ -241,28 +283,88 @@ class CellSampler:
     Monte Carlo sweeps hit the same few column contexts millions of times.
     The tables are keyed by the context (I_lam, J_mu, i_prev, j_prev, k_h,
     l_h) itself, whose entries are small ints or INF, so the hot path never
-    hashes a Fraction.
+    hashes a Fraction.  Each table is built once, from integer rows only:
+
+      _l, _mstar  the model's VertexRows of y (the L row) and of x (the
+                  MSTAR row)
+      _rstar      the five RSTAR numerators of (x, y) over qd (Q - P),
+                  where x y = P / Q, indexed by weights.RSTAR_SLOTS;
+                  built here, once per pair
+
+    A context's weights are the products of weight_b (fwd) or weight_a
+    (bwd), as integers over one denominator: the entries of each row
+    vertex are taken over the exponent of its fixed occupancy plus one
+    (I_lam + 1 or J_mu + 1), which bounds both of its occupancies in every
+    outcome.  The outcomes keep weight_b's and weight_a's order, bits
+    (0, 0), (0, 1), (1, 0), (1, 1), with the zero weights dropped, and the
+    table keeps their unreduced cumulative sums
+    (TransitionTable.from_weights); p_fwd and p_bwd return these tables.
     """
 
-    def __init__(self, x, y, params):
+    __slots__ = ("_l", "_mstar", "_rstar", "_fwd", "_bwd")
+
+    def __init__(self, x, y, model):
+        params = model.params
         if not admissible(x, y, params):
             raise NotAdmissible(f"({x}, {y}) not admissible")
-        self.x, self.y, self.params = x, y, params
+        self._l, self._mstar = model.row(y), model.row(x)
+        # admissibility gives (1 - s^2)(1 - x y) > 0, so 1 - x y never vanishes here
+        pair = (params.q.numerator, params.q.denominator,
+                x.numerator * y.numerator, x.denominator * y.denominator)
+        self._rstar = tuple(rstar_num(slot, *pair) for slot in range(5))
         self._fwd = {}
         self._bwd = {}
+
+    def _rstar_num(self, i, j, k, l):
+        slot = RSTAR_SLOTS.get((i, j, k, l))
+        return 0 if slot is None else self._rstar[slot]
 
     def fwd(self, *context):
         """p_fwd at this (x, y) and the given column context."""
         tbl = self._fwd.get(context)
         if tbl is None:
-            tbl = self._fwd[context] = p_fwd(*context, self.x, self.y, self.params)
+            I, J, i_prev, j_prev, k_h, l_h = context
+            outcomes, weights = [], []
+            for i_h in (0, 1):
+                for j_h in (0, 1):
+                    if I is INF:
+                        mid = INF
+                    else:
+                        mid = I + i_prev - i_h
+                        if mid < 0 or mid != J + j_prev - j_h:
+                            continue
+                    w = (self._l.num(L_TABLE, I, i_prev, mid, i_h, I + 1)
+                         * self._mstar.num(MSTAR_TABLE, mid, j_prev, J, j_h, J + 1)
+                         * self._rstar_num(i_h, j_h, k_h, l_h))
+                    if w:
+                        outcomes.append((i_h, j_h, mid))
+                        weights.append(w)
+            tbl = self._fwd[context] = TransitionTable.from_weights(
+                outcomes, weights, "B", context)
         return tbl
 
     def bwd(self, *context):
         """p_bwd at this (x, y) and the given column context."""
         tbl = self._bwd.get(context)
         if tbl is None:
-            tbl = self._bwd[context] = p_bwd(*context, self.x, self.y, self.params)
+            I, J, i_prev, j_prev, k_h, l_h = context
+            outcomes, weights = [], []
+            for k_prev in (0, 1):
+                for l_prev in (0, 1):
+                    if I is INF:
+                        mid = INF
+                    else:
+                        mid = I + l_h - l_prev
+                        if mid < 0 or mid != J + k_h - k_prev:
+                            continue
+                    w = (self._rstar_num(i_prev, j_prev, k_prev, l_prev)
+                         * self._mstar.num(MSTAR_TABLE, I, l_prev, mid, l_h, I + 1)
+                         * self._l.num(L_TABLE, mid, k_prev, J, k_h, J + 1))
+                    if w:
+                        outcomes.append((k_prev, l_prev, mid))
+                        weights.append(w)
+            tbl = self._bwd[context] = TransitionTable.from_weights(
+                outcomes, weights, "A", context)
         return tbl
 
 
@@ -274,9 +376,13 @@ class CompiledModel:
     long as that object, and no lookup hashes a Fraction.  Every table is
     filled lazily:
 
+      row(v)         the row vertices L, M and MSTAR at the spectral value
+                     v (a weights.VertexRow): the integers of q, s and v,
+                     from which any entry's numerator is a few products
       sampler(x, y)  the forward and backward column tables of the
-                     spectral pair (x, y) (a CellSampler), keyed by its
-                     integer data
+                     spectral pair (x, y) (a CellSampler over row(y),
+                     row(x) and its own RSTAR row), keyed by its integer
+                     data
       jumps(j)       the particle jump coefficients of the cells (i, j),
                      1 <= i <= j, as a list indexed by i - 1 of integer
                      triples (b_num, c_num, den) (see jump_coefficients)
@@ -295,6 +401,7 @@ class CompiledModel:
     def __init__(self, params):
         self.params = params
         self._probabilistic = False
+        self._rows = {}
         self._samplers = {}
         self._jumps = {}
         self._patterns = {}
@@ -305,11 +412,18 @@ class CompiledModel:
             self.params.require_probabilistic()
             self._probabilistic = True
 
+    def row(self, v):
+        key = (v.numerator, v.denominator)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = VertexRow(v, self.params)
+        return row
+
     def sampler(self, x, y):
         key = (x.numerator, x.denominator, y.numerator, y.denominator)
         ctx = self._samplers.get(key)
         if ctx is None:
-            ctx = self._samplers[key] = CellSampler(x, y, self.params)
+            ctx = self._samplers[key] = CellSampler(x, y, self)
         return ctx
 
     def jumps(self, j):
@@ -551,4 +665,4 @@ def length_transition(kind, key, x, y, params):
     if da not in (0, 1) or db not in (0, 1):
         raise InconsistentHeights(f"length key {key} not a one-step pattern")
     deltas, probs = length_patterns(x, y, params)[(da, db)]
-    return TransitionTable(tuple(lk + d for d in deltas), probs)
+    return TransitionTable.from_probs((lk + d for d in deltas), probs)

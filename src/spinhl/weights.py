@@ -28,6 +28,13 @@ edge roles (SW-in i, NW-in j; NE-out k, SE-out l):
 
 All weights are total functions: labels off the tables return exact 0.
 Zero denominators (1 - s x = 0 and the like) raise InvalidParams.
+
+Each formula is written once, on the numerators and denominators of q, s
+and the spectral values: VertexRow gives the row vertices as integer
+numerators over a common denominator, rstar_num the entries of RSTAR, and
+the functions L, M, MSTAR, R and RSTAR return those as Fractions.  The
+column tables of the random field (transitions.CellSampler) are built
+from the integer forms directly.
 """
 
 from __future__ import annotations
@@ -50,105 +57,143 @@ def _check_den(den, what):
     return den
 
 
+# The row vertex tables, as (j, l, K - I) -> spectral flag.  K - I picks
+# the formula: with v the spectral value and m = min(I, K), n = max(I, K),
+# every finite entry is one of
+#
+#   K = I:      1 - s v q^m         or, flagged,  v - s q^m
+#   K = I + 1:  1 - q^n             or, flagged,  v (1 - q^n)
+#   K = I - 1:  1 - s^2 q^m         or, flagged,  v (1 - s^2 q^m)
+#
+# over 1 - s v.  Entries off a table are exact 0.
+L_TABLE = {(0, 0, 0): False, (1, 1, 0): True, (1, 0, 1): False, (0, 1, -1): True}
+M_TABLE = {(0, 0, 0): True, (1, 1, 0): False, (1, 0, 1): True, (0, 1, -1): False}
+MSTAR_TABLE = {(0, 0, 0): False, (1, 1, 0): True, (0, 1, 1): True, (1, 0, -1): False}
+
+
+class VertexRow:
+    """The row vertices L, M and MSTAR at one spectral value v, as integers.
+
+    With q = qn/qd, s = sn/sd and v = vn/vd, a finite entry (I, j; K, l) is
+    num(table, I, j, K, l, e) / (base * qd**e) for any e >= max(I, K),
+    where base = sd (sd vd - sn vn) = sd^2 vd (1 - s v); the INF sentinel
+    entry v^l is num(...) / vd.  A caller that needs several entries over
+    one denominator picks one e for all of them.  num raises InvalidParams
+    when 1 - s v vanishes, at the first finite entry it is asked for.
+    """
+
+    __slots__ = ("vn", "vd", "qn", "qd", "sn", "sd", "base")
+
+    def __init__(self, v, params):
+        q, s = params.q, params.s
+        self.vn, self.vd = v.numerator, v.denominator
+        self.qn, self.qd = q.numerator, q.denominator
+        self.sn, self.sd = s.numerator, s.denominator
+        self.base = self.sd * (self.sd * self.vd - self.sn * self.vn)
+
+    def num(self, table, I, j, K, l, e):
+        if not (_is_bit(j) and _is_bit(l)):
+            return 0
+        if I is INF or K is INF:
+            # leftmost-column sentinel of the second definition: weight v^l
+            if I is INF and K is INF:
+                return self.vn if l else self.vd
+            return 0
+        if I < 0 or K < 0:
+            return 0
+        if not self.base:
+            raise InvalidParams("1 - s x vanished")
+        flag = table.get((j, l, K - I))
+        if flag is None:
+            return 0
+        vn, vd, qn, qd, sn, sd = self.vn, self.vd, self.qn, self.qd, self.sn, self.sd
+        if K == I:
+            lead, other = (vn, vd) if flag else (vd, vn)
+            return sd * (sd * lead * qd**e - sn * other * qn**I * qd**(e - I))
+        c = vn if flag else vd
+        if K > I:
+            return sd * sd * c * (qd**e - qn**K * qd**(e - K))
+        return c * (sd * sd * qd**e - sn * sn * qn**K * qd**(e - K))
+
+    def weight(self, table, I, j, K, l):
+        """The entry as a Fraction."""
+        if I is INF or K is INF:
+            return Fraction(self.num(table, I, j, K, l, 0), self.vd)
+        e = max(I, K)
+        num = self.num(table, I, j, K, l, e)
+        return Fraction(num, self.base * self.qd**e) if num else ZERO
+
+
 def L(I, j, K, l, x, params):
     """Type-1 row vertex (grey); spectral x, spin params.s."""
-    s, q = params.s, params.q
-    if not (_is_bit(j) and _is_bit(l)):
-        return ZERO
-    if I is INF or K is INF:
-        # leftmost-column sentinel of the second definition: weight x^l
-        if I is INF and K is INF:
-            return x ** l
-        return ZERO
-    if I < 0 or K < 0:
-        return ZERO
-    den = _check_den(ONE - s * x, "1 - s x")
-    if j == 0 and l == 0 and K == I:
-        return (ONE - s * x * q**I) / den
-    if j == 1 and l == 1 and K == I:
-        return (x - s * q**I) / den
-    if j == 1 and l == 0 and K == I + 1:
-        return (ONE - q ** (I + 1)) / den
-    if j == 0 and l == 1 and K == I - 1:
-        return x * (ONE - s * s * q**K) / den
-    return ZERO
+    return VertexRow(x, params).weight(L_TABLE, I, j, K, l)
 
 
 def M(I, j, K, l, x, params):
     """Type-2 row vertex (red, paths up/right)."""
-    s, q = params.s, params.q
-    if not (_is_bit(j) and _is_bit(l)):
-        return ZERO
-    if I is INF or K is INF:
-        if I is INF and K is INF:
-            return x ** l
-        return ZERO
-    if I < 0 or K < 0:
-        return ZERO
-    den = _check_den(ONE - s * x, "1 - s x")
-    if j == 0 and l == 0 and K == I:
-        return (x - s * q**I) / den
-    if j == 1 and l == 1 and K == I:
-        return (ONE - s * x * q**I) / den
-    if j == 1 and l == 0 and K == I + 1:
-        return x * (ONE - q ** (I + 1)) / den
-    if j == 0 and l == 1 and K == I - 1:
-        return (ONE - s * s * q**K) / den
-    return ZERO
+    return VertexRow(x, params).weight(M_TABLE, I, j, K, l)
 
 
 def Mstar(I, j, K, l, x, params):
     """Type-3 row vertex (red, paths down/right): conservation K + j = I + l."""
-    s, q = params.s, params.q
-    if not (_is_bit(j) and _is_bit(l)):
-        return ZERO
-    if I is INF or K is INF:
-        if I is INF and K is INF:
-            return x ** l
-        return ZERO
-    if I < 0 or K < 0:
-        return ZERO
-    den = _check_den(ONE - s * x, "1 - s x")
-    if j == 0 and l == 0 and K == I:
-        return (ONE - s * x * q**I) / den
-    if j == 1 and l == 1 and K == I:
-        return (x - s * q**I) / den
-    if j == 1 and l == 0 and K == I - 1:
-        return (ONE - s * s * q**K) / den
-    if j == 0 and l == 1 and K == I + 1:
-        return x * (ONE - q**K) / den
-    return ZERO
+    return VertexRow(x, params).weight(MSTAR_TABLE, I, j, K, l)
+
+
+def _pair(x, y, params):
+    """(qn, qd, P, Q) with q = qn/qd and x y = P/Q."""
+    q = params.q
+    return (q.numerator, q.denominator,
+            x.numerator * y.numerator, x.denominator * y.denominator)
 
 
 def R(i, j, k, l, x, y, params):
     """Stochastic crossing vertex; rows sum to one over (k, l)."""
-    q = params.q
     if not all(map(_is_bit, (i, j, k, l))):
         return ZERO
-    den = _check_den(ONE - q * x * y, "1 - q x y")
-    table = {
-        (0, 0, 0, 0): ONE,
-        (1, 0, 1, 0): q * (ONE - x * y) / den,
-        (1, 0, 0, 1): (ONE - q) / den,
-        (1, 1, 1, 1): ONE,
-        (0, 1, 0, 1): (ONE - x * y) / den,
-        (0, 1, 1, 0): (ONE - q) * x * y / den,
-    }
-    return table.get((i, j, k, l), ZERO)
+    qn, qd, P, Q = _pair(x, y, params)
+    den = _check_den(qd * Q - qn * P, "1 - q x y")  # qd Q (1 - q x y)
+    entry = (i, j, k, l)
+    if entry == (0, 0, 0, 0) or entry == (1, 1, 1, 1):
+        return ONE
+    if entry == (1, 0, 1, 0):
+        return Fraction(qn * (Q - P), den)  # q (1 - x y) / (1 - q x y)
+    if entry == (1, 0, 0, 1):
+        return Fraction((qd - qn) * Q, den)  # (1 - q) / (1 - q x y)
+    if entry == (0, 1, 0, 1):
+        return Fraction(qd * (Q - P), den)  # (1 - x y) / (1 - q x y)
+    if entry == (0, 1, 1, 0):
+        return Fraction((qd - qn) * P, den)  # (1 - q) x y / (1 - q x y)
+    return ZERO
+
+
+# The nonzero entries (i, j, k, l) of RSTAR, by the slot of their numerator
+# in rstar_num (two entries share slot 1).
+RSTAR_SLOTS = {
+    (0, 0, 0, 0): 0, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1,
+    (1, 1, 0, 0): 2, (0, 0, 1, 1): 3, (1, 1, 1, 1): 4,
+}
+
+
+def rstar_num(slot, qn, qd, P, Q):
+    """The numerator of RSTAR's entries in slot, over qd (Q - P) = qd Q (1 - x y)."""
+    if slot == 0:
+        return qd * (Q - P)  # 1
+    if slot == 1:
+        return qd * Q - qn * P  # (1 - q x y) / (1 - x y)
+    if slot == 2:
+        return (qd - qn) * Q  # (1 - q) / (1 - x y)
+    if slot == 3:
+        return (qd - qn) * P  # (1 - q) x y / (1 - x y)
+    return qn * (Q - P)  # q
 
 
 def Rstar(i, j, k, l, x, y, params):
     """Dual crossing vertex used by the exchange move on mixed (up, down) rows."""
-    q = params.q
     if not all(map(_is_bit, (i, j, k, l))):
         return ZERO
-    den = _check_den(ONE - x * y, "1 - x y")
-    table = {
-        (0, 0, 0, 0): ONE,
-        (1, 0, 1, 0): (ONE - q * x * y) / den,
-        (1, 1, 0, 0): (ONE - q) / den,
-        (0, 0, 1, 1): (ONE - q) * x * y / den,
-        (0, 1, 0, 1): (ONE - q * x * y) / den,
-        (1, 1, 1, 1): Fraction(q),
-    }
-    return table.get((i, j, k, l), ZERO)
+    qn, qd, P, Q = _pair(x, y, params)
+    _check_den(Q - P, "1 - x y")
+    slot = RSTAR_SLOTS.get((i, j, k, l))
+    if slot is None:
+        return ZERO
+    return Fraction(rstar_num(slot, qn, qd, P, Q), qd * (Q - P))

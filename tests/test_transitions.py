@@ -1,15 +1,23 @@
 """Transition operators: local couplings, normalization, reversibility, projections."""
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction as F
 
 import pytest
 
 from spinhl.ds6v import ds6v_sample, particle_trajectory
-from spinhl.exact import InvalidParams, ModelParams, NotAdmissible, RandomSource, ZeroSector
+from spinhl.exact import (
+    InvalidParams,
+    ModelParams,
+    NonStochastic,
+    NotAdmissible,
+    RandomSource,
+    ZeroSector,
+)
 from spinhl.field import sample_field
-from spinhl.identities import cauchy_kernel, intertwining_star_sides
+from spinhl.identities import FIXTURE_POINTS, cauchy_kernel, intertwining_star_sides
 from spinhl.partitions import (
     enumerate_partitions,
     even_core,
@@ -26,6 +34,7 @@ from spinhl.transitions import (
     boundary_forward_distribution,
     bulk_backward,
     bulk_forward,
+    compiled,
     forward_distribution,
     forward_prob,
     length_patterns,
@@ -80,8 +89,116 @@ def test_per_column_mass_balance(params):
 
 
 def test_zero_sector_raises(params):
-    with pytest.raises(ZeroSector):
+    with pytest.raises(ZeroSector) as exc:
         p_fwd(0, 0, 1, 0, 0, 0, X, Y, params)  # mixed carry with nothing to do
+    assert str(exc.value) == "no B-configuration at column context I=0 J=0 carry=(1,0) out=(0,0)"
+    with pytest.raises(ZeroSector) as exc:
+        p_bwd(0, 1, 0, 0, 1, 1, X, Y, params)
+    assert str(exc.value) == "no A-configuration at column context I=0 J=1 carry=(0,0) out=(1,1)"
+
+
+def _coupling(weight, context, x, y, params):
+    """The independence coupling from the Fraction weights, as (outcomes, probs).
+
+    A total of zero gives ZeroSector and a negative probability
+    NonStochastic, the errors the tables raise, as (type, text prefix).
+    """
+    terms = []
+    for a in (0, 1):
+        for b in (0, 1):
+            w, mid = weight(*context, a, b, x, y, params)
+            if w != 0:
+                terms.append(((a, b, mid), w))
+    total = sum((w for _, w in terms), F(0))
+    if total == 0:
+        return ZeroSector, "no "
+    probs = tuple(w / total for _, w in terms)
+    negative = [p for p in probs if p < 0]
+    if negative:
+        return NonStochastic, f"negative probability {negative[0]}"
+    return tuple(o for o, _ in terms), probs
+
+
+def _check_rows(x, y, params, contexts, sides=("B", "A")):
+    """Each table of cell_sampler(x, y, params) at the contexts against the Fraction coupling."""
+    sampler = compiled(params).sampler(x, y)
+    for context in contexts:
+        for side, table, weight in (("B", sampler.fwd, weight_b), ("A", sampler.bwd, weight_a)):
+            if side not in sides:
+                continue
+            expected = _coupling(weight, context, x, y, params)
+            if isinstance(expected[0], type):
+                error, text = expected
+                with pytest.raises(error) as exc:
+                    table(*context)
+                assert str(exc.value).startswith(text), (side, context)
+                continue
+            row = table(*context)
+            assert (row.outcomes, row.probs) == expected, (side, context)
+            # one positive common denominator; cumulative sums rise to one
+            den = row.cum[-1][0]
+            assert den > 0 and all(d == den for _, d in row.cum), (side, context)
+            assert all(0 < a < b for (a, _), (b, _) in zip(row.cum, row.cum[1:]))
+
+
+GRID_CONTEXTS = [
+    (I, J, *bits)
+    for I, J in [(INF, INF)] + [(I, J) for I in range(4) for J in range(4)]
+    for bits in itertools.product((0, 1), repeat=4)
+]
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_integer_rows_equal_the_fraction_coupling(point):
+    # every integer row is the normalised weight_b / weight_a coupling, exactly
+    params = FIXTURE_POINTS[point]
+    _check_rows(params.x[0], params.x[1], params, GRID_CONTEXTS)
+
+
+@pytest.mark.parametrize("q, s, x, y", [
+    ("3/2", "2", "5/2", "3/7"), ("1/3", "-1/2", "-1/3", "1/2"),
+    ("-1/2", "3/2", "3/4", "2"), ("1/3", "2", "3/4", "2"),
+])
+def test_integer_rows_outside_probabilistic_mode(q, s, x, y):
+    # admissible pairs whose common denominator can be negative: the laws
+    # whose weights are all negative, and the same errors with the same text
+    _check_rows(F(x), F(y), ModelParams.make(q, s), GRID_CONTEXTS)
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_integer_rows_on_the_contexts_a_field_visits(point):
+    # the forward contexts of a per-cell T = 8 field, and the backward ones of
+    # bulk_backward run on its bulk cells, at spectral values 1/4, 2/5, ..., 9/12
+    base = FIXTURE_POINTS[point]
+    params = ModelParams.make(base.q, base.s, base.u, [f"{k}/{k + 3}" for k in range(1, 10)])
+    field = sample_field(8, RandomSource(3, 0), params)
+    assert sum(1 for nu in field.values() if nu) > 20
+    rng = RandomSource(3, 1)
+    for i in range(1, 9):
+        for j in range(i + 1, 9):
+            bulk_backward(field[(i, j)], field[(i, j - 1)], field[(i - 1, j)],
+                          params.x[i - 1], params.x[j], rng, params)
+    samplers = compiled(params)._samplers
+    assert sum(len(s._fwd) for s in samplers.values()) > 100
+    for (xn, xd, yn, yd), sampler in list(samplers.items()):
+        x, y = F(xn, xd), F(yn, yd)
+        _check_rows(x, y, params, list(sampler._fwd), sides="B")
+        _check_rows(x, y, params, list(sampler._bwd), sides="A")
+
+
+def test_rows_keep_the_weight_checks():
+    # a weight of the wrong sign (q > 1 makes RSTAR(1,1;0,0) negative)
+    q_big = ModelParams.make("3/2", "-1/2")
+    assert _coupling(weight_b, (INF, INF, 1, 0, 0, 0), X, Y, q_big)[0] is NonStochastic
+    with pytest.raises(NonStochastic, match="negative probability -"):
+        p_fwd(INF, INF, 1, 0, 0, 0, X, Y, q_big)
+    # 1 - s x = 0 at an admissible pair (s = 2, x = 1/2, y = 3)
+    with pytest.raises(InvalidParams, match="1 - s x vanished"):
+        p_fwd(0, 0, 0, 0, 0, 0, F(1, 2), F(3), ModelParams.make("1/3", 2))
+    # the column-0 tables need no 1 - s x
+    assert p_fwd(INF, INF, 1, 0, 0, 1, F(1, 2), F(3), ModelParams.make("1/3", 2)).probs == (1,)
+    with pytest.raises(NotAdmissible):
+        p_fwd(INF, INF, 1, 0, 0, 0, F(1), F(1), ModelParams.make("1/3", "-1/2"))
 
 
 def test_emitted_tables_normalize(params):

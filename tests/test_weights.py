@@ -1,11 +1,12 @@
 """The five weight tables: frozen values, conservation, stochasticity."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from spinhl.exact import InvalidParams, ModelParams
-from spinhl.weights import INF, L, M, Mstar, R, Rstar
+from spinhl.weights import INF, L, L_TABLE, M, M_TABLE, MSTAR_TABLE, Mstar, R, Rstar, VertexRow
 
 
 X = F(1, 4)
@@ -121,3 +122,46 @@ def test_denominator_guards():
     p2 = ModelParams.make(4, "-1/2")
     with pytest.raises(InvalidParams):
         R(0, 1, 0, 1, F(1, 2), F(1, 2), p2)  # 1 - qxy = 0
+    # the crossing vertices check their denominator before the entry lookup
+    with pytest.raises(InvalidParams, match="1 - q x y vanished"):
+        R(0, 0, 1, 1, F(1, 2), F(1, 2), p2)
+    for entry in ((1, 1, 1, 1), (0, 1, 1, 0)):
+        with pytest.raises(InvalidParams, match="1 - x y vanished"):
+            Rstar(*entry, F(2), F(1, 2), p2)
+    assert R(2, 0, 0, 0, F(1, 2), F(1, 2), p2) == Rstar(0, 0, 0, 2, F(2), F(1, 2), p2) == 0
+
+
+def test_crossing_entries_are_fractions(all_points):
+    # each entry comes alone, as the reduced Fraction of its closed form
+    for params in all_points:
+        q = params.q
+        for x, y in ((X, Y), (F(0), F(2, 3)), (F(3, 7), F(5, 11))):
+            den, dstar = 1 - q * x * y, 1 - x * y
+            expect_r = {
+                (0, 0, 0, 0): 1, (1, 1, 1, 1): 1,
+                (1, 0, 1, 0): q * (1 - x * y) / den, (1, 0, 0, 1): (1 - q) / den,
+                (0, 1, 0, 1): (1 - x * y) / den, (0, 1, 1, 0): (1 - q) * x * y / den,
+            }
+            expect_rstar = {
+                (0, 0, 0, 0): 1, (1, 1, 1, 1): q,
+                (1, 0, 1, 0): (1 - q * x * y) / dstar, (0, 1, 0, 1): (1 - q * x * y) / dstar,
+                (1, 1, 0, 0): (1 - q) / dstar, (0, 0, 1, 1): (1 - q) * x * y / dstar,
+            }
+            for entry in itertools.product((0, 1), repeat=4):
+                for fn, expect in ((R, expect_r), (Rstar, expect_rstar)):
+                    got = fn(*entry, x, y, params)
+                    assert type(got) is F and got == expect.get(entry, 0), (fn.__name__, entry)
+
+
+def test_vertex_row_numerators_at_any_exponent(all_points):
+    # num(table, I, j, K, l, e) / (base qd^e) is the entry for every e >= max(I, K)
+    for params in all_points:
+        for v in (X, F(0), F(5, 6)):
+            row = VertexRow(v, params)
+            for table, fn in ((L_TABLE, L), (M_TABLE, M), (MSTAR_TABLE, Mstar)):
+                for I, K in itertools.product(range(5), repeat=2):
+                    for j, l in itertools.product((0, 1), repeat=2):
+                        for e in range(max(I, K), max(I, K) + 3):
+                            num = row.num(table, I, j, K, l, e)
+                            assert F(num, row.base * row.qd**e) == fn(I, j, K, l, v, params)
+                    assert F(row.num(table, INF, I % 2, INF, K % 2, 0), row.vd) == v ** (K % 2)
