@@ -10,9 +10,10 @@ Subcommands:
 
 Configuration is a single JSON document (--config FILE) with rationals as
 strings, e.g. {"q": "1/3", "s": "-1/2", "u": "1/2", "x": ["1/4", "1/5"],
-"seed": 7, "T": 8, "cap": 30}; command line flags override it.  Exit
-codes: 0 pass, 1 check failure, 2 configuration or parameter error (any
-package exception about the inputs, reported as one line on stderr).
+"seed": 7, "T": 8, "cap": 30, "samples": 2000}; a command line flag beats
+the config, which beats the default.  Exit codes: 0 pass, 1 check failure,
+2 configuration or parameter error (any package exception about the
+inputs, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -151,11 +152,14 @@ def cmd_particles(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config)
-    params = _params_from(cfg, args.T)
-    p_values = ds6v_mod.paired_marginals(args.T, args.samples, args.seed, params)
+    T = int(_resolve(args, cfg, "T", 4))
+    seed = int(_resolve(args, cfg, "seed", 0))
+    samples = int(_resolve(args, cfg, "samples", 2000))
+    params = _params_from(cfg, T)
+    p_values = ds6v_mod.paired_marginals(T, samples, seed, params)
     worst = min(1.0, *p_values.values())
     report = {f"{pt}": pv for pt, pv in p_values.items()}
-    print(json.dumps({"samples": args.samples, "p_values": report, "worst": worst}))
+    print(json.dumps({"samples": samples, "p_values": report, "worst": worst}))
     return 0 if worst > 1e-3 else 1
 
 
@@ -191,9 +195,9 @@ def main(argv=None):
     p.set_defaults(func=cmd_particles)
 
     p = sub.add_parser("compare", help="paired field vs height marginal comparison")
-    p.add_argument("--T", type=int, default=4)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--T", type=int, default=None, help="lattice size (default 4)")
+    p.add_argument("--samples", type=int, default=None, help="paired samples (default 2000)")
+    p.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
     p.set_defaults(func=cmd_compare)
 
     args = ap.parse_args(argv)

@@ -130,6 +130,22 @@ def test_compare_subcommand():
     assert report["worst"] > 1e-3
 
 
+def test_compare_reads_T_seed_and_samples_from_config(tmp_path, capsys):
+    # flag, then config, then default (T 4, seed 0, samples 2000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": 2, "seed": 3, "samples": 40}))
+
+    def report(*argv):
+        assert main(list(argv)) == 0
+        return json.loads(capsys.readouterr().out)
+
+    from_config = report("--config", str(cfg), "compare")
+    assert from_config == report("compare", "--T", "2", "--seed", "3", "--samples", "40")
+    assert sorted(from_config["p_values"]) == ["(1, 1)", "(1, 2)", "(2, 2)"]
+    assert report("--config", str(cfg), "compare", "--T", "3", "--seed", "5") == report(
+        "compare", "--T", "3", "--seed", "5", "--samples", "40")
+
+
 def test_custom_config_params(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
