@@ -13,6 +13,7 @@ from spinhl.partitions import (
     even_cover,
     even_pair_coefficient,
     interlaces,
+    interlacing_above,
     is_conjugate_even,
     pairing_factor,
 )
@@ -181,19 +182,51 @@ def _caps(*inner):
 SKEW_CAUCHY_SHAPES = [((1,), ()), ((2, 1), (1, 1)), ((3, 1), (2, 2)), ((2,), (3, 1))]
 
 
+def _chain_sums(inner, variables, one_row, cap, params):
+    """{lam: weight} over lam with lam_1 <= cap, summed over the chains from inner.
+
+    A forward pass over the interlacing chains, one dict of partition ->
+    weight per variable: the first variable acts next to inner, as in
+    f_skew and g_skew, and one_row(nu, mid, v) weighs one step.  Every
+    partition of a chain lies inside lam, so the part cap is exact.
+    """
+    layer = {tuple(inner): F(1)}
+    for v in variables:
+        nxt = {}
+        for nu, w in layer.items():
+            for mid in interlacing_above(nu, cap_part=cap):
+                step = one_row(nu, mid, v, params)
+                if step:
+                    nxt[mid] = nxt.get(mid, 0) + w * step
+        layer = nxt
+    return layer
+
+
+def test_chain_sums_match_f_skew_and_g_skew(params):
+    xs = params.x[:2]
+    for inner in [(), (1,), (2, 1)]:
+        f_sums = _chain_sums(inner, xs, f_one_row, 4, params)
+        g_sums = _chain_sums(inner, xs, g_one_row, 4, params)
+        for lam in enumerate_partitions(4, len(inner) + 2):
+            assert f_sums.get(lam, 0) == f_skew(inner, lam, xs, params), (inner, lam)
+            assert g_sums.get(lam, 0) == g_skew(inner, lam, xs, params), (inner, lam)
+
+
 @pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_column_sums_match_chain_enumeration(point, n):
     params = FIXTURE_POINTS[point]
     xs, ys = params.x[:n], params.x[::-1][:n]
-    # inner partitions with one x and one y (the skew Cauchy form); chain
-    # sums over these shapes with two variables take seconds a point to enumerate
-    shapes = [((), ())] + (SKEW_CAUCHY_SHAPES if n == 1 else [])
+    # inner partitions with up to two x and two y variables (the skew Cauchy form)
+    shapes = [((), ())] + (SKEW_CAUCHY_SHAPES if n <= 2 else [])
     for lam, mu in shapes:
-        for cap in _caps(lam, mu):
+        caps = _caps(lam, mu)
+        f_sums = _chain_sums(mu, xs, f_one_row, caps[-1], params)
+        g_sums = _chain_sums(lam, ys, g_one_row, caps[-1], params)
+        for cap in caps:
             brute = _by_length(
-                (kappa, f_skew(mu, kappa, xs, params) * g_skew(lam, kappa, ys, params))
-                for kappa in enumerate_partitions(cap, max(len(lam), len(mu)) + n)
+                (kappa, w * g_sums[kappa]) for kappa, w in f_sums.items()
+                if kappa in g_sums and (kappa[:1] or (0,))[0] <= cap
             )
             sums = column_sums(xs, ys, cap, params, f_inner=mu, g_inner=lam)
             assert _nonzero(sums) == brute, (n, lam, mu, cap)
