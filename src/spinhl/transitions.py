@@ -62,7 +62,8 @@ from .weights import (
     RSTAR_SLOTS,
     Rstar,
     VertexRow,
-    rstar_num,
+    pair_ints,
+    rstar_row,
 )
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
@@ -309,9 +310,7 @@ class CellSampler:
             raise NotAdmissible(f"({x}, {y}) not admissible")
         self._l, self._mstar = model.row(y), model.row(x)
         # admissibility gives (1 - s^2)(1 - x y) > 0, so 1 - x y never vanishes here
-        pair = (params.q.numerator, params.q.denominator,
-                x.numerator * y.numerator, x.denominator * y.denominator)
-        self._rstar = tuple(rstar_num(slot, *pair) for slot in range(5))
+        self._rstar = rstar_row(*pair_ints(x, y, params))
         self._fwd = {}
         self._bwd = {}
 

@@ -31,10 +31,10 @@ Zero denominators (1 - s x = 0 and the like) raise InvalidParams.
 
 Each formula is written once, on the numerators and denominators of q, s
 and the spectral values: VertexRow gives the row vertices as integer
-numerators over a common denominator, rstar_num the entries of RSTAR, and
-the functions L, M, MSTAR, R and RSTAR return those as Fractions.  The
-column tables of the random field (transitions.CellSampler) are built
-from the integer forms directly.
+numerators over a common denominator, rstar_row the entries of RSTAR (R
+is written the same way), and the functions L, M, MSTAR, R and RSTAR
+return those as Fractions.  The column tables of the random field
+(transitions.CellSampler) are built from the integer forms directly.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import InvalidParams, ONE, ZERO
+from .exact import InvalidParams, ZERO
 
 INF = math.inf  # distinguished sentinel occupancy, never arithmetic
 
@@ -139,61 +139,62 @@ def Mstar(I, j, K, l, x, params):
     return VertexRow(x, params).weight(MSTAR_TABLE, I, j, K, l)
 
 
-def _pair(x, y, params):
-    """(qn, qd, P, Q) with q = qn/qd and x y = P/Q."""
+def pair_ints(x, y, params):
+    """(qn, qd, P, Q) with q = qn/qd and x y = P/Q: the integers of R and RSTAR."""
     q = params.q
     return (q.numerator, q.denominator,
             x.numerator * y.numerator, x.denominator * y.denominator)
 
 
-def R(i, j, k, l, x, y, params):
-    """Stochastic crossing vertex; rows sum to one over (k, l)."""
-    if not all(map(_is_bit, (i, j, k, l))):
-        return ZERO
-    qn, qd, P, Q = _pair(x, y, params)
-    den = _check_den(qd * Q - qn * P, "1 - q x y")  # qd Q (1 - q x y)
-    entry = (i, j, k, l)
-    if entry == (0, 0, 0, 0) or entry == (1, 1, 1, 1):
-        return ONE
-    if entry == (1, 0, 1, 0):
-        return Fraction(qn * (Q - P), den)  # q (1 - x y) / (1 - q x y)
-    if entry == (1, 0, 0, 1):
-        return Fraction((qd - qn) * Q, den)  # (1 - q) / (1 - q x y)
-    if entry == (0, 1, 0, 1):
-        return Fraction(qd * (Q - P), den)  # (1 - x y) / (1 - q x y)
-    if entry == (0, 1, 1, 0):
-        return Fraction((qd - qn) * P, den)  # (1 - q) x y / (1 - q x y)
-    return ZERO
-
-
-# The nonzero entries (i, j, k, l) of RSTAR, by the slot of their numerator
-# in rstar_num (two entries share slot 1).
+# The nonzero entries (i, j, k, l) of R and RSTAR, by the slot of their
+# numerator (entries may share one).
+R_SLOTS = {
+    (0, 0, 0, 0): 0, (1, 1, 1, 1): 0, (1, 0, 1, 0): 1,
+    (1, 0, 0, 1): 2, (0, 1, 0, 1): 3, (0, 1, 1, 0): 4,
+}
 RSTAR_SLOTS = {
     (0, 0, 0, 0): 0, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1,
     (1, 1, 0, 0): 2, (0, 0, 1, 1): 3, (1, 1, 1, 1): 4,
 }
 
 
-def rstar_num(slot, qn, qd, P, Q):
-    """The numerator of RSTAR's entries in slot, over qd (Q - P) = qd Q (1 - x y)."""
-    if slot == 0:
-        return qd * (Q - P)  # 1
-    if slot == 1:
-        return qd * Q - qn * P  # (1 - q x y) / (1 - x y)
-    if slot == 2:
-        return (qd - qn) * Q  # (1 - q) / (1 - x y)
-    if slot == 3:
-        return (qd - qn) * P  # (1 - q) x y / (1 - x y)
-    return qn * (Q - P)  # q
+def R(i, j, k, l, x, y, params):
+    """Stochastic crossing vertex; rows sum to one over (k, l)."""
+    if not all(map(_is_bit, (i, j, k, l))):
+        return ZERO
+    qn, qd, P, Q = pair_ints(x, y, params)
+    den = _check_den(qd * Q - qn * P, "1 - q x y")  # qd Q (1 - q x y)
+    slot = R_SLOTS.get((i, j, k, l))
+    if slot is None:
+        return ZERO
+    nums = (
+        den,  # 1
+        qn * (Q - P),  # q (1 - x y) / (1 - q x y)
+        (qd - qn) * Q,  # (1 - q) / (1 - q x y)
+        qd * (Q - P),  # (1 - x y) / (1 - q x y)
+        (qd - qn) * P,  # (1 - q) x y / (1 - q x y)
+    )
+    return Fraction(nums[slot], den)
+
+
+def rstar_row(qn, qd, P, Q):
+    """RSTAR's numerators by RSTAR_SLOTS, over qd (Q - P) = qd Q (1 - x y)."""
+    return (
+        qd * (Q - P),  # 1
+        qd * Q - qn * P,  # (1 - q x y) / (1 - x y)
+        (qd - qn) * Q,  # (1 - q) / (1 - x y)
+        (qd - qn) * P,  # (1 - q) x y / (1 - x y)
+        qn * (Q - P),  # q
+    )
 
 
 def Rstar(i, j, k, l, x, y, params):
     """Dual crossing vertex used by the exchange move on mixed (up, down) rows."""
     if not all(map(_is_bit, (i, j, k, l))):
         return ZERO
-    qn, qd, P, Q = _pair(x, y, params)
+    qn, qd, P, Q = pair_ints(x, y, params)
     _check_den(Q - P, "1 - x y")
     slot = RSTAR_SLOTS.get((i, j, k, l))
     if slot is None:
         return ZERO
-    return Fraction(rstar_num(slot, qn, qd, P, Q), qd * (Q - P))
+    return Fraction(rstar_row(qn, qd, P, Q)[slot], qd * (Q - P))
