@@ -106,15 +106,15 @@ class TransitionTable:
                 f"no {side}-configuration at column context I={I_lam} J={J_mu} "
                 f"carry=({i_prev},{j_prev}) out=({k_h},{l_h})"
             )
-        sign = 1 if total > 0 else -1
+        if total < 0:
+            weights, total = [-w for w in weights], -total
         cum = []
         acc = 0
         for w in weights:
-            w *= sign
             if w < 0:
-                raise NonStochastic(f"negative probability {frac(w, total * sign)}")
+                raise NonStochastic(f"negative probability {frac(w, total)}")
             acc += w
-            cum.append((acc, total * sign))
+            cum.append((acc, total))
         return cls(tuple(outcomes), tuple(cum))
 
     def sample(self, rng):
