@@ -3,10 +3,11 @@
 One-variable skew weights are partition functions of a single lattice row.
 Because horizontal edges carry at most one path, the whole row
 configuration is forced by the two partitions, so each weight is a plain
-product over columns; multi-variable values are sums of products of
-one-row weights over interlacing chains (the branching rule).
-
-Two equivalent combinatorial definitions are implemented:
+product over columns.  One row scan, ``_one_row``, computes every such
+product: it takes a vertex table, the occupations below and above each
+column, the entering state and the column order, and finds each out bit
+from the table's conservation law.  Two equivalent combinatorial
+definitions are calls of it:
 
 * first definition: columns indexed by part values C, C-1, ..., 1 with a
   free right boundary; f rows use L vertices entering with horizontal
@@ -14,11 +15,15 @@ Two equivalent combinatorial definitions are implemented:
 
 * second definition: columns 0, 1, 2, ... where column 0 holds the INF
   sentinel and contributes x**l for outgoing state l; f rows use MSTAR
-  vertices (paths downward), g rows use L vertices.
+  vertices (paths downward), g rows use L vertices, and the row must
+  leave in state 0.
 
 Both take (inner, outer) partition arguments: the weight is nonzero iff
 inner ≺ outer (one variable), or iff a length-compatible interlacing
-chain exists (n variables).
+chain exists (n variables).  Multi-variable values come from the
+branching rule: one chain DP, ``_chain_sum``, sums products of one-row
+weights over the chains inner ≺ nu_1 ≺ ... ≺ outer, for f_skew and g_skew
+alike.
 
 Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys) (the Cauchy and
 Littlewood sides, plain, refined and skew) do not enumerate lam or its
@@ -29,39 +34,59 @@ reference it is tested against.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .exact import ONE, ZERO
-from .partitions import (
-    mult_vector,
-    even_core,
-    even_pair_coefficient,
-    interlacing_above,
-    interlacing_below,
-)
-from .weights import INF, L, M, Mstar
+from .partitions import mult_vector, even_core, even_pair_coefficient, interlacing_above
+from .weights import L, L_TABLE, M, M_TABLE, MSTAR_TABLE, VertexRow
+
+
+def _one_row(table, v, params, lower, upper, h, columns):
+    """(weight, out state) of one row of `table` vertices at spectral value v.
+
+    The row enters with horizontal state h and visits `columns` in order;
+    lower[c] and upper[c] are the vertical occupations below and above
+    column c.  Horizontal edges carry at most one path, so at each column
+    the out bit is the one bit whose (h, l, K - I) the table holds (its
+    conservation law); with none, or a zero weight, the row weighs 0 and
+    the out state is None.  The product is kept as integer numerators over
+    VertexRow's denominators and reduced once.
+    """
+    row = VertexRow(v, params)
+    num = den = 1
+    for c in columns:
+        I, K = lower[c], upper[c]
+        if (h, 0, K - I) in table:
+            l = 0
+        elif (h, 1, K - I) in table:
+            l = 1
+        else:
+            return ZERO, None
+        e = max(I, K)
+        t = row.num(table, I, h, K, l, e)
+        if not t:
+            return ZERO, None
+        num *= t
+        den *= row.base * row.qd**e
+        h = l
+    return Fraction(num, den), h
+
+
+def _columns(below, above):
+    """Multiplicity vectors of the partitions below and above a row, and their larger first part."""
+    top = max(below[0] if below else 0, above[0] if above else 0)
+    return mult_vector(below, top), mult_vector(above, top), top
 
 
 def f_one_row(inner, outer, x, params):
     """One-variable skew weight f_{outer/inner}(x); zero unless inner ≺ outer.
 
-    Scan columns from the largest part down to 1: outer multiplicities sit
-    on the bottom of an L row, inner on top, horizontal state enters as 0
-    from the far left and is forced by conservation at every column.
+    An L row scanned from the largest part down to 1: outer multiplicities
+    sit on the bottom, inner on top, and the state enters as 0 from the far
+    left (telescoping forces it to leave as len(outer) - len(inner)).
     """
-    top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = mult_vector(inner, top)
-    mo = mult_vector(outer, top)
-    h = 0
-    w = ONE
-    for c in range(top, 0, -1):
-        h_out = mo[c] + h - mi[c]
-        if h_out not in (0, 1):
-            return ZERO
-        w *= L(mo[c], h, mi[c], h_out, x, params)
-        if w == 0:
-            return ZERO
-        h = h_out
-    # telescoping forces h == len(outer) - len(inner) here
-    return w
+    lower, upper, top = _columns(outer, inner)
+    return _one_row(L_TABLE, x, params, lower, upper, 0, range(top, 0, -1))[0]
 
 
 def g_one_row(inner, outer, y, params):
@@ -72,62 +97,49 @@ def g_one_row(inner, outer, y, params):
     pass-throughs M(0,1;0,1) = 1 (an identity of the weight table, tested
     in test_weights), so the scan may start at the largest part.
     """
-    top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = mult_vector(inner, top)
-    mo = mult_vector(outer, top)
-    h = 1
-    w = ONE
-    for c in range(top, 0, -1):
-        h_out = mi[c] + h - mo[c]
-        if h_out not in (0, 1):
-            return ZERO
-        w *= M(mi[c], h, mo[c], h_out, y, params)
-        if w == 0:
-            return ZERO
-        h = h_out
-    return w
+    lower, upper, top = _columns(inner, outer)
+    return _one_row(M_TABLE, y, params, lower, upper, 1, range(top, 0, -1))[0]
+
+
+def _one_row_def2(table, below, above, l0, v, params):
+    """Second definition: the column-0 sentinel v**l0, then columns 1, 2, ... ending in state 0."""
+    if l0 not in (0, 1):
+        return ZERO
+    lower, upper, top = _columns(below, above)
+    w, h = _one_row(table, v, params, lower, upper, l0, range(1, top + 1))
+    return v**l0 * w if h == 0 else ZERO
 
 
 def f_one_row_def2(inner, outer, x, params):
-    """f_{outer/inner}(x) under the second definition (MSTAR scan with column-0 sentinel)."""
-    l0 = len(outer) - len(inner)
-    if l0 not in (0, 1):
-        return ZERO
-    top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = mult_vector(inner, top)
-    mo = mult_vector(outer, top)
-    w = Mstar(INF, 0, INF, l0, x, params)  # x ** l0
-    h = l0
-    for c in range(1, top + 1):
-        h_out = mi[c] + h - mo[c]
-        if h_out not in (0, 1):
-            return ZERO
-        w *= Mstar(mo[c], h, mi[c], h_out, x, params)
-        if w == 0:
-            return ZERO
-        h = h_out
-    return w if h == 0 else ZERO
+    """f_{outer/inner}(x), second definition: an MSTAR row (paths run down), outer below."""
+    return _one_row_def2(MSTAR_TABLE, outer, inner, len(outer) - len(inner), x, params)
 
 
 def g_one_row_def2(inner, outer, y, params):
-    """g_{outer/inner}(y) under the second definition (L scan with column-0 sentinel)."""
-    l0 = len(outer) - len(inner)
-    if l0 not in (0, 1):
-        return ZERO
-    top = max((inner[0] if inner else 0), (outer[0] if outer else 0))
-    mi = mult_vector(inner, top)
-    mo = mult_vector(outer, top)
-    w = L(INF, 1, INF, l0, y, params)  # y ** l0
-    h = l0
-    for c in range(1, top + 1):
-        h_out = mi[c] + h - mo[c]
-        if h_out not in (0, 1):
-            return ZERO
-        w *= L(mi[c], h, mo[c], h_out, y, params)
-        if w == 0:
-            return ZERO
-        h = h_out
-    return w if h == 0 else ZERO
+    """g_{outer/inner}(y), second definition: an L row, inner below."""
+    return _one_row_def2(L_TABLE, inner, outer, len(outer) - len(inner), y, params)
+
+
+def _chain_sum(one_row, inner, outer, vs, params):
+    """Sum over chains inner = nu_0 ≺ ... ≺ nu_n = outer of prod_k one_row(nu_{k-1}, nu_k, vs[k-1]).
+
+    A forward DP, one dict of partition -> weight per variable: vs[0] acts
+    next to inner, every nu_k lies inside outer, and the last step goes
+    straight to outer.
+    """
+    inner, outer = tuple(inner), tuple(outer)
+    if not vs:
+        return ONE if inner == outer else ZERO
+    layer = {inner: ONE}
+    for v in vs[:-1]:
+        nxt = {}
+        for nu, w in layer.items():
+            for mid in interlacing_above(nu, within=outer):
+                t = one_row(nu, mid, v, params)
+                if t:
+                    nxt[mid] = nxt.get(mid, ZERO) + w * t
+        layer = nxt
+    return sum((w * one_row(nu, outer, vs[-1], params) for nu, w in layer.items()), ZERO)
 
 
 def f_skew(inner, outer, xs, params):
@@ -135,55 +147,16 @@ def f_skew(inner, outer, xs, params):
 
     The variable adjacent to the inner partition is applied first; the
     result does not depend on the order (symmetry, which tests check).
-    Partial chain sums are memoized for the duration of this one call.
     """
-    outer, xs = tuple(outer), tuple(xs)
-    memo = {}
-
-    def rest(nu, k):  # f_{outer/nu}(xs[k:])
-        key = (nu, k)
-        if key not in memo:
-            if k == len(xs):
-                memo[key] = ONE if nu == outer else ZERO
-            elif k == len(xs) - 1:
-                memo[key] = f_one_row(nu, outer, xs[k], params)
-            else:
-                total = ZERO
-                for mid in interlacing_above(nu, within=outer):
-                    w1 = f_one_row(nu, mid, xs[k], params)
-                    if w1 != 0:
-                        total += w1 * rest(mid, k + 1)
-                memo[key] = total
-        return memo[key]
-
-    return rest(tuple(inner), 0)
+    return _chain_sum(f_one_row, inner, outer, tuple(xs), params)
 
 
 def g_skew(inner, outer, ys, params):
     """Multi-variable g_{outer/inner}(y_1..y_n); the last variable acts next to the outer partition.
 
-    Partial chain sums are memoized for the duration of this one call.
+    The chain sum of f_skew with g rows: the first variable acts next to inner.
     """
-    inner, ys = tuple(inner), tuple(ys)
-    memo = {}
-
-    def rest(nu, k):  # g_{nu/inner}(ys[:k])
-        key = (nu, k)
-        if key not in memo:
-            if k == 0:
-                memo[key] = ONE if nu == inner else ZERO
-            elif k == 1:
-                memo[key] = g_one_row(inner, nu, ys[0], params)
-            else:
-                total = ZERO
-                for mid in interlacing_below(nu):
-                    w1 = g_one_row(mid, nu, ys[k - 1], params)
-                    if w1 != 0:
-                        total += w1 * rest(mid, k - 1)
-                memo[key] = total
-        return memo[key]
-
-    return rest(tuple(outer), len(ys))
+    return _chain_sum(g_one_row, inner, outer, tuple(ys), params)
 
 
 def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
