@@ -11,9 +11,9 @@ diagonal step into (n,n) carries x_n; hence the cell at (i,j) mixes
 The joint law along a caudate zigzag path (an up-left path from a diagonal
 anchor (n,n) to the column i = 0) factorizes into one-row f/g weights plus
 the diagonal tail weight; ``path_measure`` evaluates that product and
-``normalization`` computes its partition function by contracting the path
-cell by cell, each contraction exchanging one corner for one Cauchy kernel
-factor.
+``normalization`` computes its partition function, the product of one
+Cauchy kernel factor per cell between the path and the column i = 0
+(what contracting the path corner by corner gives).
 """
 
 from __future__ import annotations
@@ -134,34 +134,22 @@ def path_measure(vertices, assignments, params, normalize=True):
 
 
 def normalization(vertices, params):
-    """Partition function of a caudate zigzag path by corner contraction.
+    """Partition function of a caudate zigzag path: a product of Cauchy kernels.
 
-    Two moves, each multiplying the accumulated factor by a Cauchy kernel:
-    (a) an up-then-left corner at (i, j) retracts to (i-1, j-1), giving
-    Pi(x_{i-1}; x_j); (b) a leading left step off the diagonal anchor
-    (n, n) retracts the anchor to (n-1, n-1), giving Pi(x_{n-1}; x_n).
-    The order of moves does not matter (tested), and the all-vertical
-    path on column 0 has partition function one.
+    Contracting the path corner by corner gives one kernel Pi(x_{a-1}; x_b)
+    for each cell (a, b) it sweeps: an up-then-left corner at (a, b)
+    retracts to (a-1, b-1), and a left step off the diagonal anchor (n, n)
+    retracts the anchor to (n-1, n-1).  In any order of moves (tested) the
+    swept cells are those between the path and the column i = 0: the
+    triangle 1 <= a <= b <= n under the anchor and, for each up-step into
+    row b at column a, the cells (1..a, b).  The all-vertical path on
+    column 0 has partition function one.
     """
     vs = validate_path(vertices)
+    n = vs[0][0]
+    cells = [(a, b) for b in range(1, n + 1) for a in range(1, b + 1)]
+    cells += [(a, d) for (_, b), (c, d) in zip(vs, vs[1:]) if d == b + 1 for a in range(1, c + 1)]
     z = ONE
-    while True:
-        if len(vs) == 1 or vs[0][0] == 0:
-            return z
-        # move (b): path leaves the diagonal anchor leftwards
-        (n, _), (c, d) = vs[0], vs[1]
-        if c == n - 1:
-            z *= cauchy_kernel(params.spectral(n - 1), params.spectral(n), params)
-            vs = [(n - 1, n - 1)] + vs[1:]
-            continue
-        # move (a): first up-then-left corner
-        done = False
-        for idx in range(1, len(vs) - 1):
-            (a0, b0), (a1, b1), (a2, b2) = vs[idx - 1], vs[idx], vs[idx + 1]
-            if b1 == b0 + 1 and a2 == a1 - 1:
-                z *= cauchy_kernel(params.spectral(a1 - 1), params.spectral(b1), params)
-                vs = vs[:idx] + [(a1 - 1, b1 - 1)] + vs[idx + 1:]
-                done = True
-                break
-        if not done:
-            raise InvalidPath(f"no contraction applies to {vs}")
+    for a, b in cells:
+        z *= cauchy_kernel(params.spectral(a - 1), params.spectral(b), params)
+    return z
