@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .exact import ConfigError, ModelParams, RandomSource, default_spectral, frac
@@ -80,7 +79,6 @@ def _params_from(cfg, T):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
-    corrupt = bool(os.environ.get("SPINHL_TEST_CORRUPT"))
     points = identities.FIXTURE_POINTS
     if args.point is not None:
         if not 0 <= args.point < len(points):
@@ -89,7 +87,7 @@ def cmd_verify(args):
     if "q" in cfg or "s" in cfg:
         points = (_params_from(cfg, 3),)
     reports = identities.run_suite(points, cap=int(_resolve(args, cfg, "cap", 30)),
-                                   only=args.only, corrupt=corrupt)
+                                   only=args.only)
     out = sys.stdout if args.out is None else open(args.out, "w")
     failed = 0
     for rep in reports:

@@ -23,8 +23,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-Frac = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

@@ -30,6 +30,7 @@ increments.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,13 @@ class CheckReport:
         if self.detail:
             out["detail"] = self.detail
         return json.dumps(out)
+
+
+def _require_admissible(pairs, params):
+    """NotAdmissible at the first (x, y) in pairs that is not admissible."""
+    for x, y in pairs:
+        if not admissible(x, y, params):
+            raise NotAdmissible(f"({x}, {y}) not admissible")
 
 
 def _exact_report(name, lhs, rhs, detail=""):
@@ -198,36 +206,23 @@ def check_intertwining_star(params, x, y, max_occ=6):
     return _exchange_report("intertwining-star", intertwining_star_sides, params, x, y, max_occ)
 
 
-def reflection_prefactor(I, params):
-    """prod_{k=1}^{I} (1-q^{2k-1})/(1-s^2 q^{2k-1})."""
-    q, s = params.q, params.s
-    out = ONE
-    for k in range(1, I + 1):
-        den = ONE - s * s * q ** (2 * k - 1)
-        if den == 0:
-            raise InvalidParams("reflection prefactor denominator vanished")
-        out *= (ONE - q ** (2 * k - 1)) / den
-    return out
-
-
 def reflection_sides(K, j, l, x, params):
     """Both sides of the boundary reflection relation at top occupancy K.
 
     The left side flips the incoming horizontal state of an L vertex with
     even bottom occupancy 2I; the right side flips the outgoing state of
     an M vertex.  Conservation pins I on each side, so each side is at
-    most a single term.
+    most a single term, weighted by prod_{k=1}^{I} (1-q^{2k-1})/(1-s^2 q^{2k-1}),
+    which is pairing_factor(2I).
     """
     lhs = ZERO
     two_i = K + l + j - 1  # L(2I, 1-j; K, l) needs 2I + (1-j) = K + l
     if two_i >= 0 and two_i % 2 == 0:
-        I = two_i // 2
-        lhs = reflection_prefactor(I, params) * L(2 * I, 1 - j, K, l, x, params)
+        lhs = pairing_factor(two_i, params) * L(two_i, 1 - j, K, l, x, params)
     rhs = ZERO
     two_i = K + 1 - l - j  # M(2I, j; K, 1-l) needs 2I + j = K + (1-l)
     if two_i >= 0 and two_i % 2 == 0:
-        I = two_i // 2
-        rhs = reflection_prefactor(I, params) * M(2 * I, j, K, 1 - l, x, params)
+        rhs = pairing_factor(two_i, params) * M(two_i, j, K, 1 - l, x, params)
     return lhs, rhs
 
 
@@ -359,8 +354,7 @@ def check_cauchy_closed_form(x, y, params):
     in closed form must reproduce Pi(x; y) - no truncation error.  The
     geometric recursion itself is verified on the first terms.
     """
-    if not admissible(x, y, params):
-        raise NotAdmissible(f"({x}, {y}) not admissible")
+    _require_admissible([(x, y)], params)
     r = convergence_ratio(x, y, params)
     first = f_one_row((), (1,), x, params) * g_one_row((), (1,), y, params)
     for k in range(1, 8):
@@ -383,8 +377,7 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
     partitions mu (f side) and lam (g side), and carries the certified
     geometric tail.
     """
-    if not admissible(x, y, params):
-        raise NotAdmissible(f"({x}, {y}) not admissible")
+    _require_admissible([(x, y)], params)
     pre = ONE / cauchy_kernel(x, y, params)
 
     def total(c):
@@ -414,10 +407,7 @@ def check_skew_littlewood(mu, xs, cap, params):
     certified geometric tail.
     """
     xs = tuple(xs)
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if not admissible(xs[a], xs[b], params):
-                raise NotAdmissible(f"({xs[a]}, {xs[b]}) not admissible")
+    _require_admissible(itertools.combinations(xs, 2), params)
     if len(xs) == 1:
         lam = even_cover(mu)
         tau = even_core(mu)
@@ -495,33 +485,45 @@ def check_refined_cauchy(xs, ys, u, cap, params):
     n = len(xs)
     if len(ys) != n:
         raise InvalidParams("refined Cauchy needs equally many x and y variables")
+    pairs = list(itertools.product(xs, ys))
+    _require_refined_tail(u, pairs, params)
+    return _refined_report(
+        f"refined-cauchy[n={n},u={u}]", "Cauchy", pairs, column_sums(xs, ys, cap, params),
+        refined_cauchy_rhs(xs, ys, u, params), n, 1, u, cap, params)
+
+
+def _require_refined_tail(u, pairs, params):
+    """What the refined tail bound needs: u in [0, 1], probabilistic mode, admissible pairs."""
     if not (ZERO <= u <= ONE):
         raise InvalidParams("certified tail needs u in [0, 1]")
     params.require_probabilistic()
-    for xi in xs:
-        for yj in ys:
-            if not admissible(xi, yj, params):
-                raise NotAdmissible(f"({xi}, {yj}) not admissible")
-    q = params.q
-    lhs = ZERO
-    plain = ZERO
-    for length, term in column_sums(xs, ys, cap, params).items():
-        plain += term
+    _require_admissible(pairs, params)
+
+
+def _refined_report(name, plain, pairs, sums, rhs, n, step, u, cap, params):
+    """Truncated report of a refined identity whose plain form is prod Pi(x; y) over `pairs`.
+
+    `sums` maps len(lam) to the retained plain partial sum and rhs is the
+    refined closed form.  A lam with m = n - len(lam) zero parts has the
+    refinement coefficient prod (1 - u q^i) over i = 1, 1 + step, ... <= m.
+    Under _require_refined_tail every coefficient lies in [0, 1], so the
+    dropped terms are dominated by the plain tail: the bound is the plain
+    closed form minus the retained plain sum, an exact rational.
+    """
+    lhs = total = ZERO
+    for length, term in sums.items():
+        total += term
         coeff = ONE
-        for i in range(1, n - length + 1):
-            coeff *= ONE - u * q**i
+        for i in range(1, n - length + 1, step):
+            coeff *= ONE - u * params.q**i
         lhs += coeff * term
-    rhs = refined_cauchy_rhs(xs, ys, u, params)
     closed = ONE
-    for xi in xs:
-        for yj in ys:
-            closed *= cauchy_kernel(xi, yj, params)
-    tail = closed - plain
+    for x, y in pairs:
+        closed *= cauchy_kernel(x, y, params)
+    tail = closed - total
     if tail < 0:
-        raise InvalidParams("plain Cauchy partial sum exceeded its closed form")
-    return _truncated_report(
-        f"refined-cauchy[n={n},u={u}]", lhs, rhs, tail, detail=f"cap={cap}",
-    )
+        raise InvalidParams(f"plain {plain} partial sum exceeded its closed form")
+    return _truncated_report(name, lhs, rhs, tail, detail=f"cap={cap}")
 
 
 def refined_littlewood_rhs(xs, u, params):
@@ -553,45 +555,23 @@ def check_refined_littlewood(xs, u, cap, params):
     Left: sum over partitions with all multiplicities even (so parts pair
     up and the length is even), largest part <= cap, of
     even_pair_coefficient(lam) f_lam(xs) weighted by the refinement
-    coefficient of len(lam).  The per-length sums come from the
-    column-transfer kernel ``sshl.column_sums`` with no g side and the
-    pairing factor of each multiplicity as its column factor (zero for an
-    odd multiplicity).  Tail bound by the plain Littlewood closed form
-    prod_{i<j} Pi(x_i; x_j), valid for u in [0, 1] in probabilistic mode.
+    coefficient prod_{k=1}^{m/2} (1 - u q^{2k-1}), m = 2n - len(lam).  The
+    per-length sums come from the column-transfer kernel
+    ``sshl.column_sums`` with no g side and the pairing factor of each
+    multiplicity as its column factor (zero for an odd multiplicity).
+    Tail bound by the plain Littlewood closed form prod_{i<j} Pi(x_i; x_j),
+    valid for u in [0, 1] in probabilistic mode.
     """
     xs = tuple(xs)
     if len(xs) % 2 != 0:
         raise InvalidParams("refined Littlewood needs an even number of variables")
-    if not (ZERO <= u <= ONE):
-        raise InvalidParams("certified tail needs u in [0, 1]")
-    params.require_probabilistic()
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if not admissible(xs[a], xs[b], params):
-                raise NotAdmissible(f"({xs[a]}, {xs[b]}) not admissible")
-    q = params.q
     n2 = len(xs)
-    lhs = ZERO
-    plain = ZERO
+    pairs = list(itertools.combinations(xs, 2))
+    _require_refined_tail(u, pairs, params)
     sums = column_sums(xs, (), cap, params, factor=lambda m: pairing_factor(m, params))
-    for length, term in sums.items():
-        plain += term
-        m0 = n2 - length
-        coeff = ONE
-        for k in range(1, m0 // 2 + 1):
-            coeff *= ONE - u * q ** (2 * k - 1)
-        lhs += coeff * term
-    rhs = refined_littlewood_rhs(xs, u, params)
-    closed = ONE
-    for a in range(len(xs)):
-        for b_ in range(a + 1, len(xs)):
-            closed *= cauchy_kernel(xs[a], xs[b_], params)
-    tail = closed - plain
-    if tail < 0:
-        raise InvalidParams("plain Littlewood partial sum exceeded its closed form")
-    return _truncated_report(
-        f"refined-littlewood[2n={n2},u={u}]", lhs, rhs, tail, detail=f"cap={cap}",
-    )
+    return _refined_report(
+        f"refined-littlewood[2n={n2},u={u}]", "Littlewood", pairs, sums,
+        refined_littlewood_rhs(xs, u, params), n2, 2, u, cap, params)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +585,10 @@ FIXTURE_POINTS = (
 )
 
 
-def run_suite(points=FIXTURE_POINTS, cap=30, only=None, corrupt=False):
+def run_suite(points=FIXTURE_POINTS, cap=30, only=None):
     """Run every check at the given parameter points; returns a list of CheckReport.
 
-    `only` filters by substring of the check name.  `corrupt` is a test
-    hook that deliberately perturbs one reported value so the failure path
-    of downstream tooling can be exercised.
+    `only` filters by substring of the check name.
     """
     reports = []
     for idx, params in enumerate(points):
@@ -642,9 +620,4 @@ def run_suite(points=FIXTURE_POINTS, cap=30, only=None, corrupt=False):
             rep = thunk()
             rep.detail = (f"point={idx} " + rep.detail).strip()
             reports.append(rep)
-    if corrupt and reports:
-        reports[0] = CheckReport(
-            reports[0].name, reports[0].mode, reports[0].lhs + 1, reports[0].rhs,
-            False, detail="deliberately corrupted (test hook)",
-        )
     return reports

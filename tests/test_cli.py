@@ -8,19 +8,20 @@ import sys
 import pytest
 
 from spinhl import ds6v as ds6v_mod
+from spinhl import identities
 from spinhl.cli import INPUT_ERRORS, main
+from spinhl.exact import ONE, ZERO
+from spinhl.identities import CheckReport
 from spinhl.ds6v import check_heights, heights_from_csv
 from spinhl.field import check_field_invariants, field_from_json
 
 
-def run_cli(args, env_extra=None):
+def run_cli(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env.get("PYTHONPATH", "")]
     )
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "spinhl.cli", *args],
         capture_output=True, text=True, env=env,
@@ -57,10 +58,16 @@ def test_verify_cap_flag_beats_config(tmp_path, flag, expect):
     assert details and all(d.endswith(expect) for d in details)
 
 
-def test_verify_corrupt_hook_fails(tmp_path):
-    res = run_cli(["verify", "--only", "intertwining", "--point", "0"],
-                  env_extra={"SPINHL_TEST_CORRUPT": "1"})
-    assert res.returncode == 1
+def test_verify_corrupt_hook_fails(capsys, monkeypatch):
+    # one check of the two that "intertwining" selects reports a failure
+    monkeypatch.setattr(identities, "check_intertwining_star",
+                        lambda params, x, y: CheckReport("intertwining-star", "exact",
+                                                         ONE, ZERO, False))
+    assert main(["verify", "--only", "intertwining", "--point", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "1/2 checks FAILED\n"
+    passed = [json.loads(line)["passed"] for line in captured.out.splitlines()]
+    assert passed == [True, False]
 
 
 def test_bad_config_exit_code(tmp_path):
