@@ -11,9 +11,13 @@ Subcommands:
 Configuration is a single JSON document (--config FILE) with rationals as
 strings, e.g. {"q": "1/3", "s": "-1/2", "u": "1/2", "x": ["1/4", "1/5"],
 "seed": 7, "T": 8, "cap": 30, "samples": 2000}; a command line flag beats
-the config, which beats the default.  Exit codes: 0 pass, 1 check failure,
-2 configuration or parameter error (any package exception about the
-inputs, reported as one line on stderr).
+the config, which beats the default.  The integer options T, seed and cap
+must be at least 0 (compare's T at least 1) and samples at least 1; a
+config may give them as strings of digits ("T": "8").  Exit codes: 0
+pass, 1 check failure, 2 configuration or parameter error (any package
+exception about the inputs, an integer option that is not an integer or
+is below its minimum, or a config that is not a JSON object, reported as
+one line on stderr).
 """
 
 from __future__ import annotations
@@ -43,9 +47,12 @@ def _load_config(path):
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _resolve(args, cfg, name, default=None):
@@ -58,6 +65,17 @@ def _resolve(args, cfg, name, default=None):
     if default is not None:
         return default
     raise ConfigError(f"missing required option {name!r} (flag or config)")
+
+
+def _int_option(args, cfg, name, default=None, minimum=0):
+    """An integer option through _resolve; ConfigError unless it is an int >= minimum."""
+    val = _resolve(args, cfg, name, default)
+    try:
+        if int(val) >= minimum:
+            return int(val)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{name} must be an integer >= {minimum}, got {val!r}")
 
 
 def _params_from(cfg, T):
@@ -73,7 +91,7 @@ def _params_from(cfg, T):
         if len(xs) < T + 1:
             raise ConfigError(f"need at least {T + 1} spectral values, got {len(xs)}")
         return ModelParams(q, s, u, tuple(xs))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad parameters: {exc}")
 
 
@@ -86,8 +104,7 @@ def cmd_verify(args):
         points = (points[args.point],)
     if "q" in cfg or "s" in cfg:
         points = (_params_from(cfg, 3),)
-    reports = identities.run_suite(points, cap=int(_resolve(args, cfg, "cap", 30)),
-                                   only=args.only)
+    reports = identities.run_suite(points, cap=_int_option(args, cfg, "cap", 30), only=args.only)
     out = sys.stdout if args.out is None else open(args.out, "w")
     failed = 0
     for rep in reports:
@@ -105,8 +122,8 @@ def cmd_verify(args):
 
 def cmd_sample_field(args):
     cfg = _load_config(args.config)
-    T = int(_resolve(args, cfg, "T"))
-    seed = int(_resolve(args, cfg, "seed", 0))
+    T = _int_option(args, cfg, "T")
+    seed = _int_option(args, cfg, "seed", 0)
     params = _params_from(cfg, T)
     rng = RandomSource(seed, 0)
     field = field_mod.sample_field(T, rng, params)
@@ -120,8 +137,8 @@ def cmd_sample_field(args):
 
 def cmd_ds6v(args):
     cfg = _load_config(args.config)
-    T = int(_resolve(args, cfg, "T"))
-    seed = int(_resolve(args, cfg, "seed", 0))
+    T = _int_option(args, cfg, "T")
+    seed = _int_option(args, cfg, "seed", 0)
     params = _params_from(cfg, T)
     rng = RandomSource(seed, 1)
     h = ds6v_mod.ds6v_sample(T, rng, params)
@@ -134,8 +151,8 @@ def cmd_ds6v(args):
 
 def cmd_particles(args):
     cfg = _load_config(args.config)
-    T = int(_resolve(args, cfg, "T"))
-    seed = int(_resolve(args, cfg, "seed", 0))
+    T = _int_option(args, cfg, "T")
+    seed = _int_option(args, cfg, "seed", 0)
     params = _params_from(cfg, T)
     rng = RandomSource(seed, 2)
     states = ds6v_mod.particle_trajectory(T, rng, params)
@@ -150,9 +167,9 @@ def cmd_particles(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config)
-    T = int(_resolve(args, cfg, "T", 4))
-    seed = int(_resolve(args, cfg, "seed", 0))
-    samples = int(_resolve(args, cfg, "samples", 2000))
+    T = _int_option(args, cfg, "T", 4, minimum=1)  # T = 0 has no site to compare
+    seed = _int_option(args, cfg, "seed", 0)
+    samples = _int_option(args, cfg, "samples", 2000, minimum=1)
     params = _params_from(cfg, T)
     p_values = ds6v_mod.paired_marginals(T, samples, seed, params)
     worst = min(1.0, *p_values.values())

@@ -78,6 +78,46 @@ def test_bad_config_exit_code(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command, cfg", [
+    (["ds6v", "--T", "3", "--seed", "-1"], None),
+    (["ds6v", "--T", "-2"], None),
+    (["ds6v"], {"T": "abc"}),
+    (["ds6v", "--T", "3"], {"seed": "x"}),
+    (["ds6v", "--T", "3"], [1, 2]),
+    (["ds6v", "--T", "3"], {"x": 5}),
+    (["sample-field", "--T", "2"], {"q": None}),
+    (["compare", "--samples", "-5"], None),
+    (["compare", "--samples", "0"], None),
+    (["compare", "--T", "0"], None),
+    (["compare", "--T", "2"], {"samples": "many"}),
+    (["verify", "--cap", "-1"], None),
+], ids=["negative-seed", "negative-T", "T-not-int", "seed-not-int", "config-array",
+        "x-not-list", "q-null", "negative-samples", "zero-samples", "compare-T-0",
+        "samples-not-int", "negative-cap"])
+def test_bad_options_exit_2_with_one_config_line(tmp_path, capsys, command, cfg):
+    argv = []
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path)]
+    out = ["--out", str(tmp_path / "out")] if command[0] in ("ds6v", "sample-field") else []
+    assert main([*argv, *command, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_options_read_digit_strings_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"T": "8", "seed": "7"}))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["--config", str(cfg), "ds6v", "--out", str(a)]) == 0
+    assert main(["ds6v", "--T", "8", "--seed", "7", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 @pytest.mark.parametrize("command, cfg, error", [
     (["verify", "--cap", "10"],
      {"q": "1/3", "s": "-1/2", "x": ["6", "1/5", "1/6", "1/7", "1/8"]}, "NotAdmissible"),
