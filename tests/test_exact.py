@@ -1,9 +1,11 @@
 """Core scalar arithmetic, admissibility, and the exact categorical sampler."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinhl.exact import (
     InvalidParams,
@@ -13,6 +15,7 @@ from spinhl.exact import (
     admissible,
     convergence_ratio,
     frac,
+    _sample_from_cumulative,
     sample_bernoulli,
     sample_categorical,
 )
@@ -130,6 +133,77 @@ def test_sample_bernoulli_is_the_two_cell_categorical_draw():
             first = sample_categorical((F(num, den), 1 - F(num, den)), a) == 0
             assert sample_bernoulli(num * scale, den * scale, b) is first
         assert [a.bit() for _ in range(70)] == [b.bit() for _ in range(70)]
+
+
+class _Exhausted(Exception):
+    pass
+
+
+class _Replay:
+    """A bit source that plays one fixed bit string, then raises _Exhausted."""
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+
+    def bit(self):
+        for b in self.bits:
+            return b
+        raise _Exhausted
+
+
+def _outcome_counts(draw, k):
+    """{outcome: number of k-bit strings on which draw(rng) resolves to it}."""
+    counts = {}
+    for bits in itertools.product((0, 1), repeat=k):
+        try:
+            out = draw(_Replay(bits))
+        except _Exhausted:
+            continue
+        counts[out] = counts.get(out, 0) + 1
+    return counts
+
+
+def _exact_counts(cum, k):
+    """max(0, floor(c_i 2^k) - ceil(c_{i-1} 2^k)) for the cumulative pairs (num, den) c_i."""
+    out, lo = [], 0
+    for num, den in cum:
+        hi = (num << k) // den
+        out.append(max(0, hi - lo))
+        lo = -((-num << k) // den)
+    return out
+
+
+def _assert_exact_law(draw, outcomes, cum):
+    for k in range(13):
+        counts = _outcome_counts(draw, k)
+        assert [counts.get(o, 0) for o in outcomes] == _exact_counts(cum, k), k
+
+
+LAW = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@LAW
+@given(weights=st.lists(st.integers(0, 12), min_size=1, max_size=5).filter(any),
+       scale=st.integers(1, 6))
+def test_categorical_draw_resolves_exactly_the_dyadic_cells(weights, scale):
+    # every k-bit string, k <= 12, that the draw resolves lands in the outcome
+    # whose cell holds its whole dyadic interval, so the counts are exact
+    total = sum(weights)
+    partial = list(itertools.accumulate(weights))
+    probs = [F(w, total) for w in weights]
+    outcomes = list(range(len(weights)))
+    _assert_exact_law(lambda rng: sample_categorical(probs, rng), outcomes,
+                      [(c, total) for c in partial])
+    unreduced = [(c * scale, total * scale) for c in partial]
+    _assert_exact_law(lambda rng: _sample_from_cumulative(unreduced, rng), outcomes, unreduced)
+
+
+@LAW
+@given(den=st.integers(1, 10**6), frac_num=st.fractions(0, 1), scale=st.integers(1, 50))
+def test_bernoulli_draw_resolves_exactly_the_dyadic_cells(den, frac_num, scale):
+    num = int(frac_num * den)
+    _assert_exact_law(lambda rng: sample_bernoulli(num * scale, den * scale, rng),
+                      [True, False], [(num, den), (1, 1)])
 
 
 def test_random_source_reproducible_and_streams_differ():
