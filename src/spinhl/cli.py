@@ -13,11 +13,14 @@ strings, e.g. {"q": "1/3", "s": "-1/2", "u": "1/2", "x": ["1/4", "1/5"],
 "seed": 7, "T": 8, "cap": 30, "samples": 2000}; a command line flag beats
 the config, which beats the default.  The integer options T, seed and cap
 must be at least 0 (compare's T at least 1) and samples at least 1; a
-config may give them as strings of digits ("T": "8").  Exit codes: 0
-pass, 1 check failure, 2 configuration or parameter error (any package
-exception about the inputs, an integer option that is not an integer or
-is below its minimum, or a config that is not a JSON object, reported as
-one line on stderr).
+config may give them as ints or strings of digits ("T": "8"), and any
+other value (a float, a bool) is a config error.  verify runs at the
+config's point when the config gives any of q, s, u and x (then --point
+is an error), and otherwise at the fixture points or the one --point
+picks.  Exit codes: 0 pass, 1 check failure, 2 configuration or
+parameter error (any package exception about the inputs, an integer
+option that is not an integer or is below its minimum, or a config that
+is not a JSON object, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -68,14 +71,15 @@ def _resolve(args, cfg, name, default=None):
 
 
 def _int_option(args, cfg, name, default=None, minimum=0):
-    """An integer option through _resolve; ConfigError unless it is an int >= minimum."""
+    """An integer option through _resolve: an int (not a bool) or a string of digits, >= minimum.
+
+    Anything else is a ConfigError, floats included, so 2.9 is not read as 2.
+    """
     val = _resolve(args, cfg, name, default)
-    try:
-        if int(val) >= minimum:
-            return int(val)
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{name} must be an integer >= {minimum}, got {val!r}")
+    n = int(val) if isinstance(val, str) and val.isascii() and val.isdigit() else val
+    if type(n) is not int or n < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {val!r}")
+    return n
 
 
 def _params_from(cfg, T):
@@ -98,12 +102,14 @@ def _params_from(cfg, T):
 def cmd_verify(args):
     cfg = _load_config(args.config)
     points = identities.FIXTURE_POINTS
-    if args.point is not None:
+    if any(name in cfg for name in ("q", "s", "u", "x")):
+        if args.point is not None:
+            raise ConfigError("--point selects a fixture point; the config gives its own")
+        points = (_params_from(cfg, 3),)
+    elif args.point is not None:
         if not 0 <= args.point < len(points):
             raise ConfigError(f"--point must be in 0..{len(points) - 1}")
         points = (points[args.point],)
-    if "q" in cfg or "s" in cfg:
-        points = (_params_from(cfg, 3),)
     reports = identities.run_suite(points, cap=_int_option(args, cfg, "cap", 30), only=args.only)
     out = sys.stdout if args.out is None else open(args.out, "w")
     failed = 0

@@ -41,7 +41,7 @@ def b_c_coeffs(i, j, params):
     """
     if not 1 <= i <= j:
         raise InvalidParams(f"need 1 <= i <= j, got ({i}, {j})")
-    b, c, den = jump_coefficients(params.spectral(i - 1), params.spectral(j), params.q)
+    b, c, den = jump_coefficients(params.spectral(i - 1), params.spectral(j), params)
     return Fraction(b, den), Fraction(c, den)
 
 
@@ -52,8 +52,13 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     substream keyed (i, j), making the result independent of evaluation
     order; per_cell_streams=False draws sequentially in sweep order from
     `rng`, which is faster and fine for bulk Monte Carlo.
+
+    A cell's law is its length pattern (da, db), read off the jump
+    coefficients b, c of the cell: a mixed pattern grows by one without a
+    draw, (0, 0) stays with probability c and (1, 1) grows by two with
+    probability b, each one Bernoulli draw.
     """
-    patterns = compiled(params).patterns
+    jumps = compiled(params).jumps
     h = {(0, j): 0 for j in range(T + 1)}
     for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
         if i < j:
@@ -62,8 +67,14 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
         else:
             base = h[(i - 1, i - 1)]
             da, db = base % 2, h[(i - 1, i)] - base
-        num, den, d0, d1 = patterns(j)[i - 1][2 * da + db]
-        h[(i, j)] = base + (d0 if sample_bernoulli(num, den, cell_rng) else d1)
+        if da != db:
+            h[(i, j)] = base + 1
+            continue
+        b, c, den = jumps(j)[i - 1]
+        if da:
+            h[(i, j)] = base + (1 if sample_bernoulli(den - b, den, cell_rng) else 2)
+        else:
+            h[(i, j)] = base + (0 if sample_bernoulli(c, den, cell_rng) else 1)
     return h
 
 

@@ -200,28 +200,15 @@ def _absorb(pool, h, words):
     """Mix words past the pool size into a SeedSequence pool, as numpy's mix_entropy does.
 
     Each word meets the four pool entries in turn, each through one hash
-    step (_hashmix, then _mix); both are written out here because
-    substreams run this for every lattice cell.
+    step.  RandomSource runs this once per key entry of a substream; its
+    cell memo runs it once per lattice row, not once per cell.
     """
-    p0, p1, p2, p3 = pool
+    pool = list(pool)
     for w in words:
-        h1 = (h * _MULT_A) & _M32
-        v = ((w ^ h) * h1) & _M32
-        r = (_MIX_L * p0 - _MIX_R * (v ^ (v >> 16))) & _M32
-        p0 = r ^ (r >> 16)
-        h2 = (h1 * _MULT_A) & _M32
-        v = ((w ^ h1) * h2) & _M32
-        r = (_MIX_L * p1 - _MIX_R * (v ^ (v >> 16))) & _M32
-        p1 = r ^ (r >> 16)
-        h3 = (h2 * _MULT_A) & _M32
-        v = ((w ^ h2) * h3) & _M32
-        r = (_MIX_L * p2 - _MIX_R * (v ^ (v >> 16))) & _M32
-        p2 = r ^ (r >> 16)
-        h = (h3 * _MULT_A) & _M32
-        v = ((w ^ h3) * h) & _M32
-        r = (_MIX_L * p3 - _MIX_R * (v ^ (v >> 16))) & _M32
-        p3 = r ^ (r >> 16)
-    return (p0, p1, p2, p3), h
+        for k in range(4):
+            v, h = _hashmix(w, h)
+            pool[k] = _mix(pool[k], v)
+    return tuple(pool), h
 
 
 def _second_word_consts(h):
@@ -297,14 +284,14 @@ class RandomSource:
 
     SeedSequence hashes the spawn-key words one after another with
     constants that do not depend on the data, so a source keeps its
-    hashed pool and a substream mixes in only its own key words.  For a
-    lattice cell, substream(i, j) with i and j below 2**32, that is done
-    at once from two memos on the parent: the pool after absorbing i
-    (one row per distinct i) and the four hashed values of j at the next
-    depth (one column per distinct j), so a cell costs four mix steps.
-    The memos live as long as the parent.  Any other key is mixed in
-    lazily, at the substream's first bit or first substream; the PCG64
-    state is always seeded lazily, at the first bit.
+    hashed pool and a substream mixes in only its own key words, when it
+    is made.  For a lattice cell, substream(i, j) with i and j below
+    2**32, that is done at once from two memos on the parent: the pool
+    after absorbing i (one row per distinct i) and the four hashed values
+    of j at the next depth (one column per distinct j), so a cell costs
+    four mix steps.  The memos live as long as the parent.  The PCG64
+    state is seeded lazily, at the first bit, so a source that never
+    draws never seeds it.
     """
 
     __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf", "_cells")
@@ -314,8 +301,7 @@ class RandomSource:
         self.stream = stream
         self._key = ()
         pool, h = _seed_pool(_words(seed))
-        # (pool, hash constant, number of key entries mixed in)
-        self._mixed = (*_absorb(pool, h, _words(stream)), 0)
+        self._mixed = _absorb(pool, h, _words(stream))  # (pool, hash constant)
         self._state = None
         self._buf = 1  # remaining bits of the current word above a sentinel 1
         self._cells = None
@@ -333,10 +319,9 @@ class RandomSource:
             if 0 <= i <= _M32 and 0 <= j <= _M32:
                 mixed = self._cell(i, j)
         if mixed is None:
+            mixed = self._mixed
             for k in key:
-                if type(k) is not int or k < 0:
-                    _index(k)  # raises ValueError for negative and non-int entries
-            mixed = self._mix_key()  # children share the work of this source's key
+                mixed = _absorb(*mixed, _words(k))  # ValueError for negative and non-int entries
         child = RandomSource.__new__(RandomSource)
         child.seed = self.seed
         child.stream = self.stream
@@ -357,10 +342,10 @@ class RandomSource:
         """
         cells = self._cells
         if cells is None:
-            pool, h, _ = self._mix_key()
+            pool, h = self._mixed
             steps, h_after = _second_word_consts(h)
-            cells = self._cells = ({}, {}, pool, h, steps, (h_after, len(self._key) + 2))
-        rows, cols, pool, h, steps, tail = cells
+            cells = self._cells = ({}, {}, pool, h, steps, h_after)
+        rows, cols, pool, h, steps, h_after = cells
         row = rows.get(i)
         if row is None:
             row = rows[i] = tuple((_MIX_L * p) & _M32 for p in _absorb(pool, h, (i,))[0])
@@ -375,21 +360,12 @@ class RandomSource:
         r1 = (row[1] - col[1]) & _M32
         r2 = (row[2] - col[2]) & _M32
         r3 = (row[3] - col[3]) & _M32
-        return (r0 ^ (r0 >> 16), r1 ^ (r1 >> 16), r2 ^ (r2 >> 16), r3 ^ (r3 >> 16)), *tail
-
-    def _mix_key(self):
-        """The pool and hash constant with this source's whole key mixed in."""
-        pool, h, done = self._mixed
-        if done < len(self._key):
-            for k in self._key[done:]:
-                pool, h = _absorb(pool, h, _words(k))
-            self._mixed = (pool, h, len(self._key))
-        return self._mixed
+        return (r0 ^ (r0 >> 16), r1 ^ (r1 >> 16), r2 ^ (r2 >> 16), r3 ^ (r3 >> 16)), h_after
 
     def _word(self):
         """The next 63-bit word: one PCG64 output shifted right by one."""
         if self._state is None:
-            self._state, self._inc = _pcg64(self._mix_key()[0])
+            self._state, self._inc = _pcg64(self._mixed[0])
         s = (self._state * _PCG_MULT + self._inc) & _M128
         self._state = s
         x = ((s >> 64) ^ s) & _M64

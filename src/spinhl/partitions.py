@@ -24,16 +24,6 @@ def validate(p):
     return tuple(p)
 
 
-def multiplicities(p, up_to=None):
-    """Multiplicity vector m[1..up_to] as a dict; up_to defaults to the largest part."""
-    m = {}
-    for a in p:
-        m[a] = m.get(a, 0) + 1
-    if up_to is not None:
-        return {i: m.get(i, 0) for i in range(1, up_to + 1)}
-    return m
-
-
 def interlaces(mu, lam):
     """True iff mu interlaces lam from below (mu ≺ lam).
 
@@ -75,7 +65,7 @@ def even_pair_coefficient(mu, params):
     ValueError.
     """
     out = ONE
-    for i, m in multiplicities(mu).items():
+    for i, m in enumerate(mult_vector(mu, mu[0] if mu else 0)):
         if m % 2:
             raise ValueError(f"odd multiplicity m_{i}={m} in even_pair_coefficient")
         out *= pairing_factor(m, params)

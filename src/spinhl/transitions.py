@@ -63,6 +63,7 @@ from .weights import (
     Rstar,
     VertexRow,
     pair_ints,
+    r_row,
     rstar_row,
 )
 
@@ -382,15 +383,11 @@ class CompiledModel:
                      spectral pair (x, y) (a CellSampler over row(y),
                      row(x) and its own RSTAR row), keyed by its integer
                      data
-      jumps(j)       the particle jump coefficients of the cells (i, j),
+      jumps(j)       the jump coefficients of the cells (i, j),
                      1 <= i <= j, as a list indexed by i - 1 of integer
-                     triples (b_num, c_num, den) (see jump_coefficients)
-      patterns(j)    the height model's four length patterns of the same
-                     cells, indexed by i - 1 and then by 2 * da + db, each
-                     a Bernoulli law (num, den, d0, d1): the height grows
-                     by d0 with probability num / den and by d1 otherwise.
-                     They are length_patterns, read off the jump
-                     coefficients without Fraction arithmetic.
+                     triples (b_num, c_num, den) (see jump_coefficients).
+                     They are the whole law of a cell of the height model
+                     (its length patterns) and of the particle system.
 
     The integer pairs are not reduced: sample_bernoulli, like
     sample_categorical, only compares num * 2^k with a * den, so the
@@ -403,7 +400,6 @@ class CompiledModel:
         self._rows = {}
         self._samplers = {}
         self._jumps = {}
-        self._patterns = {}
 
     def require_probabilistic(self):
         """params.require_probabilistic(), run once per model."""
@@ -428,26 +424,16 @@ class CompiledModel:
     def jumps(self, j):
         row = self._jumps.get(j)
         if row is None:
-            q, y = self.params.q, self.params.spectral(j)
+            y = self.params.spectral(j)
             row = []
             for a in range(j):
-                b, c, den = law = jump_coefficients(self.params.spectral(a), y, q)
+                b, c, den = law = jump_coefficients(self.params.spectral(a), y, self.params)
                 if not (0 <= b <= den and 0 <= c <= den):
                     raise NonStochastic(
                         f"jump coefficients b = {b}/{den}, c = {c}/{den} of cell "
                         f"({a + 1}, {j}) are not probabilities")
                 row.append(law)
             self._jumps[j] = row
-        return row
-
-    def patterns(self, j):
-        row = self._patterns.get(j)
-        if row is None:
-            forced = (1, 1, 1, 1)  # (0, 1) and (1, 0): grow by one
-            row = self._patterns[j] = [
-                ((c, den, 0, 1), forced, forced, (den - b, den, 1, 2))
-                for b, c, den in self.jumps(j)
-            ]
         return row
 
 
@@ -618,7 +604,7 @@ def length_patterns(x, y, params):
     with probability b (see jump_coefficients, which raises InvalidParams
     when 1 - qxy vanishes).
     """
-    b, c, den = jump_coefficients(x, y, params.q)
+    b, c, den = jump_coefficients(x, y, params)
     up1 = ((1,), (ONE,))
     return {
         (0, 0): ((0, 1), (frac(c, den), frac(den - c, den))),
@@ -628,21 +614,18 @@ def length_patterns(x, y, params):
     }
 
 
-def jump_coefficients(x, y, q):
+def jump_coefficients(x, y, params):
     """The particle jump coefficients b, c of the spectral pair (x, y), as integers.
 
     Returns (b_num, c_num, den) with den > 0, where
     b = q(1 - xy)/(1 - qxy) and c = (1 - xy)/(1 - qxy) are the length
     patterns' probabilities of growing by two from (1, 1) and of not
-    growing from (0, 0).  Raises InvalidParams when 1 - qxy vanishes.
+    growing from (0, 0): the R entries (1, 0; 1, 0) and (0, 1; 0, 1).
+    Raises InvalidParams when 1 - qxy vanishes.
     """
-    P = x.numerator * y.numerator
-    Q = x.denominator * y.denominator
-    den = q.denominator * Q - q.numerator * P
+    den, b, _, c, _ = r_row(*pair_ints(x, y, params))
     if den == 0:
         raise InvalidParams("1 - q x_{i-1} x_j vanished")
-    c = q.denominator * (Q - P)
-    b = q.numerator * (Q - P)
     return (b, c, den) if den > 0 else (-b, -c, -den)
 
 

@@ -31,9 +31,9 @@ Zero denominators (1 - s x = 0 and the like) raise InvalidParams.
 
 Each formula is written once, on the numerators and denominators of q, s
 and the spectral values: VertexRow gives the row vertices as integer
-numerators over a common denominator, rstar_row the entries of RSTAR (R
-is written the same way), and the functions L, M, MSTAR, R and RSTAR
-return those as Fractions.  The column tables of the random field
+numerators over a common denominator, r_row and rstar_row the entries
+of R and RSTAR, and the functions L, M, MSTAR, R and RSTAR return those
+as Fractions.  The column tables of the random field
 (transitions.CellSampler) are built from the integer forms directly.
 """
 
@@ -158,23 +158,27 @@ RSTAR_SLOTS = {
 }
 
 
-def R(i, j, k, l, x, y, params):
-    """Stochastic crossing vertex; rows sum to one over (k, l)."""
-    if not all(map(_is_bit, (i, j, k, l))):
-        return ZERO
-    qn, qd, P, Q = pair_ints(x, y, params)
-    den = _check_den(qd * Q - qn * P, "1 - q x y")  # qd Q (1 - q x y)
-    slot = R_SLOTS.get((i, j, k, l))
-    if slot is None:
-        return ZERO
-    nums = (
-        den,  # 1
+def r_row(qn, qd, P, Q):
+    """R's numerators by R_SLOTS, over qd Q - qn P = qd Q (1 - q x y)."""
+    return (
+        qd * Q - qn * P,  # 1
         qn * (Q - P),  # q (1 - x y) / (1 - q x y)
         (qd - qn) * Q,  # (1 - q) / (1 - q x y)
         qd * (Q - P),  # (1 - x y) / (1 - q x y)
         (qd - qn) * P,  # (1 - q) x y / (1 - q x y)
     )
-    return Fraction(nums[slot], den)
+
+
+def R(i, j, k, l, x, y, params):
+    """Stochastic crossing vertex; rows sum to one over (k, l)."""
+    if not all(map(_is_bit, (i, j, k, l))):
+        return ZERO
+    qn, qd, P, Q = pair_ints(x, y, params)
+    den = _check_den(qd * Q - qn * P, "1 - q x y")
+    slot = R_SLOTS.get((i, j, k, l))
+    if slot is None:
+        return ZERO
+    return Fraction(r_row(qn, qd, P, Q)[slot], den)
 
 
 def rstar_row(qn, qd, P, Q):

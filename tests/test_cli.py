@@ -91,9 +91,15 @@ def test_bad_config_exit_code(tmp_path):
     (["compare", "--T", "0"], None),
     (["compare", "--T", "2"], {"samples": "many"}),
     (["verify", "--cap", "-1"], None),
+    (["ds6v"], {"T": 2.9}),
+    (["ds6v"], {"T": 8.0}),
+    (["ds6v"], {"T": True}),
+    (["ds6v", "--T", "3"], {"seed": 1.5}),
+    (["verify"], {"cap": 1.5}),
 ], ids=["negative-seed", "negative-T", "T-not-int", "seed-not-int", "config-array",
         "x-not-list", "q-null", "negative-samples", "zero-samples", "compare-T-0",
-        "samples-not-int", "negative-cap"])
+        "samples-not-int", "negative-cap", "T-float", "T-integral-float", "T-bool",
+        "seed-float", "cap-float"])
 def test_bad_options_exit_2_with_one_config_line(tmp_path, capsys, command, cfg):
     argv = []
     if cfg is not None:
@@ -107,6 +113,24 @@ def test_bad_options_exit_2_with_one_config_line(tmp_path, capsys, command, cfg)
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: "), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cfg, flags, code, expect", [
+    ({"u": "1/3"}, ["--only", "refined-cauchy"], 0, '"refined-cauchy[n=1,u=1/3]"'),
+    ({"x": ["6", "1/5", "1/6", "1/7"]}, [], 2, "parameter error: NotAdmissible"),
+    ({"q": "2/5", "s": "-1/3"}, ["--point", "2"], 2, "config error: "),
+], ids=["u", "x", "point-with-q"])
+def test_verify_runs_at_the_config_point(tmp_path, capsys, cfg, flags, code, expect):
+    # any of q, s, u and x makes the config's point the one verify runs
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "verify", *flags]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith(expect)
+        assert len(captured.err.splitlines()) == 1
+    else:
+        assert captured.out.startswith('{"name": ' + expect)
 
 
 def test_integer_options_read_digit_strings_from_config(tmp_path):

@@ -1,13 +1,15 @@
-"""The robustness contract: no runtime asserts, and every package error has an exit code."""
+"""The robustness contract: no runtime asserts, an exit code per error, benchmark imports resolve."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 
 from spinhl import exact
 from spinhl.cli import INPUT_ERRORS
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "spinhl"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinhl"
 
 
 def test_no_assert_statements_in_the_package():
@@ -28,3 +30,20 @@ def test_every_package_exception_maps_to_exit_2():
     ]
     assert exact.ConfigError in defined and len(defined) > 1
     assert [c for c in defined if c is not exact.ConfigError and c not in INPUT_ERRORS] == []
+
+
+def test_benchmark_imports_resolve():
+    # perfbench's own tests run outside tier-1; a renamed package function would break it unseen
+    missing, seen = [], 0
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinhl":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    seen += 1
+                    if not hasattr(module, alias.name):
+                        try:
+                            importlib.import_module(f"{node.module}.{alias.name}")
+                        except ImportError:
+                            missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
+    assert seen and missing == []

@@ -121,16 +121,16 @@ def test_duality_count_identity(params):
 
 
 def test_one_step_tables_match_length_transition(all_points):
-    # the sampler's compiled pattern tables are literally the length-projection law
+    # the sampler's compiled jump coefficients give the length-projection law of each pattern
     for params in all_points:
         for a, b in ((0, 1), (1, 3), (2, 3), (4, 9)):
             x, y = params.x[a], params.x[b]
-            pats = compiled(params).patterns(b)[a]
-            for (da, db) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                num, den, d0, d1 = pats[2 * da + db]
+            jb, jc, den = compiled(params).jumps(b)[a]
+            B, C = F(jb, den), F(jc, den)
+            laws = {(0, 0): {5: C, 6: 1 - C}, (0, 1): {6: 1}, (1, 0): {6: 1},
+                    (1, 1): {6: 1 - B, 7: B}}
+            for (da, db), law in laws.items():
                 tbl = length_transition("bulk", (5, 5 + da, 5 + db), x, y, params)
-                law = {5 + d0: F(num, den)}
-                law[5 + d1] = law.get(5 + d1, 0) + 1 - F(num, den)
                 assert {k: p for k, p in law.items() if p} == tbl.as_dict()
 
 

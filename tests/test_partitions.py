@@ -16,7 +16,6 @@ from spinhl.partitions import (
     interlacing_above,
     interlacing_below,
     is_conjugate_even,
-    multiplicities,
     mult_vector,
     parse_partition,
 )
@@ -173,8 +172,6 @@ def test_interlacing_below_matches_brute_force(lam):
 
 def test_mult_and_text_forms():
     lam = (4, 4, 3, 1)
-    assert multiplicities(lam) == {4: 2, 3: 1, 1: 1}
-    assert multiplicities(lam, up_to=4) == {1: 1, 2: 0, 3: 1, 4: 2}
     assert mult_vector(lam, 5) == [0, 1, 0, 1, 2, 0]
     assert format_partition(lam) == "4,4,3,1"
     assert format_partition(()) == "∅"
