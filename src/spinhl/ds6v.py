@@ -275,11 +275,35 @@ def heights_to_csv(h):
     return buf.getvalue()
 
 
+def _int_rows(text, header, error):
+    """The rows under `header` of a CSV text, each as a tuple of ints.
+
+    Raises `error` naming the first bad line: a missing or wrong header, a
+    row of the wrong length, or a field that is not an integer.
+    """
+    reader = csv.reader(io.StringIO(text))
+    want = ",".join(header)
+    try:
+        first = next(reader, None)
+        if first != header:
+            got = "no line" if first is None else repr(",".join(first))
+            raise error(f"bad CSV header on line 1: expected {want!r}, got {got}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError
+                rows.append(tuple(int(v) for v in row))
+            except ValueError:
+                raise error(f"bad CSV row on line {reader.line_num}: expected integers "
+                            f"{want!r}, got {','.join(row)!r}") from None
+    except csv.Error as exc:
+        raise error(f"bad CSV on line {reader.line_num}: {exc}") from None
+    return rows
+
+
 def heights_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["i", "j", "h"]:
-        raise InconsistentHeights("bad CSV header")
-    return {(int(i), int(j)): int(v) for i, j, v in rows[1:]}
+    return {(i, j): v for i, j, v in _int_rows(text, ["i", "j", "h"], InconsistentHeights)}
 
 
 def particles_to_csv(states):
@@ -294,14 +318,11 @@ def particles_to_csv(states):
 
 
 def particles_from_csv(text):
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["t", "site", "occupied"]:
-        raise InvalidParams("bad CSV header")
     by_t = {}
-    for t, site, occ in rows[1:]:
-        by_t.setdefault(int(t), [])
-        if int(occ):
-            by_t[int(t)].append(int(site))
+    for t, site, occ in _int_rows(text, ["t", "site", "occupied"], InvalidParams):
+        by_t.setdefault(t, [])
+        if occ:
+            by_t[t].append(site)
     states = [] if 0 in by_t else [ParticleState(0, ())]
     for t in sorted(by_t):
         states.append(ParticleState(t, tuple(sorted(by_t[t], reverse=True))))

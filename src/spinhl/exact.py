@@ -20,6 +20,7 @@ ones, with no float rounding anywhere.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,8 +201,9 @@ def _absorb(pool, h, words):
     """Mix words past the pool size into a SeedSequence pool, as numpy's mix_entropy does.
 
     Each word meets the four pool entries in turn, each through one hash
-    step.  RandomSource runs this once per key entry of a substream; its
-    cell memo runs it once per lattice row, not once per cell.
+    step.  RandomSource.substream runs this once per key entry;
+    RandomSource.cell_streams runs it once per lattice row and does the
+    column words of all its cells together, in lanes.
     """
     pool = list(pool)
     for w in words:
@@ -267,12 +269,37 @@ def _pcg64(pool):
     return ((inc + init) * _PCG_MULT + inc) & _M128, inc
 
 
+# The state after seeding and one step is init * A + inc * B (mod 2^128).
+_FIRST_A = _PCG_MULT * _PCG_MULT & _M128
+_FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
+_BAND = 512  # cells seeded together by RandomSource.cell_streams
+_LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
+
+
+def anti_diagonals(T):
+    """(total, first i, last i) for each anti-diagonal i + j = total of 1 <= i <= j <= T.
+
+    The diagonals come in increasing total, 2 to 2T, and each runs over i
+    from max(1, total - T) to total // 2; this is the growth order.
+    """
+    return ((total, max(1, total - T), total // 2) for total in range(2, 2 * T + 1))
+
+
+def _lanes(value, n, width=1):
+    """The 64-bit words of the n lanes of `width` words each packed in value, word by word.
+
+    _lanes(v, n, w)[k::w] runs over word k of every lane.
+    """
+    return memoryview(value.to_bytes(8 * width * n, "little")).cast("Q")
+
+
 class RandomSource:
     """Reproducible bit source keyed by (seed, stream).
 
     substream(*key) derives an independent deterministic child source;
     simulation modules use substream(i, j) per lattice cell so results do
-    not depend on evaluation order.
+    not depend on evaluation order, and cell_streams(T) makes all those
+    children of a lattice at once.
 
     The bits are exactly numpy's: a source keyed (seed, stream, *key)
     yields the words of ``Generator(PCG64(SeedSequence(seed,
@@ -285,16 +312,16 @@ class RandomSource:
     SeedSequence hashes the spawn-key words one after another with
     constants that do not depend on the data, so a source keeps its
     hashed pool and a substream mixes in only its own key words, when it
-    is made.  For a lattice cell, substream(i, j) with i and j below
-    2**32, that is done at once from two memos on the parent: the pool
-    after absorbing i (one row per distinct i) and the four hashed values
-    of j at the next depth (one column per distinct j), so a cell costs
-    four mix steps.  The memos live as long as the parent.  The PCG64
-    state is seeded lazily, at the first bit, so a source that never
-    draws never seeds it.
+    is made.  The PCG64 state of a substream is seeded lazily, at the
+    first bit, so a source that never draws never seeds it.
+    cell_streams(T) instead seeds every cell child, and draws its first
+    word, a band of anti-diagonals at a time: all cells of a band are
+    packed side by side in a few Python ints, one lane per cell, so each
+    hash step and the PCG64 step is one integer operation per band.  Its
+    children equal substream(i, j) children after their first word.
     """
 
-    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf", "_cells")
+    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
 
     def __init__(self, seed, stream=0):
         self.seed = seed
@@ -304,24 +331,15 @@ class RandomSource:
         self._mixed = _absorb(pool, h, _words(stream))  # (pool, hash constant)
         self._state = None
         self._buf = 1  # remaining bits of the current word above a sentinel 1
-        self._cells = None
 
     def __repr__(self):
         key = f", key={self._key}" if self._key else ""
         return f"RandomSource(seed={self.seed}, stream={self.stream}{key})"
 
     def substream(self, *key):
-        mixed = None
-        if len(key) == 2:
-            i, j = key
-            if type(i) is not int or type(j) is not int:
-                i, j = _index(i), _index(j)
-            if 0 <= i <= _M32 and 0 <= j <= _M32:
-                mixed = self._cell(i, j)
-        if mixed is None:
-            mixed = self._mixed
-            for k in key:
-                mixed = _absorb(*mixed, _words(k))  # ValueError for negative and non-int entries
+        mixed = self._mixed
+        for k in key:
+            mixed = _absorb(*mixed, _words(k))  # ValueError for negative and non-int entries
         child = RandomSource.__new__(RandomSource)
         child.seed = self.seed
         child.stream = self.stream
@@ -329,38 +347,87 @@ class RandomSource:
         child._mixed = mixed
         child._state = None
         child._buf = 1
-        child._cells = None
         return child
 
-    def _cell(self, i, j):
-        """The mixed pool of the child keyed (i, j), both single words, from the memo.
+    def cell_streams(self, T):
+        """(i, j, self.substream(i, j)) for 1 <= i <= j <= T, by anti_diagonals(T) and then i.
 
         Absorbing i takes this source's pool to a row that every j shares;
-        the hashed values of j at the next depth form a column that every i
-        shares.  Both are kept premultiplied by the mix constants (mod
-        2^32), so a cell costs four subtractions and shifts.
+        the hashed words of j at the next depth form a column that every i
+        shares.  Both are made once per index, premultiplied by the mix
+        constants, and laid out as 64-bit lanes so that the rows and
+        columns of one diagonal are contiguous byte slices.  A band of
+        about _BAND cells then takes a few dozen big-int operations, and
+        only the cells of one band are held at a time.
         """
-        cells = self._cells
-        if cells is None:
-            pool, h = self._mixed
-            steps, h_after = _second_word_consts(h)
-            cells = self._cells = ({}, {}, pool, h, steps, h_after)
-        rows, cols, pool, h, steps, h_after = cells
-        row = rows.get(i)
-        if row is None:
-            row = rows[i] = tuple((_MIX_L * p) & _M32 for p in _absorb(pool, h, (i,))[0])
-        col = cols.get(j)
-        if col is None:
-            col = []
-            for x, m in steps:
+        if not _LANES:
+            for total, lo, hi in anti_diagonals(T):
+                for i in range(lo, hi + 1):
+                    yield i, total - i, self.substream(i, total - i)
+            return
+        pool, h = self._mixed
+        steps, h_after = _second_word_consts(h)
+        rows = [bytearray() for _ in range(4)]
+        for i in range(1, T + 1):
+            for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
+                lane += ((_MIX_L * p) & _M32).to_bytes(8, "little")
+        cols = [bytearray() for _ in range(4)]
+        for j in range(T, 0, -1):  # descending, so a diagonal's columns ascend with i
+            for lane, (x, m) in zip(cols, steps):
                 v = ((j ^ x) * m) & _M32
-                col.append((_MIX_R * (v ^ (v >> 16))) & _M32)
-            col = cols[j] = tuple(col)
-        r0 = (row[0] - col[0]) & _M32
-        r1 = (row[1] - col[1]) & _M32
-        r2 = (row[2] - col[2]) & _M32
-        r3 = (row[3] - col[3]) & _M32
-        return (r0 ^ (r0 >> 16), r1 ^ (r1 >> 16), r2 ^ (r2 >> 16), r3 ^ (r3 >> 16)), h_after
+                lane += ((_MIX_R * (v ^ (v >> 16))) & _M32).to_bytes(8, "little")
+        band, n = [], 0
+        for diag in anti_diagonals(T):
+            band.append(diag)
+            n += diag[2] - diag[1] + 1
+            if n >= _BAND:
+                yield from self._seed_band(band, n, T, rows, cols, h_after)
+                band, n = [], 0
+        if band:
+            yield from self._seed_band(band, n, T, rows, cols, h_after)
+
+    def _seed_band(self, band, n, T, rows, cols, h_after):
+        """The cell children of the diagonals in band (n cells), seeded and one word in."""
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
+        m32 = ones * _M32
+        pool = []
+        for row, col in zip(rows, cols):
+            r = int.from_bytes(b"".join(row[8 * lo - 8:8 * hi] for _, lo, hi in band), "little")
+            c = int.from_bytes(b"".join(col[8 * (T - t + lo):8 * (T - t + hi + 1)]
+                                        for t, lo, hi in band), "little")
+            r = (r + (ones << 32) - c) & m32  # lifting each lane by 2^32 stops borrows
+            pool.append((r ^ (r >> 16)) & m32)
+        w = []
+        for idx, x, m in _GENERATE:
+            v = ((pool[idx] ^ ones * x) * m) & m32
+            w.append(memoryview(((v ^ (v >> 16)) & m32).to_bytes(8 * n, "little")).cast("I")[::2])
+        # init and inc as 128-bit numbers in 256-bit lanes, low 32-bit word first
+        init, inc = bytearray(32 * n), bytearray(32 * n)
+        for dst, order in ((init, (2, 3, 0, 1)), (inc, (6, 7, 4, 5))):
+            view = memoryview(dst).cast("I")
+            for pos, k in enumerate(order):
+                view[pos::8] = w[k]
+        ones = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
+        m128 = ones * _M128
+        inc = (int.from_bytes(inc, "little") << 1 | ones) & m128
+        state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
+                 + ((inc * _FIRST_B) & m128)) & m128
+        pools = zip(*(_lanes(p, n) for p in pool))
+        state, inc = _lanes(state, n, 4), _lanes(inc, n, 4)
+        seed, stream, key = self.seed, self.stream, self._key
+        cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
+        for (i, j), p, lo, hi, ilo, ihi in zip(cells, pools, state[::4], state[1::4],
+                                               inc[::4], inc[1::4]):
+            child = RandomSource.__new__(RandomSource)
+            child.seed = seed
+            child.stream = stream
+            child._key = key + (i, j)
+            child._mixed = (p, h_after)
+            child._state = lo | hi << 64
+            child._inc = ilo | ihi << 64
+            x, rot = lo ^ hi, hi >> 58
+            child._buf = (((x >> rot) | (x << (64 - rot))) & _M64) >> 1 | (1 << 63)
+            yield i, j, child
 
     def _word(self):
         """The next 63-bit word: one PCG64 output shifted right by one."""

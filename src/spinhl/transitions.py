@@ -44,10 +44,12 @@ from .exact import (
     NotAdmissible,
     ONE,
     NonStochastic,
+    RandomSource,
     ScanCapExceeded,
     ZERO,
     ZeroSector,
     admissible,
+    anti_diagonals,
     _sample_from_cumulative,
     cumulative_boundaries,
     frac,
@@ -457,14 +459,19 @@ def sweep(T, rng, params, per_cell_streams):
     Cells come by anti-diagonal i + j and then by i, so every cell comes
     after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  cell_rng is
     rng.substream(i, j) with per_cell_streams and rng itself otherwise, so
-    sequential draws follow this order.  params must be in probabilistic
-    mode; that is checked here at once, also when T = 0 has no cells.
+    sequential draws follow this order.  A RandomSource seeds its cell
+    substreams in bands (RandomSource.cell_streams); any other bit source
+    with bit() and substream(*key) is asked once per cell.  params must be
+    in probabilistic mode; that is checked here at once, also when T = 0
+    has no cells.
     """
     compiled(params).require_probabilistic()
+    if per_cell_streams and type(rng) is RandomSource:
+        return rng.cell_streams(T)
     return (
         (i, total - i, rng.substream(i, total - i) if per_cell_streams else rng)
-        for total in range(2, 2 * T + 1)
-        for i in range(max(1, total - T), total // 2 + 1)
+        for total, lo, hi in anti_diagonals(T)
+        for i in range(lo, hi + 1)
     )
 
 

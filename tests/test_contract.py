@@ -5,8 +5,13 @@ import importlib
 import inspect
 import pathlib
 
+import pytest
+
 from spinhl import exact
 from spinhl.cli import INPUT_ERRORS
+from spinhl.ds6v import ds6v_sample
+from spinhl.exact import RandomSource
+from spinhl.field import sample_field
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spinhl"
@@ -47,3 +52,32 @@ def test_benchmark_imports_resolve():
                         except ImportError:
                             missing.append(f"{path.name}:{node.lineno} {node.module}.{alias.name}")
     assert seen and missing == []
+
+
+class _DuckBits:
+    """A bit source with only bit() and substream(*key), as the samplers promise to need."""
+
+    def __init__(self, inner, calls):
+        self._inner = inner
+        self._calls = calls
+
+    def bit(self):
+        return self._inner.bit()
+
+    def substream(self, *key):
+        self._calls.append(key)
+        return _DuckBits(self._inner.substream(*key), self._calls)
+
+
+@pytest.mark.parametrize("sampler, T", [(sample_field, 8), (ds6v_sample, 12)],
+                         ids=["field", "ds6v"])
+def test_duck_typed_bit_sources_get_one_substream_per_cell(params, sampler, T):
+    # a RandomSource seeds its cells in bands; any other source is asked per cell
+    calls = []
+    bare = sampler(T, RandomSource(21, 4), params)
+    assert sampler(T, _DuckBits(RandomSource(21, 4), calls), params) == bare
+    assert sorted(calls) == sorted((i, j) for j in range(1, T + 1) for i in range(1, j + 1))
+    calls.clear()
+    seq = sampler(T, _DuckBits(RandomSource(21, 4), calls), params, per_cell_streams=False)
+    assert seq == sampler(T, RandomSource(21, 4), params, per_cell_streams=False)
+    assert calls == []

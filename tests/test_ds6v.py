@@ -4,8 +4,9 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinhl.exact import InconsistentHeights, ModelParams, RandomSource
+from spinhl.exact import InconsistentHeights, InvalidParams, ModelParams, RandomSource
 from spinhl.ds6v import (
     b_c_coeffs,
     check_heights,
@@ -308,6 +309,35 @@ def test_creation_rule_from_empty(params):
     )
     p = float(c)
     assert abs(hits - n * p) < 5 * (n * p * (1 - p)) ** 0.5
+
+
+ROUND_TRIP = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+POINT = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i + 4}" for i in range(9)])
+
+
+@ROUND_TRIP
+@given(seed=st.integers(0, 2**70), T=st.integers(0, 8), per_cell_streams=st.booleans())
+def test_csv_round_trips_are_the_identity(seed, T, per_cell_streams):
+    h = ds6v_sample(T, RandomSource(seed, 1), POINT, per_cell_streams)
+    assert heights_from_csv(heights_to_csv(h)) == h
+    for states in (particle_trajectory(T, RandomSource(seed, 2), POINT),
+                   [particles_from_heights(h, t) for t in range(T + 1)]):
+        assert particles_from_csv(particles_to_csv(states)) == states
+
+
+@pytest.mark.parametrize("reader, error, text, line", [
+    (heights_from_csv, InconsistentHeights, "", "line 1"),
+    (heights_from_csv, InconsistentHeights, "i,j\n0,0\n", "line 1"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n1,x,2\n", "line 2"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\r\n0,0,0\r\n0,1\r\n", "line 3"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,0,0\n\n", "line 3"),
+    (particles_from_csv, InvalidParams, "", "line 1"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,yes\n", "line 2"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0,0\n", "line 2"),
+], ids=["h-empty", "h-header", "h-field", "h-short", "h-blank", "p-empty", "p-field", "p-long"])
+def test_csv_readers_name_the_bad_line(reader, error, text, line):
+    with pytest.raises(error, match=line):
+        reader(text)
 
 
 def test_exports_round_trip(params):

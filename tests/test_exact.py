@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -12,13 +13,17 @@ from spinhl.exact import (
     ModelParams,
     NonStochastic,
     RandomSource,
+    _BAND,
     admissible,
+    anti_diagonals,
     convergence_ratio,
     frac,
     _sample_from_cumulative,
     sample_bernoulli,
     sample_categorical,
 )
+from spinhl import exact
+from spinhl.ds6v import ds6v_sample
 from spinhl.field import sample_field
 
 
@@ -285,8 +290,8 @@ def _numpy_bits(seed, key, n_words=1):
 
 
 def test_cell_substreams_match_numpy_and_the_one_word_chain():
-    # substream(i, j) with single-word i, j mixes a row and a column kept on
-    # the parent; substream(i).substream(j) absorbs the words one by one
+    # substream(i, j) absorbs both key words at once and
+    # substream(i).substream(j) one by one; cell_streams is checked below
     pytest.importorskip("numpy")
     rnd = random.Random(20261019)
     edge = [0, 2**32 - 1, 2**32]  # the last one takes the general path
@@ -329,16 +334,87 @@ def test_cell_substream_keys_go_through_operator_index():
         src = RandomSource(11, 4)
         cell = src.substream(*key)
         assert [cell.bit() for _ in range(63)] == _numpy_bits(11, (4, *plain)), key
-        if src._cells is not None:
-            rows, cols = src._cells[:2]
-            assert all(type(k) is int for k in [*rows, *cols])
     with pytest.raises(ValueError):
         RandomSource(11, 4).substream(np.int64(-1), 3)
 
 
+def _state(src):
+    return [getattr(src, name, None) for name in RandomSource.__slots__]
+
+
 @pytest.mark.parametrize("T", [0, 1, 5, 16])
-def test_cell_memo_holds_at_most_one_row_and_column_per_lattice_index(params, T):
-    src = RandomSource(8, 0)
+def test_sweep_leaves_its_parent_unchanged(params, T):
+    # the cell substreams are seeded from the parent's pool; nothing is kept on it
+    src, twin = RandomSource(8, 0), RandomSource(8, 0)
+    src.bit(), twin.bit()
     sample_field(T, src, params)
-    rows, cols = src._cells[:2] if src._cells is not None else ((), ())
-    assert len(rows) + len(cols) <= 2 * T
+    ds6v_sample(T, src, params)
+    assert _state(src) == _state(twin)
+    assert [src.bit() for _ in range(100)] == [twin.bit() for _ in range(100)]
+
+
+def _lattice_past(cells):
+    return next(T for T in itertools.count() if T * (T + 1) // 2 > cells)
+
+
+# no cell, one, three, and the smallest lattices past one and two bands
+BAND_TS = [0, 1, 2, _lattice_past(_BAND), _lattice_past(2 * _BAND)]
+BAND_PARENTS = [
+    (7, 0, (), 0),
+    (2**64 + 12345, 3, (), 0),  # a three-word seed
+    (0xDEADBEEF_00000001_CAFEF00D_12345678_9ABCDEF0, 2**40 + 1, (9,), 5),  # five words
+    (5, 1, (2**33, 4), 70),  # a keyed parent that drew a word and more before spawning
+]
+
+
+@pytest.mark.parametrize("seed, stream, pkey, drawn", BAND_PARENTS,
+                         ids=["plain", "three-word-seed", "five-word-seed", "drew-first"])
+@pytest.mark.parametrize("T", BAND_TS)
+def test_cell_streams_match_numpy_and_substream(seed, stream, pkey, drawn, T):
+    pytest.importorskip("numpy")
+    parent = RandomSource(seed, stream).substream(*pkey)
+    for _ in range(drawn):
+        parent.bit()
+    got = list(parent.cell_streams(T))
+    assert [(i, j) for i, j, _ in got] == [
+        (i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
+    for i, j, child in got:
+        scalar = parent.substream(i, j)
+        assert (child._mixed, child._key) == (scalar._mixed, scalar._key), (i, j)
+        scalar._buf = scalar._word() | 1 << 63  # the band draws each child's first word
+        assert _state(child) == _state(scalar), (i, j)
+    # every child over two words, so past the word the band drew
+    for i, j, child in got:
+        assert [child.bit() for _ in range(126)] == _numpy_bits(
+            seed, (stream, *pkey, i, j), 2), (i, j)
+    for i, j, child in got[:: max(1, len(got) // 7)]:
+        grandchild = child.substream(len(got))
+        assert grandchild._mixed == parent.substream(i, j, len(got))._mixed
+        assert [grandchild.bit() for _ in range(63)] == _numpy_bits(
+            seed, (stream, *pkey, i, j, len(got)))
+
+
+def test_cell_streams_without_lane_packing_give_the_same_children(monkeypatch):
+    # machines that are not little-endian take substream(i, j) cell by cell
+    src = RandomSource(9, 2).substream(4)
+    src.bit()
+
+    def children():
+        return [(i, j, c._key, c._mixed, [c.bit() for _ in range(70)])
+                for i, j, c in src.cell_streams(12)]
+
+    banded = children()
+    monkeypatch.setattr(exact, "_LANES", False)
+    assert children() == banded
+
+
+def test_cell_streams_seed_one_band_at_a_time():
+    # the first child of a 45150-cell lattice comes before the rest are seeded
+    src = RandomSource(3, 1)
+    tracemalloc.start()
+    try:
+        next(iter(src.cell_streams(300)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spinhl.exact import InvalidPath, RandomSource
+from spinhl.cli import INPUT_ERRORS
+from spinhl.exact import InvalidPath, ModelParams, RandomSource
 from spinhl.field import (
     check_field_invariants,
     field_from_json,
@@ -54,6 +56,32 @@ def test_t1_corner_law(params):
 def test_field_json_round_trip(params):
     field = sample_field(3, RandomSource(5, 2), params)
     assert field_from_json(field_to_json(field)) == field
+
+
+POINT = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i + 4}" for i in range(9)])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**70), T=st.integers(0, 8), per_cell_streams=st.booleans())
+def test_field_json_round_trip_is_the_identity(seed, T, per_cell_streams):
+    field = sample_field(T, RandomSource(seed, 0), POINT, per_cell_streams)
+    assert field_from_json(field_to_json(field)) == field
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "line 1"),
+    ("{}", '"cells"'),
+    ("[]", '"cells"'),
+    ('{"cells": {}}', '"cells"'),
+    ('{"cells":\n[1,', "line 2"),
+    ('{"cells": [{"i": 0, "j": 0, "parts": []}, {"i": 1, "j": 1}]}', "cell 1"),
+    ('{"cells": [{"i": 0, "j": 0, "parts": [1.5]}]}', "cell 0"),
+    ('{"cells": [{"i": true, "j": 0, "parts": []}]}', "cell 0"),
+    ('{"cells": [[0, 0]]}', "cell 0"),
+])
+def test_field_json_reader_raises_an_input_error(text, where):
+    with pytest.raises(INPUT_ERRORS, match=where):
+        field_from_json(text)
 
 
 def test_validate_path():
