@@ -14,14 +14,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from fractions import Fraction
+
 from spinhl.exact import ModelParams, RandomSource
-from spinhl.ds6v import (
-    b_c_coeffs,
-    check_heights,
-    ds6v_sample,
-    heights_from_paths,
-    paths_from_heights,
-)
+from spinhl.ds6v import check_heights, ds6v_sample, heights_from_paths, paths_from_heights
+from spinhl.transitions import compiled
 
 # livelier spectral values make growth visible at small sizes
 params = ModelParams.make("1/2", "-1/2", "1/2", [f"6/{10 + i}" for i in range(14)])
@@ -29,9 +26,11 @@ params = ModelParams.make("1/2", "-1/2", "1/2", [f"6/{10 + i}" for i in range(14
 # --- jump coefficients -------------------------------------------------------
 # Every vertex (i, j) carries two exact rationals: b (keep going up) and
 # c (keep going right); the diagonal uses them keyed on parity.
-for ij in [(1, 1), (1, 2), (2, 3)]:
-    b, c = b_c_coeffs(*ij, params)
-    print(f"b{ij} = {b}   c{ij} = {c}")
+# compiled(params).jumps(j) holds them for the cells (1, j) .. (j, j) as
+# integer triples (b, c, den).
+for i, j in [(1, 1), (1, 2), (2, 3)]:
+    b, c, den = compiled(params).jumps(j)[i - 1]
+    print(f"b{(i, j)} = {Fraction(b, den)}   c{(i, j)} = {Fraction(c, den)}")
 
 # --- a sampled height triangle ------------------------------------------------
 h = ds6v_sample(12, RandomSource(seed=5, stream=1), params)

@@ -27,22 +27,17 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import InconsistentHeights, InvalidParams, RandomSource, sample_bernoulli
+from .exact import (
+    InconsistentHeights,
+    InvalidParams,
+    RandomSource,
+    half_quadrant,
+    sample_bernoulli,
+    word_bernoulli,
+)
 from .field import sample_field
-from .transitions import compiled, jump_coefficients, sweep
-
-
-def b_c_coeffs(i, j, params):
-    """Bulk jump coefficients (b_ij, c_ij) of the vertex at (i, j), 1 <= i <= j.
-
-    b = q(1 - x_{i-1} x_j)/(1 - q x_{i-1} x_j), c = (1 - x_{i-1} x_j)/(1 - q x_{i-1} x_j).
-    """
-    if not 1 <= i <= j:
-        raise InvalidParams(f"need 1 <= i <= j, got ({i}, {j})")
-    b, c, den = jump_coefficients(params.spectral(i - 1), params.spectral(j), params)
-    return Fraction(b, den), Fraction(c, den)
+from .transitions import compiled, sweep
 
 
 def ds6v_sample(T, rng, params, per_cell_streams=True):
@@ -56,25 +51,37 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     A cell's law is its length pattern (da, db), read off the jump
     coefficients b, c of the cell: a mixed pattern grows by one without a
     draw, (0, 0) stays with probability c and (1, 1) grows by two with
-    probability b, each one Bernoulli draw.
+    probability b, each one Bernoulli draw.  A cell draws at most once,
+    so a RandomSource with per-cell streams gives each cell only the
+    first word of its substream (RandomSource.cell_words), and
+    word_bernoulli draws from it; only when that word cannot decide does
+    the cell make its substream(i, j).  Other sources are asked for one
+    substream(i, j) per cell (see transitions.sweep).  Either way the
+    draws read the same bits, and the heights are the same.
     """
     jumps = compiled(params).jumps
+    words = per_cell_streams and type(rng) is RandomSource
+    # the neighbours are read from rows[i][j - i + 1] = h(i, j); rows[i][0] pads j = i - 1
+    rows = [[0] * (T + 2 - i) for i in range(T + 1)]
     h = {(0, j): 0 for j in range(T + 1)}
-    for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
-        if i < j:
-            base = h[(i - 1, j - 1)]
-            da, db = h[(i, j - 1)] - base, h[(i - 1, j)] - base
-        else:
-            base = h[(i - 1, i - 1)]
-            da, db = base % 2, h[(i - 1, i)] - base
+    for i, j, cell in sweep(T, rng, params, per_cell_streams, words):
+        up, row, k = rows[i - 1], rows[i], j - i + 1
+        base = up[k]
+        da = row[k - 1] - base if i < j else base & 1
+        db = up[k + 1] - base
         if da != db:
-            h[(i, j)] = base + 1
+            row[k] = h[i, j] = base + 1
             continue
         b, c, den = jumps(j)[i - 1]
-        if da:
-            h[(i, j)] = base + (1 if sample_bernoulli(den - b, den, cell_rng) else 2)
+        num = den - b if da else c
+        if words:
+            hit = word_bernoulli(num, den, cell)
+            if hit is None:
+                hit = sample_bernoulli(num, den, rng.substream(i, j))
         else:
-            h[(i, j)] = base + (0 if sample_bernoulli(c, den, cell_rng) else 1)
+            hit = sample_bernoulli(num, den, cell)
+        # (1, 1) grows by 1 on a hit and by 2 otherwise; (0, 0) by 0 or 1
+        row[k] = h[i, j] = base + da + (0 if hit else 1)
     return h
 
 
@@ -276,7 +283,7 @@ def heights_to_csv(h):
 
 
 def _int_rows(text, header, error):
-    """The rows under `header` of a CSV text, each as a tuple of ints.
+    """The rows under `header` of a CSV text, each as (line number, tuple of ints).
 
     Raises `error` naming the first bad line: a missing or wrong header, a
     row of the wrong length, or a field that is not an integer.
@@ -293,7 +300,7 @@ def _int_rows(text, header, error):
             try:
                 if len(row) != len(header):
                     raise ValueError
-                rows.append(tuple(int(v) for v in row))
+                rows.append((reader.line_num, tuple(int(v) for v in row)))
             except ValueError:
                 raise error(f"bad CSV row on line {reader.line_num}: expected integers "
                             f"{want!r}, got {','.join(row)!r}") from None
@@ -303,7 +310,15 @@ def _int_rows(text, header, error):
 
 
 def heights_from_csv(text):
-    return {(i, j): v for i, j, v in _int_rows(text, ["i", "j", "h"], InconsistentHeights)}
+    """The heights written by heights_to_csv; InconsistentHeights names a bad line or cell.
+
+    The rows must be the cells 0 <= i <= j <= T of one lattice, each once
+    (see exact.half_quadrant); the heights themselves are not checked
+    (check_heights does that).
+    """
+    rows = _int_rows(text, ["i", "j", "h"], InconsistentHeights)
+    return half_quadrant(((f"line {n}", (i, j), v) for n, (i, j, v) in rows),
+                         InconsistentHeights)
 
 
 def particles_to_csv(states):
@@ -318,12 +333,24 @@ def particles_to_csv(states):
 
 
 def particles_from_csv(text):
-    by_t = {}
-    for t, site, occ in _int_rows(text, ["t", "site", "occupied"], InvalidParams):
+    """The trajectory written by particles_to_csv, from the empty state at t = 0.
+
+    InvalidParams names the first bad line, including a (t, site) row
+    outside the sites 1 <= site <= t or one seen before.
+    """
+    by_t, seen = {}, {}
+    for n, (t, site, occ) in _int_rows(text, ["t", "site", "occupied"], InvalidParams):
+        if not 1 <= site <= t:
+            raise InvalidParams(f"bad particle row on line {n}: (t, site) = {(t, site)} "
+                                "is outside 1 <= site <= t")
+        if (t, site) in seen:
+            raise InvalidParams(f"bad particle row on line {n}: (t, site) = {(t, site)} "
+                                f"repeats line {seen[t, site]}")
+        seen[t, site] = n
         by_t.setdefault(t, [])
         if occ:
             by_t[t].append(site)
-    states = [] if 0 in by_t else [ParticleState(0, ())]
+    states = [ParticleState(0, ())]
     for t in sorted(by_t):
         states.append(ParticleState(t, tuple(sorted(by_t[t], reverse=True))))
     return states

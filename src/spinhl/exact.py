@@ -153,6 +153,7 @@ def convergence_ratio(x, y, params):
 # numpy.random.SeedSequence constants (pool of four 32-bit words) and the
 # PCG64 multiplier; RandomSource reproduces both algorithms bit for bit.
 _M32 = 0xFFFFFFFF
+_M63 = (1 << 63) - 1
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -202,7 +203,7 @@ def _absorb(pool, h, words):
 
     Each word meets the four pool entries in turn, each through one hash
     step.  RandomSource.substream runs this once per key entry;
-    RandomSource.cell_streams runs it once per lattice row and does the
+    RandomSource._cell_bands runs it once per lattice row and does the
     column words of all its cells together, in lanes.
     """
     pool = list(pool)
@@ -272,8 +273,9 @@ def _pcg64(pool):
 # The state after seeding and one step is init * A + inc * B (mod 2^128).
 _FIRST_A = _PCG_MULT * _PCG_MULT & _M128
 _FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
-_BAND = 512  # cells seeded together by RandomSource.cell_streams
+_BAND = 512  # cells seeded together by RandomSource._cell_bands
 _LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
 def anti_diagonals(T):
@@ -285,6 +287,35 @@ def anti_diagonals(T):
     return ((total, max(1, total - T), total // 2) for total in range(2, 2 * T + 1))
 
 
+def half_quadrant(entries, error):
+    """{(i, j): value} from a reader's (place, (i, j), value) entries, if they form a lattice.
+
+    The cells must be 0 <= i <= j <= T for the largest j given, T, each
+    exactly once.  Raises `error` naming the place (a line or cell of the
+    text) of the first cell outside 0 <= i <= j or seen before, or else the
+    first missing cell, by j and then i.
+    """
+    out, where = {}, {}
+    for place, (i, j), value in entries:
+        if not 0 <= i <= j:
+            raise error(f"bad lattice data on {place}: cell {(i, j)} is outside 0 <= i <= j")
+        if (i, j) in out:
+            raise error(f"bad lattice data on {place}: cell {(i, j)} repeats {where[i, j]}")
+        out[i, j] = value
+        where[i, j] = place
+    T = max((j for _, j in out), default=-1)
+    for j in range(T + 1):
+        for i in range(j + 1):
+            if (i, j) not in out:
+                raise error(f"bad lattice data: cell {(i, j)} of 0 <= i <= j <= {T} is missing")
+    return out
+
+
+def read_order(word):
+    """A 63-bit word's bits in the order bit() reads them (least significant first), MSB-first."""
+    return int.from_bytes(word.to_bytes(8, "little").translate(_REV8), "big") >> 1
+
+
 def _lanes(value, n, width=1):
     """The 64-bit words of the n lanes of `width` words each packed in value, word by word.
 
@@ -293,13 +324,60 @@ def _lanes(value, n, width=1):
     return memoryview(value.to_bytes(8 * width * n, "little")).cast("Q")
 
 
+def _seed_band(band, n, T, rows, cols):
+    """One band of RandomSource._cell_bands: the diagonals in band, n cells, seeded in lanes."""
+    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
+    m32 = ones * _M32
+    pool = []
+    for row, col in zip(rows, cols):
+        r = int.from_bytes(b"".join(row[8 * lo - 8:8 * hi] for _, lo, hi in band), "little")
+        c = int.from_bytes(b"".join(col[8 * (T - t + lo):8 * (T - t + hi + 1)]
+                                    for t, lo, hi in band), "little")
+        r = (r + (ones << 32) - c) & m32  # lifting each lane by 2^32 stops borrows
+        pool.append((r ^ (r >> 16)) & m32)
+    w = []
+    for idx, x, m in _GENERATE:
+        v = ((pool[idx] ^ ones * x) * m) & m32
+        w.append(memoryview(((v ^ (v >> 16)) & m32).to_bytes(8 * n, "little")).cast("I")[::2])
+    # init and inc as 128-bit numbers in 256-bit lanes, low 32-bit word first
+    init, inc = bytearray(32 * n), bytearray(32 * n)
+    for dst, order in ((init, (2, 3, 0, 1)), (inc, (6, 7, 4, 5))):
+        view = memoryview(dst).cast("I")
+        for pos, k in enumerate(order):
+            view[pos::8] = w[k]
+    ones = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
+    m128 = ones * _M128
+    inc = (int.from_bytes(inc, "little") << 1 | ones) & m128
+    state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
+             + ((inc * _FIRST_B) & m128)) & m128
+    cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
+    return cells, n, pool, state, inc
+
+
+def _band_words(cells, n, pool, state, inc):
+    """RandomSource.cell_words of one band of _cell_bands.
+
+    Bit-reversing a rotated word is rotating the reversed word the other
+    way, so the band reverses its xor-shifted PCG64 outputs in one byte
+    translation, and a cell only rotates its own lane.
+    """
+    low = int.from_bytes((b"\xff" * 8 + bytes(24)) * n, "little")  # low word of each lane
+    x = (state ^ (state >> 64)) & low
+    # reversing all the bytes reverses the lanes too, so read them from the end
+    rev = memoryview(x.to_bytes(32 * n, "little").translate(_REV8)[::-1]).cast("Q")
+    for (i, j), r, hi in zip(cells, rev[::-4], _lanes(state, n, 4)[1::4]):
+        rot = hi >> 58
+        yield i, j, ((r << rot) | (r >> (64 - rot))) & _M63
+
+
 class RandomSource:
     """Reproducible bit source keyed by (seed, stream).
 
     substream(*key) derives an independent deterministic child source;
     simulation modules use substream(i, j) per lattice cell so results do
-    not depend on evaluation order, and cell_streams(T) makes all those
-    children of a lattice at once.
+    not depend on evaluation order.  cell_streams(T) makes all those
+    children of a lattice at once, and cell_words(T) gives only their
+    first words, for samplers that draw at most once per cell.
 
     The bits are exactly numpy's: a source keyed (seed, stream, *key)
     yields the words of ``Generator(PCG64(SeedSequence(seed,
@@ -314,11 +392,13 @@ class RandomSource:
     hashed pool and a substream mixes in only its own key words, when it
     is made.  The PCG64 state of a substream is seeded lazily, at the
     first bit, so a source that never draws never seeds it.
-    cell_streams(T) instead seeds every cell child, and draws its first
-    word, a band of anti-diagonals at a time: all cells of a band are
-    packed side by side in a few Python ints, one lane per cell, so each
-    hash step and the PCG64 step is one integer operation per band.  Its
-    children equal substream(i, j) children after their first word.
+    cell_streams(T) and cell_words(T) instead seed every cell, and draw
+    its first word, a band of anti-diagonals at a time (_cell_bands): all
+    cells of a band are packed side by side in a few Python ints, one
+    lane per cell, so each hash step and the PCG64 step is one integer
+    operation per band.  cell_streams wraps each cell's lanes in a child
+    equal to substream(i, j) after its first word; cell_words yields only
+    that word, so a cell that never draws costs no object.
     """
 
     __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
@@ -352,21 +432,65 @@ class RandomSource:
     def cell_streams(self, T):
         """(i, j, self.substream(i, j)) for 1 <= i <= j <= T, by anti_diagonals(T) and then i.
 
+        The children come seeded and one word in, from _cell_bands; they
+        equal substream(i, j) children after their first word.
+        """
+        if not _LANES:
+            return ((i, t - i, self.substream(i, t - i))
+                    for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
+        h_after = _second_word_consts(self._mixed[1])[1]
+        seed, stream, key = self.seed, self.stream, self._key
+
+        def children(cells, n, pool, state, inc):
+            pools = zip(*(_lanes(p, n) for p in pool))
+            state, inc = _lanes(state, n, 4), _lanes(inc, n, 4)
+            for (i, j), p, lo, hi, ilo, ihi in zip(cells, pools, state[::4], state[1::4],
+                                                   inc[::4], inc[1::4]):
+                child = RandomSource.__new__(RandomSource)
+                child.seed = seed
+                child.stream = stream
+                child._key = key + (i, j)
+                child._mixed = (p, h_after)
+                child._state = lo | hi << 64
+                child._inc = ilo | ihi << 64
+                x, rot = lo ^ hi, hi >> 58
+                child._buf = (((x >> rot) | (x << (64 - rot))) & _M64) >> 1 | (1 << 63)
+                yield i, j, child
+
+        return self._cell_bands(T, children)
+
+    def cell_words(self, T):
+        """(i, j, u) for the cells of cell_streams(T), in its order, with no child objects.
+
+        u is the first word of substream(i, j) in the order bit() reads
+        it: its 63 bits as an integer whose most significant bit is the
+        first bit read (read_order of the word), so that child's uniform
+        variate lies in [u, u + 1) / 2^63.  word_bernoulli draws from it.
+        """
+        if not _LANES:
+            return ((i, t - i, read_order(self.substream(i, t - i)._word()))
+                    for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
+        return self._cell_bands(T, _band_words)
+
+    def _cell_bands(self, T, unpack):
+        """The lane seeder of cell_streams and cell_words: unpack's items, band by band.
+
         Absorbing i takes this source's pool to a row that every j shares;
         the hashed words of j at the next depth form a column that every i
         shares.  Both are made once per index, premultiplied by the mix
         constants, and laid out as 64-bit lanes so that the rows and
-        columns of one diagonal are contiguous byte slices.  A band of
-        about _BAND cells then takes a few dozen big-int operations, and
-        only the cells of one band are held at a time.
+        columns of one diagonal are contiguous byte slices.  The cells of
+        about _BAND cells' worth of whole anti-diagonals are then packed
+        side by side in a few Python ints, one lane per cell, so each hash
+        step and the PCG64 step is one integer operation per band.  Each
+        band goes to unpack(cells, n, pool, state, inc): its n cells
+        (i, j) in order, the four pool words of their children in 64-bit
+        lanes, and their PCG64 state after one step and increment in
+        256-bit lanes, lowest lane first.  That band is let go before the
+        next is seeded, so only one is held at a time.
         """
-        if not _LANES:
-            for total, lo, hi in anti_diagonals(T):
-                for i in range(lo, hi + 1):
-                    yield i, total - i, self.substream(i, total - i)
-            return
         pool, h = self._mixed
-        steps, h_after = _second_word_consts(h)
+        steps, _ = _second_word_consts(h)
         rows = [bytearray() for _ in range(4)]
         for i in range(1, T + 1):
             for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
@@ -381,53 +505,10 @@ class RandomSource:
             band.append(diag)
             n += diag[2] - diag[1] + 1
             if n >= _BAND:
-                yield from self._seed_band(band, n, T, rows, cols, h_after)
+                yield from unpack(*_seed_band(band, n, T, rows, cols))
                 band, n = [], 0
         if band:
-            yield from self._seed_band(band, n, T, rows, cols, h_after)
-
-    def _seed_band(self, band, n, T, rows, cols, h_after):
-        """The cell children of the diagonals in band (n cells), seeded and one word in."""
-        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
-        m32 = ones * _M32
-        pool = []
-        for row, col in zip(rows, cols):
-            r = int.from_bytes(b"".join(row[8 * lo - 8:8 * hi] for _, lo, hi in band), "little")
-            c = int.from_bytes(b"".join(col[8 * (T - t + lo):8 * (T - t + hi + 1)]
-                                        for t, lo, hi in band), "little")
-            r = (r + (ones << 32) - c) & m32  # lifting each lane by 2^32 stops borrows
-            pool.append((r ^ (r >> 16)) & m32)
-        w = []
-        for idx, x, m in _GENERATE:
-            v = ((pool[idx] ^ ones * x) * m) & m32
-            w.append(memoryview(((v ^ (v >> 16)) & m32).to_bytes(8 * n, "little")).cast("I")[::2])
-        # init and inc as 128-bit numbers in 256-bit lanes, low 32-bit word first
-        init, inc = bytearray(32 * n), bytearray(32 * n)
-        for dst, order in ((init, (2, 3, 0, 1)), (inc, (6, 7, 4, 5))):
-            view = memoryview(dst).cast("I")
-            for pos, k in enumerate(order):
-                view[pos::8] = w[k]
-        ones = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
-        m128 = ones * _M128
-        inc = (int.from_bytes(inc, "little") << 1 | ones) & m128
-        state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
-                 + ((inc * _FIRST_B) & m128)) & m128
-        pools = zip(*(_lanes(p, n) for p in pool))
-        state, inc = _lanes(state, n, 4), _lanes(inc, n, 4)
-        seed, stream, key = self.seed, self.stream, self._key
-        cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
-        for (i, j), p, lo, hi, ilo, ihi in zip(cells, pools, state[::4], state[1::4],
-                                               inc[::4], inc[1::4]):
-            child = RandomSource.__new__(RandomSource)
-            child.seed = seed
-            child.stream = stream
-            child._key = key + (i, j)
-            child._mixed = (p, h_after)
-            child._state = lo | hi << 64
-            child._inc = ilo | ihi << 64
-            x, rot = lo ^ hi, hi >> 58
-            child._buf = (((x >> rot) | (x << (64 - rot))) & _M64) >> 1 | (1 << 63)
-            yield i, j, child
+            yield from unpack(*_seed_band(band, n, T, rows, cols))
 
     def _word(self):
         """The next 63-bit word: one PCG64 output shifted right by one."""
@@ -490,6 +571,24 @@ def sample_bernoulli(num, den, rng):
             return False
         a = (a << 1) | rng.bit()
         scale <<= 1
+
+
+def word_bernoulli(num, den, u):
+    """sample_bernoulli(num, den, rng) from the first word of rng alone, or None.
+
+    u is that word in the order bit() reads it (read_order, or an entry of
+    RandomSource.cell_words), so the uniform variate lies in
+    [u, u + 1) / 2^63.  When that interval lies below p = num/den the draw
+    is True, when above, False; sample_bernoulli decides [U < p] on the
+    same nested dyadic intervals, so it returns the same.  None means the
+    interval straddles p (probability at most 2^-63), and sample_bernoulli
+    on the source itself must decide.
+    """
+    if (u + 1) * den <= num << 63:
+        return True
+    if num << 63 <= u * den:
+        return False
+    return None
 
 
 def _sample_from_cumulative(cum, rng):

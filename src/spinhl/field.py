@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .exact import InvalidParams, InvalidPath, ONE, ZERO
+from .exact import InvalidParams, InvalidPath, ONE, ZERO, half_quadrant
 from .identities import cauchy_kernel
 from .partitions import interlaces
 from .sshl import f_one_row, g_one_row, tail_weight
@@ -71,7 +71,12 @@ def field_to_json(field):
 
 
 def field_from_json(text):
-    """The field written by field_to_json; InvalidParams names a bad line or cell."""
+    """The field written by field_to_json; InvalidParams names a bad line or cell.
+
+    The cells must be those of one lattice 0 <= i <= j <= T, each once (see
+    exact.half_quadrant); the partitions themselves are not checked
+    (check_field_invariants does that).
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,15 +84,15 @@ def field_from_json(text):
     cells = data.get("cells") if isinstance(data, dict) else None
     if not isinstance(cells, list):
         raise InvalidParams('bad field JSON: expected an object with a "cells" list')
-    field = {}
+    entries = []
     for n, c in enumerate(cells):
         parts = c.get("parts") if isinstance(c, dict) else None
         if not isinstance(parts, list) or any(
                 type(v) is not int for v in (c.get("i"), c.get("j"), *parts)):
             raise InvalidParams(f"bad field JSON cell {n}: expected integers i, j and a list "
                                 f"of integer parts, got {json.dumps(c)}")
-        field[(c["i"], c["j"])] = tuple(parts)
-    return field
+        entries.append((f"cell {n}", (c["i"], c["j"]), tuple(parts)))
+    return half_quadrant(entries, InvalidParams)
 
 
 # ---------------------------------------------------------------------------

@@ -453,21 +453,23 @@ def cell_sampler(x, y, params):
     return compiled(params).sampler(x, y)
 
 
-def sweep(T, rng, params, per_cell_streams):
+def sweep(T, rng, params, per_cell_streams, words=False):
     """The growth order of both samplers: (i, j, cell_rng) for 1 <= i <= j <= T.
 
     Cells come by anti-diagonal i + j and then by i, so every cell comes
     after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  cell_rng is
     rng.substream(i, j) with per_cell_streams and rng itself otherwise, so
     sequential draws follow this order.  A RandomSource seeds its cell
-    substreams in bands (RandomSource.cell_streams); any other bit source
-    with bit() and substream(*key) is asked once per cell.  params must be
-    in probabilistic mode; that is checked here at once, also when T = 0
-    has no cells.
+    substreams in bands (RandomSource.cell_streams), and with words it
+    gives each cell's first word in read order instead of its child
+    (RandomSource.cell_words), for a sampler that draws at most once per
+    cell.  Any other bit source with bit() and substream(*key) is asked
+    once per cell, words or not.  params must be in probabilistic mode;
+    that is checked here at once, also when T = 0 has no cells.
     """
     compiled(params).require_probabilistic()
     if per_cell_streams and type(rng) is RandomSource:
-        return rng.cell_streams(T)
+        return rng.cell_words(T) if words else rng.cell_streams(T)
     return (
         (i, total - i, rng.substream(i, total - i) if per_cell_streams else rng)
         for total, lo, hi in anti_diagonals(T)

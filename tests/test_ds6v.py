@@ -1,14 +1,21 @@
 """Dynamic six-vertex heights, path reconstruction, and the particle dual."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinhl.exact import InconsistentHeights, InvalidParams, ModelParams, RandomSource
+from spinhl.exact import (
+    InconsistentHeights,
+    InvalidParams,
+    ModelParams,
+    RandomSource,
+    anti_diagonals,
+    word_bernoulli,
+)
 from spinhl.ds6v import (
-    b_c_coeffs,
     check_heights,
     currents_to_json,
     ds6v_sample,
@@ -23,7 +30,13 @@ from spinhl.ds6v import (
     paths_from_heights,
     ParticleState,
 )
-from spinhl.transitions import compiled, length_transition
+from spinhl.transitions import compiled, jump_coefficients, length_transition
+
+
+def b_c_coeffs(i, j, params):
+    """The jump coefficients (b, c) of cell (i, j) as Fractions, from the compiled table."""
+    b, c, den = compiled(params).jumps(j)[i - 1]
+    return F(b, den), F(c, den)
 
 
 # Reference height configuration on the T = 8 half-quadrant, with its dual
@@ -55,7 +68,9 @@ FIXTURE_PARTICLES = {
 
 def test_b_c_examples(params):
     q = params.q
-    b, c = b_c_coeffs(1, 2, params)
+    b, c, den = jump_coefficients(params.x[0], params.x[2], params)
+    assert (F(b, den), F(c, den)) == b_c_coeffs(1, 2, params)
+    b, c = F(b, den), F(c, den)
     xx = params.x[0] * params.x[2]
     assert b == q * (1 - xx) / (1 - q * xx)
     assert c == (1 - xx) / (1 - q * xx)
@@ -63,11 +78,22 @@ def test_b_c_examples(params):
     assert c + (1 - q) * xx / (1 - q * xx) == 1
     # q -> 0 limit: no double jumps, passing weight loses its q correction
     p0 = ModelParams.make(0, "-1/2", 1, params.x)
-    b0, c0 = b_c_coeffs(2, 3, p0)
+    b0, c0, den0 = jump_coefficients(params.x[1], params.x[3], p0)
     assert b0 == 0
-    assert c0 == 1 - params.x[1] * params.x[3]
-    with pytest.raises(Exception):
-        b_c_coeffs(3, 2, params)
+    assert F(c0, den0) == 1 - params.x[1] * params.x[3]
+
+
+def test_jump_rows_hold_only_the_half_quadrant(params):
+    # jumps(j) has one entry per cell (i, j) with 1 <= i <= j, and none for i > j
+    model = compiled(params)
+    for j in range(len(params.x)):
+        assert len(model.jumps(j)) == j
+    with pytest.raises(IndexError):
+        model.jumps(2)[2]  # the cell (3, 2)
+    with pytest.raises(InvalidParams):
+        params.spectral(len(params.x))
+    with pytest.raises(InvalidParams):
+        model.jumps(len(params.x))
 
 
 def test_fixture_heights_are_consistent():
@@ -311,6 +337,70 @@ def test_creation_rule_from_empty(params):
     assert abs(hits - n * p) < 5 * (n * p * (1 - p)) ** 0.5
 
 
+def _jump_row(j, words):
+    """A jumps(j) row whose two draws both straddle the cell's first word: p = (2u + 1)/2^64."""
+    return [(2**64 - 2 * words[i, j] - 1, 2 * words[i, j] + 1, 2**64) for i in range(1, j + 1)]
+
+
+def test_word_path_falls_back_to_the_cell_substream(params, monkeypatch):
+    # every drawing cell's word straddles its p, so each draw reads on into the
+    # second word of substream(i, j); the heights are those of a source that
+    # hands out substream(i, j) children (one per cell, drawn by sample_bernoulli)
+    import spinhl.ds6v as ds6v
+
+    T, src = 6, RandomSource(12, 3)
+    words = {(i, j): u for i, j, u in src.cell_words(T)}
+    monkeypatch.setattr(compiled(params), "jumps", lambda j: _jump_row(j, words))
+    outcomes = []
+
+    def recorded(num, den, u):
+        outcomes.append(word_bernoulli(num, den, u))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ds6v, "word_bernoulli", recorded)
+    h = ds6v_sample(T, src, params)
+    assert outcomes and set(outcomes) == {None}
+    assert h == ds6v_sample(T, _Children(src), params)
+    assert len(set(h.values())) > 2
+
+
+class _Children:
+    """A bit source that is not a RandomSource: the samplers ask it for substream(i, j)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def bit(self):
+        return self._inner.bit()
+
+    def substream(self, *key):
+        return self._inner.substream(*key)
+
+
+# SHA-256 of heights_to_csv(ds6v_sample(T, RandomSource(7, 1), PINNED_POINT, per_cell)),
+# recorded from the sampler before it read first words from the bands; T = 33
+# and 45 reach past the first and the second band of cells
+PINNED_POINT = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i + 4}" for i in range(46)])
+PINNED = {
+    (33, True): "e476f8170626a95b97902e73ba473891d40bb8d8a2f33fe170167a4b164e913f",
+    (33, False): "8b0f24bd0410154aba0ded059f2944b7b7b6ac0191e946f53ab061eea8fc140b",
+    (45, True): "e3e45aadebdeb76d565d541791a95c2b7768ade62abc5b224f7e4fb6a7f4fa99",
+    (45, False): "d45dff8d3edac87e82e7efe83c282e2bc712aaf7f9ab84e3c094660e96881dee",
+}
+
+
+@pytest.mark.parametrize("T, per_cell", sorted(PINNED), ids=[f"T{t}-{'cell' if c else 'seq'}"
+                                                           for t, c in sorted(PINNED)])
+def test_heights_match_the_pinned_digests(T, per_cell):
+    h = ds6v_sample(T, RandomSource(7, 1), PINNED_POINT, per_cell)
+    assert hashlib.sha256(heights_to_csv(h).encode()).hexdigest() == PINNED[T, per_cell]
+    assert list(h)[:T + 1] == [(0, j) for j in range(T + 1)]
+    assert list(h)[T + 1:] == [(i, t - i) for t, lo, hi in anti_diagonals(T)
+                               for i in range(lo, hi + 1)]
+    if per_cell:  # a source that is not a RandomSource takes the per-cell children
+        assert ds6v_sample(T, _Children(RandomSource(7, 1)), PINNED_POINT) == h
+
+
 ROUND_TRIP = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 POINT = ModelParams.make("1/3", "-1/2", "1/2", [f"1/{i + 4}" for i in range(9)])
 
@@ -334,7 +424,27 @@ def test_csv_round_trips_are_the_identity(seed, T, per_cell_streams):
     (particles_from_csv, InvalidParams, "", "line 1"),
     (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,yes\n", "line 2"),
     (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0,0\n", "line 2"),
-], ids=["h-empty", "h-header", "h-field", "h-short", "h-blank", "p-empty", "p-field", "p-long"])
+    # rows that are not a lattice
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,0,0\n0,0,5\n",
+     r"line 3: cell \(0, 0\) repeats line 2"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,0,0\n1,0,0\n",
+     r"line 3: cell \(1, 0\) is outside 0 <= i <= j"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n-1,0,0\n", r"line 2: cell \(-1, 0\)"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,-1,0\n", r"line 2: cell \(0, -1\)"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,0,0\n0,1,0\n",
+     r"cell \(1, 1\) of 0 <= i <= j <= 1 is missing"),
+    (heights_from_csv, InconsistentHeights, "i,j,h\n0,1,0\n1,1,0\n",
+     r"cell \(0, 0\) of 0 <= i <= j <= 1 is missing"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0\n2,1,1\n2,1,0\n",
+     r"line 4: \(t, site\) = \(2, 1\) repeats line 3"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,2,0\n",
+     r"line 2: \(t, site\) = \(1, 2\) is outside 1 <= site <= t"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0\n-1,1,1\n",
+     r"line 3: \(t, site\) = \(-1, 1\)"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n2,0,1\n", r"line 2: .* = \(2, 0\)"),
+], ids=["h-empty", "h-header", "h-field", "h-short", "h-blank", "p-empty", "p-field", "p-long",
+        "h-duplicate", "h-i-above-j", "h-negative-i", "h-negative-j", "h-missing",
+        "h-missing-corner", "p-duplicate", "p-site-above-t", "p-negative-t", "p-site-0"])
 def test_csv_readers_name_the_bad_line(reader, error, text, line):
     with pytest.raises(error, match=line):
         reader(text)

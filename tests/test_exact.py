@@ -19,8 +19,10 @@ from spinhl.exact import (
     convergence_ratio,
     frac,
     _sample_from_cumulative,
+    read_order,
     sample_bernoulli,
     sample_categorical,
+    word_bernoulli,
 )
 from spinhl import exact
 from spinhl.ds6v import ds6v_sample
@@ -211,6 +213,66 @@ def test_bernoulli_draw_resolves_exactly_the_dyadic_cells(den, frac_num, scale):
                       [True, False], [(num, den), (1, 1)])
 
 
+def _first_bits(src):
+    """The next 63 bits src.bit() returns, as an integer whose first bit is most significant."""
+    return int("".join(str(src.bit()) for _ in range(63)), 2)
+
+
+def test_read_order_is_the_order_bit_reads():
+    for seed in (0, 5, 2**64 + 3):
+        src, twin = RandomSource(seed, 2).substream(seed), RandomSource(seed, 2).substream(seed)
+        for _ in range(3):  # the first word of a source and the ones after it
+            assert read_order(src._word()) == _first_bits(twin)
+    assert read_order(1) == 1 << 62 and read_order(1 << 62) == 1
+    assert read_order((1 << 63) - 1) == (1 << 63) - 1
+
+
+@LAW
+@given(den=st.one_of(st.integers(1, 2**70), st.integers(0, 70).map(lambda k: 1 << k)),
+       frac_num=st.one_of(st.fractions(0, 1), st.sampled_from([F(0), F(1)])),
+       seed=st.integers(0, 2**64), cell=st.tuples(st.integers(0, 99), st.integers(0, 99)))
+def test_word_bernoulli_is_sample_bernoulli_on_a_fresh_child(den, frac_num, seed, cell):
+    # dyadic p = num / 2^k and the forced p in {0, 1} included
+    num = int(frac_num * den)
+    parent = RandomSource(seed, 1)
+    u = read_order(parent.substream(*cell)._word())
+    hit = word_bernoulli(num, den, u)
+    assert hit is sample_bernoulli(num, den, parent.substream(*cell))
+    if num in (0, den):
+        assert hit is (num == den)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(den=st.one_of(st.integers(1, 2**70), st.integers(0, 70).map(lambda k: 1 << k)),
+       frac_num=st.fractions(0, 1), shift=st.integers(-2, 2), u=st.integers(0, 2**63 - 1),
+       near=st.booleans())
+def test_word_bernoulli_decides_exactly_when_63_bits_do(den, frac_num, shift, u, near):
+    # on any word, and on the words next to p * 2^63: a True or False is
+    # sample_bernoulli's outcome on those 63 bits, and None means it needs more
+    num = int(frac_num * den)
+    if near:
+        u = min(max((num << 63) // den + shift, 0), 2**63 - 1)
+    bits = [int(b) for b in format(u, "063b")]
+    hit = word_bernoulli(num, den, u)
+    if hit is None:
+        with pytest.raises(_Exhausted):
+            sample_bernoulli(num, den, _Replay(bits))
+    else:
+        assert sample_bernoulli(num, den, _Replay(bits)) is hit
+
+
+def test_word_bernoulli_straddles_only_p_inside_the_word():
+    u = read_order(RandomSource(4, 4).substream(2, 3)._word())
+    assert word_bernoulli(2 * u + 1, 2**64, u) is None  # p = (u + 1/2) / 2^63
+    assert word_bernoulli(u, 2**63, u) is False  # p at the word's left end
+    assert word_bernoulli(u + 1, 2**63, u) is True  # and at its right end
+    # the fallback reads on into the second word: U < p exactly when bit 64 is 0
+    child = RandomSource(4, 4).substream(2, 3)
+    assert _first_bits(child) == u
+    bit64 = child.bit()
+    assert sample_bernoulli(2 * u + 1, 2**64, RandomSource(4, 4).substream(2, 3)) is (bit64 == 0)
+
+
 def test_random_source_reproducible_and_streams_differ():
     a = [RandomSource(42, 3).bit() for _ in range(64)]
     b = [RandomSource(42, 3).bit() for _ in range(64)]
@@ -394,6 +456,30 @@ def test_cell_streams_match_numpy_and_substream(seed, stream, pkey, drawn, T):
             seed, (stream, *pkey, i, j, len(got)))
 
 
+@pytest.mark.parametrize("seed, stream, pkey, drawn", BAND_PARENTS,
+                         ids=["plain", "three-word-seed", "five-word-seed", "drew-first"])
+@pytest.mark.parametrize("T", sorted(set(BAND_TS) | {33}))
+def test_cell_words_are_the_first_words_of_the_cell_substreams(seed, stream, pkey, drawn, T):
+    parent = RandomSource(seed, stream).substream(*pkey)
+    for _ in range(drawn):
+        parent.bit()
+    got = list(parent.cell_words(T))
+    assert [(i, j) for i, j, _ in got] == [
+        (i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
+    for i, j, u in got:
+        assert u == read_order(parent.substream(i, j)._word()), (i, j)
+    for i, j, u in got[:: max(1, len(got) // 9)]:
+        assert u == _first_bits(parent.substream(i, j)), (i, j)
+
+
+def test_cell_words_without_lane_packing_are_the_same(monkeypatch):
+    src = RandomSource(9, 2).substream(4)
+    src.bit()
+    banded = list(src.cell_words(12))
+    monkeypatch.setattr(exact, "_LANES", False)
+    assert list(src.cell_words(12)) == banded
+
+
 def test_cell_streams_without_lane_packing_give_the_same_children(monkeypatch):
     # machines that are not little-endian take substream(i, j) cell by cell
     src = RandomSource(9, 2).substream(4)
@@ -411,10 +497,11 @@ def test_cell_streams_without_lane_packing_give_the_same_children(monkeypatch):
 def test_cell_streams_seed_one_band_at_a_time():
     # the first child of a 45150-cell lattice comes before the rest are seeded
     src = RandomSource(3, 1)
-    tracemalloc.start()
-    try:
-        next(iter(src.cell_streams(300)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    for cells in (src.cell_streams, src.cell_words):
+        tracemalloc.start()
+        try:
+            next(iter(cells(300)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (cells, peak)

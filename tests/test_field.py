@@ -1,5 +1,6 @@
 """Half-space field sampling, path measures, contraction normalization."""
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -68,6 +69,10 @@ def test_field_json_round_trip_is_the_identity(seed, T, per_cell_streams):
     assert field_from_json(field_to_json(field)) == field
 
 
+def _cells(*cells):
+    return json.dumps({"cells": [{"i": i, "j": j, "parts": []} for i, j in cells]})
+
+
 @pytest.mark.parametrize("text, where", [
     ("", "line 1"),
     ("{}", '"cells"'),
@@ -78,6 +83,13 @@ def test_field_json_round_trip_is_the_identity(seed, T, per_cell_streams):
     ('{"cells": [{"i": 0, "j": 0, "parts": [1.5]}]}', "cell 0"),
     ('{"cells": [{"i": true, "j": 0, "parts": []}]}', "cell 0"),
     ('{"cells": [[0, 0]]}', "cell 0"),
+    # cells that are not a lattice
+    (_cells((0, 0), (0, 1), (1, 1), (0, 1)), r"cell 3: cell \(0, 1\) repeats cell 1"),
+    (_cells((0, 0), (1, 0)), r"cell 1: cell \(1, 0\) is outside 0 <= i <= j"),
+    (_cells((0, 0), (-1, 1)), r"cell 1: cell \(-1, 1\) is outside"),
+    (_cells((0, -1)), r"cell 0: cell \(0, -1\) is outside"),
+    (_cells((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)), r"cell \(1, 1\) of 0 <= i <= j <= 2 is missing"),
+    (_cells((0, 1), (1, 1)), r"cell \(0, 0\) of 0 <= i <= j <= 1 is missing"),
 ])
 def test_field_json_reader_raises_an_input_error(text, where):
     with pytest.raises(INPUT_ERRORS, match=where):
