@@ -126,48 +126,38 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_sample_field(args):
+# The sampling subcommands: help text, stream id of RandomSource(seed, stream),
+# the module and the names in it of the sampler and of its check (None for
+# none), looked up at call time, and the files to write as (path, text)
+# pairs given the sample and --out.
+SAMPLERS = {
+    "sample-field": (
+        "sample the half-space partition field", 0, field_mod, "sample_field",
+        "check_field_invariants", lambda field, out: [(out, field_mod.field_to_json(field) + "\n")]),
+    "ds6v": (
+        "sample the dynamic six-vertex height field", 1, ds6v_mod, "ds6v_sample",
+        "check_heights", lambda h, out: [(out, ds6v_mod.heights_to_csv(h))]),
+    "particles": (
+        "run the dual particle system", 2, ds6v_mod, "particle_trajectory", None,
+        lambda states, out: [(out, ds6v_mod.particles_to_csv(states)),
+                             (out + ".currents.json", ds6v_mod.currents_to_json(states) + "\n")]),
+}
+
+
+def cmd_sample(args):
+    _, stream, module, sampler, check, files = SAMPLERS[args.command]
     cfg = _load_config(args.config)
     T = _int_option(args, cfg, "T")
     seed = _int_option(args, cfg, "seed", 0)
     params = _params_from(cfg, T)
-    rng = RandomSource(seed, 0)
-    field = field_mod.sample_field(T, rng, params)
-    field_mod.check_field_invariants(field)
-    text = field_mod.field_to_json(field)
-    with open(args.out, "w") as fh:
-        fh.write(text + "\n")
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_ds6v(args):
-    cfg = _load_config(args.config)
-    T = _int_option(args, cfg, "T")
-    seed = _int_option(args, cfg, "seed", 0)
-    params = _params_from(cfg, T)
-    rng = RandomSource(seed, 1)
-    h = ds6v_mod.ds6v_sample(T, rng, params)
-    ds6v_mod.check_heights(h)
-    with open(args.out, "w") as fh:
-        fh.write(ds6v_mod.heights_to_csv(h))
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_particles(args):
-    cfg = _load_config(args.config)
-    T = _int_option(args, cfg, "T")
-    seed = _int_option(args, cfg, "seed", 0)
-    params = _params_from(cfg, T)
-    rng = RandomSource(seed, 2)
-    states = ds6v_mod.particle_trajectory(T, rng, params)
-    with open(args.out, "w") as fh:
-        fh.write(ds6v_mod.particles_to_csv(states))
-    currents_path = args.out + ".currents.json"
-    with open(currents_path, "w") as fh:
-        fh.write(ds6v_mod.currents_to_json(states) + "\n")
-    print(f"wrote {args.out} and {currents_path}", file=sys.stderr)
+    result = getattr(module, sampler)(T, RandomSource(seed, stream), params)
+    if check is not None:
+        getattr(module, check)(result)
+    written = files(result, args.out)
+    for path, text in written:
+        with open(path, "w") as fh:
+            fh.write(text)
+    print(f"wrote {' and '.join(path for path, _ in written)}", file=sys.stderr)
     return 0
 
 
@@ -197,23 +187,12 @@ def main(argv=None):
     p.add_argument("--out", default=None, help="write JSON-lines reports here")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sample-field", help="sample the half-space partition field")
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_field)
-
-    p = sub.add_parser("ds6v", help="sample the dynamic six-vertex height field")
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ds6v)
-
-    p = sub.add_parser("particles", help="run the dual particle system")
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_particles)
+    for name, (help_text, *_) in SAMPLERS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--T", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("compare", help="paired field vs height marginal comparison")
     p.add_argument("--T", type=int, default=None, help="lattice size (default 4)")

@@ -335,8 +335,11 @@ def particles_to_csv(states):
 def particles_from_csv(text):
     """The trajectory written by particles_to_csv, from the empty state at t = 0.
 
-    InvalidParams names the first bad line, including a (t, site) row
-    outside the sites 1 <= site <= t or one seen before.
+    The rows must be the sites 1 <= site <= t of every time 1 <= t <= T for
+    the largest t given, T, each once, with occupied 0 or 1.  InvalidParams
+    names the first bad line (a row outside 1 <= site <= t, one seen
+    before, or an occupied value other than 0 and 1), or else the first
+    missing (t, site), by t and then site.
     """
     by_t, seen = {}, {}
     for n, (t, site, occ) in _int_rows(text, ["t", "site", "occupied"], InvalidParams):
@@ -346,14 +349,20 @@ def particles_from_csv(text):
         if (t, site) in seen:
             raise InvalidParams(f"bad particle row on line {n}: (t, site) = {(t, site)} "
                                 f"repeats line {seen[t, site]}")
+        if occ not in (0, 1):
+            raise InvalidParams(f"bad particle row on line {n}: occupied = {occ} is not 0 or 1")
         seen[t, site] = n
         by_t.setdefault(t, [])
         if occ:
             by_t[t].append(site)
-    states = [ParticleState(0, ())]
-    for t in sorted(by_t):
-        states.append(ParticleState(t, tuple(sorted(by_t[t], reverse=True))))
-    return states
+    T = max(by_t, default=0)
+    for t in range(1, T + 1):
+        for site in range(1, t + 1):
+            if (t, site) not in seen:
+                raise InvalidParams(f"bad particle trajectory: (t, site) = {(t, site)} of "
+                                    f"1 <= site <= t <= {T} is missing")
+    return [ParticleState(0, ())] + [
+        ParticleState(t, tuple(sorted(by_t[t], reverse=True))) for t in range(1, T + 1)]
 
 
 def currents_to_json(states):

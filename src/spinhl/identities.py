@@ -1,7 +1,12 @@
 """Exact verification of the local equations and global summation identities.
 
 Local equations (exchange relations, reflection, stochasticity) are finite
-sums of rational weights and are checked for exact equality.  Global
+sums of rational weights and are checked for exact equality.  The two
+exchange relations are compared as integer numerators over one common
+denominator per labelled case, taken from the integer forms of
+:mod:`spinhl.weights`; the starred one sums the random field's own column
+weights (weights.column_weights).  Fractions are made only for the first
+failure and for the public *_sides functions.  Global
 identities (Cauchy / Littlewood and their refined determinant / Pfaffian
 forms) have one infinite side; that side is truncated by largest part and
 accompanied by a certified rational tail bound, so a pass means
@@ -56,7 +61,20 @@ from .partitions import (
     pairing_factor,
 )
 from .sshl import column_sums, f_one_row, g_one_row, g_skew
-from .weights import L, M, Mstar, R, Rstar
+from .weights import (
+    L,
+    L_TABLE,
+    M,
+    M_TABLE,
+    R,
+    R_SLOTS,
+    VertexRow,
+    _check_den,
+    column_weights,
+    pair_ints,
+    r_row,
+    rstar_row,
+)
 
 
 def cauchy_kernel(x, y, params):
@@ -122,50 +140,78 @@ def intertwining_sides(I, J, i1, i3, j1, j3, x, y, params):
     (spectral x).  Right: column first (L below M), then the crossing.
     The middle occupancy is pinned by conservation, so the sums are finite.
     """
-    lhs = ZERO
-    for k1 in (0, 1):
-        for k3 in (0, 1):
-            K = I + k1 - j1
-            if K < 0 or K != J + j3 - k3:
-                continue
-            lhs += (
-                R(i3, i1, k3, k1, x, y, params)
-                * M(I, k1, K, j1, y, params)
-                * L(K, k3, J, j3, x, params)
-            )
-    rhs = ZERO
-    for k1 in (0, 1):
-        for k3 in (0, 1):
-            K = I + i3 - k3
-            if K < 0 or K != J + k1 - i1:
-                continue
-            rhs += (
-                L(I, i3, K, k3, x, params)
-                * M(K, i1, J, k1, y, params)
-                * R(k3, k1, j3, j1, x, y, params)
-            )
-    return lhs, rhs
+    return _fraction_sides(_intertwining(x, y, params), I, J, i1, i3, j1, j3)
+
+
+def _intertwining(x, y, params):
+    """The exchange relation of intertwining_sides on integers, as (nums, den).
+
+    nums(I, J, i1, i3, j1, j3) gives both sides' numerators over den(I, J)
+    = base_x base_y qd^(I+J+2) qd Q (1 - q x y): every M and L vertex is
+    taken over the exponent I + 1 or J + 1, which bounds both of its
+    occupancies.  Raises InvalidParams("1 - q x y vanished"), and then
+    InvalidParams("1 - s x vanished") when 1 - s x or 1 - s y does, the
+    first errors the Fraction weights meet at the first labelled case.
+    """
+    xr, yr = VertexRow(x, params), VertexRow(y, params)
+    qn, qd, P, Q = pair_ints(x, y, params)
+    r = r_row(qn, qd, P, Q)  # r[0] is also R's denominator
+    _check_den(r[0], "1 - q x y")
+    _check_den(xr.base * yr.base, "1 - s x")
+
+    def nums(I, J, i1, i3, j1, j3):
+        lhs = rhs = 0
+        for k1 in (0, 1):
+            for k3 in (0, 1):
+                K = I + k1 - j1
+                slot = R_SLOTS.get((i3, i1, k3, k1))
+                if slot is not None and K >= 0 and K == J + j3 - k3:
+                    lhs += (r[slot] * yr.num(M_TABLE, I, k1, K, j1, I + 1)
+                            * xr.num(L_TABLE, K, k3, J, j3, J + 1))
+                K = I + i3 - k3
+                slot = R_SLOTS.get((k3, k1, j3, j1))
+                if slot is not None and K >= 0 and K == J + k1 - i1:
+                    rhs += (xr.num(L_TABLE, I, i3, K, k3, I + 1)
+                            * yr.num(M_TABLE, K, i1, J, k1, J + 1) * r[slot])
+        return lhs, rhs
+
+    return nums, lambda I, J: xr.base * yr.base * qd ** (I + J + 2) * r[0]
+
+
+def _fraction_sides(relation, I, J, *bits):
+    """The two sides of an exchange relation (nums, den) at one labelled case, as Fractions."""
+    nums, den = relation
+    d = den(I, J)
+    return tuple(Fraction(n, d) for n in nums(I, J, *bits))
 
 
 def check_intertwining(params, x, y, max_occ=6):
     """Exact equality of the exchange relation for all boundary bits and occupancies <= max_occ."""
-    return _exchange_report("intertwining", intertwining_sides, params, x, y, max_occ)
+    return _exchange_report("intertwining", _intertwining(x, y, params), max_occ)
 
 
-def _exchange_report(name, sides, params, x, y, max_occ):
-    """Compare both sides of an exchange relation on every occupancy pair and boundary bits."""
-    bad = []
+def _exchange_report(name, relation, max_occ):
+    """Compare both sides of an exchange relation on every occupancy pair and boundary bits.
+
+    relation is (nums, den) as _intertwining gives it.  Both sides of a
+    case share one denominator, so the numerators are compared as
+    integers; only the first failure is written out, as Fractions.
+    """
+    nums = relation[0]
+    failures, first = 0, None
     for I in range(max_occ + 1):
         for J in range(max_occ + 1):
             for bits in range(16):
                 b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-                lhs, rhs = sides(I, J, *b, x, y, params)
+                lhs, rhs = nums(I, J, *b)
                 if lhs != rhs:
-                    bad.append((I, J, *b, lhs, rhs))
+                    failures += 1
+                    if first is None:
+                        first = (I, J, *b, *_fraction_sides(relation, I, J, *b))
     total = (max_occ + 1) ** 2 * 16
     return CheckReport(
-        name, "exact", frac(total - len(bad)), frac(total),
-        not bad, detail=f"{total} labelled cases; first failure: {bad[0] if bad else None}",
+        name, "exact", frac(total - failures), frac(total),
+        not failures, detail=f"{total} labelled cases; first failure: {first}",
     )
 
 
@@ -174,36 +220,36 @@ def intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
 
     Left: RSTAR crossing with inputs (i_in, j_in), then MSTAR (spectral x)
     below L (spectral y).  Right: the swapped column (L below MSTAR), then
-    the crossing with outputs (k_out, l_out).
+    the crossing with outputs (k_out, l_out).  These are the total A- and
+    B-weights of the random field's column (I, J, i_in, j_in, k_out, l_out).
     """
-    lhs = ZERO
-    for k_p in (0, 1):
-        for l_p in (0, 1):
-            K = J + k_out - k_p
-            if K < 0 or K != I + l_out - l_p:
-                continue
-            lhs += (
-                Rstar(i_in, j_in, k_p, l_p, x, y, params)
-                * Mstar(I, l_p, K, l_out, x, params)
-                * L(K, k_p, J, k_out, y, params)
-            )
-    rhs = ZERO
-    for i_h in (0, 1):
-        for j_h in (0, 1):
-            Mv = I + i_in - i_h
-            if Mv < 0 or Mv != J + j_in - j_h:
-                continue
-            rhs += (
-                L(I, i_in, Mv, i_h, y, params)
-                * Mstar(Mv, j_in, J, j_h, x, params)
-                * Rstar(i_h, j_h, k_out, l_out, x, y, params)
-            )
-    return lhs, rhs
+    return _fraction_sides(_intertwining_star(x, y, params), I, J, i_in, j_in, k_out, l_out)
+
+
+def _intertwining_star(x, y, params):
+    """The starred exchange relation on integers, as (nums, den) (see _intertwining).
+
+    The two sides are the sums of the A and B column weights of
+    weights.column_weights, the kernel the random field's column tables
+    normalise.  Raises InvalidParams("1 - x y vanished"), and then
+    InvalidParams("1 - s x vanished") when 1 - s x or 1 - s y does.
+    """
+    l_row, mstar_row = VertexRow(y, params), VertexRow(x, params)
+    qn, qd, P, Q = pair_ints(x, y, params)
+    rstar = rstar_row(qn, qd, P, Q)  # rstar[0] is also RSTAR's denominator
+    _check_den(rstar[0], "1 - x y")
+    _check_den(mstar_row.base * l_row.base, "1 - s x")
+
+    def nums(*context):
+        return (sum(column_weights("A", l_row, mstar_row, rstar, *context)[1]),
+                sum(column_weights("B", l_row, mstar_row, rstar, *context)[1]))
+
+    return nums, lambda I, J: l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[0]
 
 
 def check_intertwining_star(params, x, y, max_occ=6):
     """Exact equality of the starred exchange relation; occupancies <= max_occ."""
-    return _exchange_report("intertwining-star", intertwining_star_sides, params, x, y, max_occ)
+    return _exchange_report("intertwining-star", _intertwining_star(x, y, params), max_occ)
 
 
 def reflection_sides(K, j, l, x, params):

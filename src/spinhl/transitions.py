@@ -55,19 +55,7 @@ from .exact import (
     frac,
 )
 from .partitions import even_core, even_cover, mult_vector
-from .weights import (
-    INF,
-    L,
-    L_TABLE,
-    MSTAR_TABLE,
-    Mstar,
-    RSTAR_SLOTS,
-    Rstar,
-    VertexRow,
-    pair_ints,
-    r_row,
-    rstar_row,
-)
+from .weights import INF, VertexRow, column_weights, pair_ints, r_row, rstar_row
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
 
@@ -146,60 +134,18 @@ class TransitionTable:
 
 
 # ---------------------------------------------------------------------------
-# column-local configuration weights
+# column-local transitions
 # ---------------------------------------------------------------------------
-
-def weight_b(I_lam, J_mu, i_prev, j_prev, k_h, l_h, i_h, j_h, x, y, params):
-    """Weight of the B-side column configuration with sampled bits (i_h, j_h).
-
-    The middle occupancy is pinned by conservation on both rows; weight is
-    zero when the two pins disagree.  Returns (weight, middle_occupancy).
-    """
-    if I_lam is INF:
-        w = (
-            L(INF, i_prev, INF, i_h, y, params)
-            * Mstar(INF, j_prev, INF, j_h, x, params)
-            * Rstar(i_h, j_h, k_h, l_h, x, y, params)
-        )
-        return w, INF
-    M_pin = I_lam + i_prev - i_h
-    if M_pin < 0 or M_pin != J_mu + j_prev - j_h:
-        return ZERO, None
-    w = (
-        L(I_lam, i_prev, M_pin, i_h, y, params)
-        * Mstar(M_pin, j_prev, J_mu, j_h, x, params)
-        * Rstar(i_h, j_h, k_h, l_h, x, y, params)
-    )
-    return w, M_pin
-
-
-def weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params):
-    """Weight of the A-side column configuration with crossing outputs (k_prev, l_prev)."""
-    if I_lam is INF:
-        w = (
-            Rstar(i_prev, j_prev, k_prev, l_prev, x, y, params)
-            * Mstar(INF, l_prev, INF, l_h, x, params)
-            * L(INF, k_prev, INF, k_h, y, params)
-        )
-        return w, INF
-    K_pin = I_lam + l_h - l_prev
-    if K_pin < 0 or K_pin != J_mu + k_h - k_prev:
-        return ZERO, None
-    w = (
-        Rstar(i_prev, j_prev, k_prev, l_prev, x, y, params)
-        * Mstar(I_lam, l_prev, K_pin, l_h, x, params)
-        * L(K_pin, k_prev, J_mu, k_h, y, params)
-    )
-    return w, K_pin
-
 
 def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Forward local transition at one column: TransitionTable over (i_h, j_h, M_h).
 
     Independence coupling: the probability of a B-configuration is its
-    weight (weight_b) over the total B-weight of the column, which equals
-    the total A-weight by the starred exchange relation.  This is the
-    table cell_sampler(x, y, params).fwd builds and keeps.
+    weight over the total B-weight of the column, which equals the total
+    A-weight by the starred exchange relation.  The weights are the B side
+    of the column kernel weights.column_weights, which the starred exchange
+    check sums too; this is the table cell_sampler(x, y, params).fwd builds
+    and keeps.
     """
     return cell_sampler(x, y, params).fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
 
@@ -207,7 +153,8 @@ def p_fwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
 def p_bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
     """Backward local transition at one column: TransitionTable over (k_prev, l_prev, K_h).
 
-    The A-configurations' weights (weight_a) over their total.
+    The A-configurations' weights (the A side of weights.column_weights)
+    over their total: the table cell_sampler(x, y, params).bwd keeps.
     """
     return cell_sampler(x, y, params).bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h)
 
@@ -295,13 +242,11 @@ class CellSampler:
                   where x y = P / Q, indexed by weights.RSTAR_SLOTS;
                   built here, once per pair
 
-    A context's weights are the products of weight_b (fwd) or weight_a
-    (bwd), as integers over one denominator: the entries of each row
-    vertex are taken over the exponent of its fixed occupancy plus one
-    (I_lam + 1 or J_mu + 1), which bounds both of its occupancies in every
-    outcome.  The outcomes keep weight_b's and weight_a's order, bits
-    (0, 0), (0, 1), (1, 0), (1, 1), with the zero weights dropped, and the
-    table keeps their unreduced cumulative sums
+    A context's weights are those of the shared column kernel
+    weights.column_weights, its B side (fwd) or A side (bwd): integers over
+    one denominator, in bit order (0, 0), (0, 1), (1, 0), (1, 1), with the
+    zero weights dropped.  The starred exchange check sums the same
+    weights.  The table keeps their unreduced cumulative sums
     (TransitionTable.from_weights); p_fwd and p_bwd return these tables.
     """
 
@@ -317,56 +262,20 @@ class CellSampler:
         self._fwd = {}
         self._bwd = {}
 
-    def _rstar_num(self, i, j, k, l):
-        slot = RSTAR_SLOTS.get((i, j, k, l))
-        return 0 if slot is None else self._rstar[slot]
-
     def fwd(self, *context):
         """p_fwd at this (x, y) and the given column context."""
         tbl = self._fwd.get(context)
         if tbl is None:
-            I, J, i_prev, j_prev, k_h, l_h = context
-            outcomes, weights = [], []
-            for i_h in (0, 1):
-                for j_h in (0, 1):
-                    if I is INF:
-                        mid = INF
-                    else:
-                        mid = I + i_prev - i_h
-                        if mid < 0 or mid != J + j_prev - j_h:
-                            continue
-                    w = (self._l.num(L_TABLE, I, i_prev, mid, i_h, I + 1)
-                         * self._mstar.num(MSTAR_TABLE, mid, j_prev, J, j_h, J + 1)
-                         * self._rstar_num(i_h, j_h, k_h, l_h))
-                    if w:
-                        outcomes.append((i_h, j_h, mid))
-                        weights.append(w)
             tbl = self._fwd[context] = TransitionTable.from_weights(
-                outcomes, weights, "B", context)
+                *column_weights("B", self._l, self._mstar, self._rstar, *context), "B", context)
         return tbl
 
     def bwd(self, *context):
         """p_bwd at this (x, y) and the given column context."""
         tbl = self._bwd.get(context)
         if tbl is None:
-            I, J, i_prev, j_prev, k_h, l_h = context
-            outcomes, weights = [], []
-            for k_prev in (0, 1):
-                for l_prev in (0, 1):
-                    if I is INF:
-                        mid = INF
-                    else:
-                        mid = I + l_h - l_prev
-                        if mid < 0 or mid != J + k_h - k_prev:
-                            continue
-                    w = (self._rstar_num(i_prev, j_prev, k_prev, l_prev)
-                         * self._mstar.num(MSTAR_TABLE, I, l_prev, mid, l_h, I + 1)
-                         * self._l.num(L_TABLE, mid, k_prev, J, k_h, J + 1))
-                    if w:
-                        outcomes.append((k_prev, l_prev, mid))
-                        weights.append(w)
             tbl = self._bwd[context] = TransitionTable.from_weights(
-                outcomes, weights, "A", context)
+                *column_weights("A", self._l, self._mstar, self._rstar, *context), "A", context)
         return tbl
 
 

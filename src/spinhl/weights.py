@@ -33,8 +33,14 @@ Each formula is written once, on the numerators and denominators of q, s
 and the spectral values: VertexRow gives the row vertices as integer
 numerators over a common denominator, r_row and rstar_row the entries
 of R and RSTAR, and the functions L, M, MSTAR, R and RSTAR return those
-as Fractions.  The column tables of the random field
-(transitions.CellSampler) are built from the integer forms directly.
+as Fractions.
+
+column_weights is the one column kernel of the starred exchange
+relation: the integer weights of a column's A- and B-configurations
+(L and MSTAR vertices with an RSTAR crossing on one side) over one
+denominator.  The column tables of the random field
+(transitions.CellSampler) normalise them, and the starred exchange check
+(identities.check_intertwining_star) sums them.
 """
 
 from __future__ import annotations
@@ -202,3 +208,49 @@ def Rstar(i, j, k, l, x, y, params):
     if slot is None:
         return ZERO
     return Fraction(rstar_row(qn, qd, P, Q)[slot], qd * (Q - P))
+
+
+def column_weights(side, l_row, mstar_row, rstar, I, J, i_prev, j_prev, k_h, l_h):
+    """The nonzero weights of one column's A- or B-configurations, as integers.
+
+    A column of the starred exchange relation has an L vertex (l_row, the
+    VertexRow of y), an MSTAR vertex (mstar_row, of x) and an RSTAR
+    crossing (rstar, the rstar_row of (x, y)).  With the crossing to the
+    right of the column (side "B") the configurations are keyed by the
+    crossing's inputs (a, b) = (i_h, j_h); with it to the left (side "A"),
+    by its outputs (a, b) = (k_prev, l_prev).  The middle occupancy mid is
+    pinned by conservation on both rows, and the configurations whose two
+    pins disagree are left out.
+
+    Returns (outcomes, weights), the outcomes (a, b, mid) in bit order
+    (0, 0), (0, 1), (1, 0), (1, 1) with the zero weights dropped.  Every
+    weight is over one denominator: the row vertices are taken over the
+    exponents I + 1 and J + 1 (which bound both occupancies of each), so
+    the denominator is base_x base_y qd^(I+J+2) qd (Q - P), or
+    vd_x vd_y qd (Q - P) at the INF column.  The two sides' totals are the
+    two sides of the starred exchange relation, and the A (B) weights
+    over their total are the backward (forward) transition at the column.
+    """
+    fwd = side == "B"
+    outcomes, weights = [], []
+    for a in (0, 1):
+        for b in (0, 1):
+            if I is INF:
+                mid = INF
+            else:
+                mid = I + i_prev - a if fwd else I + l_h - b
+                if mid < 0 or mid != (J + j_prev - b if fwd else J + k_h - a):
+                    continue
+            if fwd:
+                slot = RSTAR_SLOTS.get((a, b, k_h, l_h))
+                w = (l_row.num(L_TABLE, I, i_prev, mid, a, I + 1)
+                     * mstar_row.num(MSTAR_TABLE, mid, j_prev, J, b, J + 1))
+            else:
+                slot = RSTAR_SLOTS.get((i_prev, j_prev, a, b))
+                w = (mstar_row.num(MSTAR_TABLE, I, b, mid, l_h, I + 1)
+                     * l_row.num(L_TABLE, mid, a, J, k_h, J + 1))
+            w = 0 if slot is None else w * rstar[slot]
+            if w:
+                outcomes.append((a, b, mid))
+                weights.append(w)
+    return outcomes, weights

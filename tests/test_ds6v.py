@@ -442,9 +442,21 @@ def test_csv_round_trips_are_the_identity(seed, T, per_cell_streams):
     (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0\n-1,1,1\n",
      r"line 3: \(t, site\) = \(-1, 1\)"),
     (particles_from_csv, InvalidParams, "t,site,occupied\n2,0,1\n", r"line 2: .* = \(2, 0\)"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,5\n3,1,1\n3,2,0\n3,3,0\n",
+     "line 2: occupied = 5 is not 0 or 1"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,0\n2,1,-1\n2,2,0\n",
+     "line 3: occupied = -1 is not 0 or 1"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,1\n3,1,1\n3,2,0\n3,3,0\n",
+     r"\(t, site\) = \(2, 1\) of 1 <= site <= t <= 3 is missing"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n2,1,0\n2,2,1\n",
+     r"\(t, site\) = \(1, 1\) of 1 <= site <= t <= 2 is missing"),
+    (particles_from_csv, InvalidParams, "t,site,occupied\n1,1,1\n2,1,0\n",
+     r"\(t, site\) = \(2, 2\) of 1 <= site <= t <= 2 is missing"),
 ], ids=["h-empty", "h-header", "h-field", "h-short", "h-blank", "p-empty", "p-field", "p-long",
         "h-duplicate", "h-i-above-j", "h-negative-i", "h-negative-j", "h-missing",
-        "h-missing-corner", "p-duplicate", "p-site-above-t", "p-negative-t", "p-site-0"])
+        "h-missing-corner", "p-duplicate", "p-site-above-t", "p-negative-t", "p-site-0",
+        "p-occupied-5", "p-occupied-negative", "p-missing-time", "p-missing-first-time",
+        "p-missing-site"])
 def test_csv_readers_name_the_bad_line(reader, error, text, line):
     with pytest.raises(error, match=line):
         reader(text)

@@ -9,6 +9,7 @@ other library cases pin the sequential stream, whose bytes also depend on
 the order of the anti-diagonal sweep.
 """
 
+import json
 import os
 
 import pytest
@@ -37,6 +38,18 @@ def test_cli_output_matches_golden(tmp_path, args, name, sidecars):
         with open(os.path.join(GOLDEN, name + suffix), "rb") as fh:
             expected = fh.read()
         assert (tmp_path / (name + suffix)).read_bytes() == expected, name + suffix
+
+
+def test_identity_mode_verify_matches_golden(tmp_path):
+    # q > 1 and s > 0, with a negative spectral value: outside probabilistic
+    # mode the exchange relations still hold exactly
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": "3/2", "s": "1/3", "x": ["1/4", "-2/5", "1/6", "1/7"]}))
+    name = "verify_intertwining_identity_mode.jsonl"
+    out = tmp_path / name
+    assert main(["--config", str(cfg), "verify", "--only", "intertwining", "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert out.read_bytes() == fh.read()
 
 
 def _field(T, seed, per_cell_streams):

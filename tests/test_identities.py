@@ -14,8 +14,9 @@ from spinhl.exact import (
     ONE,
     ZERO,
 )
-from spinhl import identities
+from spinhl import identities, weights
 from spinhl.identities import (
+    FIXTURE_POINTS,
     CheckReport,
     cauchy_kernel,
     check_cauchy_closed_form,
@@ -34,6 +35,7 @@ from spinhl.identities import (
     reflection_sides,
     run_suite,
 )
+from spinhl.weights import L, M, Mstar, R, Rstar
 
 
 X = F(1, 4)
@@ -62,6 +64,144 @@ def test_intertwining_star_trivial(params):
     # conservation-violating boundary vanishes on both sides
     lhs, rhs = intertwining_star_sides(1, 0, 0, 0, 0, 1, X, Y, params)
     assert lhs == rhs == 0
+
+
+# The exchange relations from the Fraction vertex weights: the reference
+# the integer checks are compared against, case by case and report by report.
+
+def oracle_intertwining_sides(I, J, i1, i3, j1, j3, x, y, params):
+    lhs = ZERO
+    for k1 in (0, 1):
+        for k3 in (0, 1):
+            K = I + k1 - j1
+            if K < 0 or K != J + j3 - k3:
+                continue
+            lhs += (
+                R(i3, i1, k3, k1, x, y, params)
+                * M(I, k1, K, j1, y, params)
+                * L(K, k3, J, j3, x, params)
+            )
+    rhs = ZERO
+    for k1 in (0, 1):
+        for k3 in (0, 1):
+            K = I + i3 - k3
+            if K < 0 or K != J + k1 - i1:
+                continue
+            rhs += (
+                L(I, i3, K, k3, x, params)
+                * M(K, i1, J, k1, y, params)
+                * R(k3, k1, j3, j1, x, y, params)
+            )
+    return lhs, rhs
+
+
+def oracle_intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
+    lhs = ZERO
+    for k_p in (0, 1):
+        for l_p in (0, 1):
+            K = J + k_out - k_p
+            if K < 0 or K != I + l_out - l_p:
+                continue
+            lhs += (
+                Rstar(i_in, j_in, k_p, l_p, x, y, params)
+                * Mstar(I, l_p, K, l_out, x, params)
+                * L(K, k_p, J, k_out, y, params)
+            )
+    rhs = ZERO
+    for i_h in (0, 1):
+        for j_h in (0, 1):
+            Mv = I + i_in - i_h
+            if Mv < 0 or Mv != J + j_in - j_h:
+                continue
+            rhs += (
+                L(I, i_in, Mv, i_h, y, params)
+                * Mstar(Mv, j_in, J, j_h, x, params)
+                * Rstar(i_h, j_h, k_out, l_out, x, y, params)
+            )
+    return lhs, rhs
+
+
+def oracle_report(name, sides, params, x, y, max_occ=6):
+    bad = []
+    for I in range(max_occ + 1):
+        for J in range(max_occ + 1):
+            for bits in range(16):
+                b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
+                lhs, rhs = sides(I, J, *b, x, y, params)
+                if lhs != rhs:
+                    bad.append((I, J, *b, lhs, rhs))
+    total = (max_occ + 1) ** 2 * 16
+    return CheckReport(
+        name, "exact", F(total - len(bad)), F(total),
+        not bad, detail=f"{total} labelled cases; first failure: {bad[0] if bad else None}",
+    )
+
+
+EXCHANGE = [
+    ("intertwining", intertwining_sides, oracle_intertwining_sides, check_intertwining),
+    ("intertwining-star", intertwining_star_sides, oracle_intertwining_star_sides,
+     check_intertwining_star),
+]
+# the fixture points at their first spectral pair, and identity-mode points
+EXCHANGE_POINTS = [(p, p.x[0], p.x[1]) for p in FIXTURE_POINTS] + [
+    (ModelParams.make(q, s), F(x), F(y)) for q, s, x, y in [
+        ("3/2", "1/3", "1/4", "-2/5"), ("-2", "5/3", "7/3", "1/9"), ("1/3", "-1/2", "3", "-5/2"),
+    ]
+]
+
+
+@pytest.mark.parametrize("params, x, y", EXCHANGE_POINTS)
+@pytest.mark.parametrize("name, sides, oracle, check", EXCHANGE, ids=[e[0] for e in EXCHANGE])
+def test_integer_exchange_sides_equal_the_fraction_oracle(name, sides, oracle, check,
+                                                           params, x, y):
+    for I in range(7):
+        for J in range(7):
+            for bits in range(16):
+                b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
+                assert sides(I, J, *b, x, y, params) == oracle(I, J, *b, x, y, params), (I, J, b)
+    assert check(params, x, y) == oracle_report(name, oracle, params, x, y)
+
+
+@pytest.mark.parametrize("q, s, x, y, messages", [
+    ("1/3", "-1/2", "-2", "1/5", ("1 - s x", "1 - s x")),
+    ("1/3", "-1/2", "1/5", "-2", ("1 - s x", "1 - s x")),  # 1 - s y vanishes
+    ("2", "-1/2", "1", "1/2", ("1 - q x y", None)),
+    ("1/3", "-1/2", "2", "1/2", (None, "1 - x y")),
+    ("2", "1/2", "2", "1/4", ("1 - q x y", "1 - s x")),  # and 1 - s x
+    ("1/3", "1/2", "2", "1/2", ("1 - s x", "1 - x y")),  # and 1 - s x
+])
+def test_integer_exchange_raises_like_the_oracle(q, s, x, y, messages):
+    # (intertwining, starred) at points where denominators vanish: the
+    # oracle's InvalidParams text, or its report where none is needed
+    params, x, y = ModelParams.make(q, s), F(x), F(y)
+    for (name, sides, oracle, check), message in zip(EXCHANGE, messages):
+        if message is None:
+            assert check(params, x, y) == oracle_report(name, oracle, params, x, y)
+            continue
+        for run in (lambda: oracle_report(name, oracle, params, x, y),
+                    lambda: check(params, x, y),
+                    lambda: sides(0, 0, 0, 0, 0, 0, x, y, params)):
+            with pytest.raises(InvalidParams, match=f"^{message} vanished$"):
+                run()
+
+
+@pytest.mark.parametrize("table, key, value", [
+    ("RSTAR_SLOTS", (1, 0, 1, 0), 2),
+    ("RSTAR_SLOTS", (1, 1, 1, 1), 0),
+    ("R_SLOTS", (0, 1, 0, 1), 4),
+    ("R_SLOTS", (1, 0, 0, 1), 3),
+    ("L_TABLE", (0, 0, 0), True),
+    ("L_TABLE", (1, 0, 1), True),
+])
+def test_a_mutated_weight_fails_like_the_oracle(monkeypatch, params, table, key, value):
+    # the integer check names the oracle's first failure, with the same Fraction sides
+    monkeypatch.setitem(getattr(weights, table), key, value)
+    failed = 0
+    for name, _, oracle, check in EXCHANGE:
+        rep = check(params, X, Y)
+        assert rep == oracle_report(name, oracle, params, X, Y)
+        failed += not rep.passed
+    assert failed
 
 
 def test_reflection(all_points):

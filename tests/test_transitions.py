@@ -41,15 +41,61 @@ from spinhl.transitions import (
     length_transition,
     p_bwd,
     p_fwd,
-    weight_a,
-    weight_b,
     _a_walk,
     _b_walk,
 )
+from spinhl.weights import L, Mstar, Rstar
 
 
 X = F(1, 4)
 Y = F(1, 5)
+
+
+# The column weights of the random field from the Fraction vertex weights:
+# the reference the integer kernel weights.column_weights is checked against.
+
+def weight_b(I_lam, J_mu, i_prev, j_prev, k_h, l_h, i_h, j_h, x, y, params):
+    """Weight of the B-side column configuration with sampled bits (i_h, j_h).
+
+    The middle occupancy is pinned by conservation on both rows; weight is
+    zero when the two pins disagree.  Returns (weight, middle_occupancy).
+    """
+    if I_lam is INF:
+        w = (
+            L(INF, i_prev, INF, i_h, y, params)
+            * Mstar(INF, j_prev, INF, j_h, x, params)
+            * Rstar(i_h, j_h, k_h, l_h, x, y, params)
+        )
+        return w, INF
+    M_pin = I_lam + i_prev - i_h
+    if M_pin < 0 or M_pin != J_mu + j_prev - j_h:
+        return F(0), None
+    w = (
+        L(I_lam, i_prev, M_pin, i_h, y, params)
+        * Mstar(M_pin, j_prev, J_mu, j_h, x, params)
+        * Rstar(i_h, j_h, k_h, l_h, x, y, params)
+    )
+    return w, M_pin
+
+
+def weight_a(I_lam, J_mu, i_prev, j_prev, k_h, l_h, k_prev, l_prev, x, y, params):
+    """Weight of the A-side column configuration with crossing outputs (k_prev, l_prev)."""
+    if I_lam is INF:
+        w = (
+            Rstar(i_prev, j_prev, k_prev, l_prev, x, y, params)
+            * Mstar(INF, l_prev, INF, l_h, x, params)
+            * L(INF, k_prev, INF, k_h, y, params)
+        )
+        return w, INF
+    K_pin = I_lam + l_h - l_prev
+    if K_pin < 0 or K_pin != J_mu + k_h - k_prev:
+        return F(0), None
+    w = (
+        Rstar(i_prev, j_prev, k_prev, l_prev, x, y, params)
+        * Mstar(I_lam, l_prev, K_pin, l_h, x, params)
+        * L(K_pin, k_prev, J_mu, k_h, y, params)
+    )
+    return w, K_pin
 
 
 def test_column0_coupling_is_the_forced_one(params):
