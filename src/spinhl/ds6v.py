@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exact import (
+    CellBits,
     InconsistentHeights,
     InvalidParams,
     RandomSource,
@@ -52,19 +53,18 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     coefficients b, c of the cell: a mixed pattern grows by one without a
     draw, (0, 0) stays with probability c and (1, 1) grows by two with
     probability b, each one Bernoulli draw.  A cell draws at most once,
-    so a RandomSource with per-cell streams gives each cell only the
-    first word of its substream (RandomSource.cell_words), and
-    word_bernoulli draws from it; only when that word cannot decide does
-    the cell make its substream(i, j).  Other sources are asked for one
-    substream(i, j) per cell (see transitions.sweep).  Either way the
-    draws read the same bits, and the heights are the same.
+    so when a RandomSource gives each cell the first word of its
+    substream (transitions.sweep), word_bernoulli draws from that word;
+    only when the word cannot decide does the draw read on through
+    exact.CellBits, as the field's draws do.  Other sources are asked for
+    one substream(i, j) per cell.  Either way the draws read the same
+    bits, and the heights are the same.
     """
     jumps = compiled(params).jumps
-    words = per_cell_streams and type(rng) is RandomSource
     # the neighbours are read from rows[i][j - i + 1] = h(i, j); rows[i][0] pads j = i - 1
     rows = [[0] * (T + 2 - i) for i in range(T + 1)]
     h = {(0, j): 0 for j in range(T + 1)}
-    for i, j, cell in sweep(T, rng, params, per_cell_streams, words):
+    for i, j, cell in sweep(T, rng, params, per_cell_streams):
         up, row, k = rows[i - 1], rows[i], j - i + 1
         base = up[k]
         da = row[k - 1] - base if i < j else base & 1
@@ -74,10 +74,10 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
             continue
         b, c, den = jumps(j)[i - 1]
         num = den - b if da else c
-        if words:
+        if type(cell) is int:
             hit = word_bernoulli(num, den, cell)
             if hit is None:
-                hit = sample_bernoulli(num, den, rng.substream(i, j))
+                hit = sample_bernoulli(num, den, CellBits(cell, rng, i, j))
         else:
             hit = sample_bernoulli(num, den, cell)
         # (1, 1) grows by 1 on a hit and by 2 otherwise; (0, 0) by 0 or 1

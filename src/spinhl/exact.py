@@ -203,7 +203,7 @@ def _absorb(pool, h, words):
 
     Each word meets the four pool entries in turn, each through one hash
     step.  RandomSource.substream runs this once per key entry;
-    RandomSource._cell_bands runs it once per lattice row and does the
+    RandomSource.cell_words runs it once per lattice row and does the
     column words of all its cells together, in lanes.
     """
     pool = list(pool)
@@ -214,11 +214,11 @@ def _absorb(pool, h, words):
     return tuple(pool), h
 
 
-def _second_word_consts(h):
-    """Hash steps of the second of two key words absorbed from hash constant h.
+def _second_word_steps(h):
+    """The (xor, multiply) pairs of the hash steps of the second of two key words.
 
-    Returns the four (xor, multiply) pairs of that word's hash steps and
-    the hash constant after both words; none depends on the words.
+    h is the hash constant before both words; none of the pairs depends
+    on the words.
     """
     for _ in range(4):
         h = (h * _MULT_A) & _M32
@@ -227,7 +227,7 @@ def _second_word_consts(h):
         h2 = (h * _MULT_A) & _M32
         steps.append((h, h2))
         h = h2
-    return tuple(steps), h
+    return steps
 
 
 def _seed_pool(words):
@@ -273,7 +273,7 @@ def _pcg64(pool):
 # The state after seeding and one step is init * A + inc * B (mod 2^128).
 _FIRST_A = _PCG_MULT * _PCG_MULT & _M128
 _FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
-_BAND = 512  # cells seeded together by RandomSource._cell_bands
+_BAND = 512  # cells seeded together by RandomSource.cell_words
 _LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
@@ -316,16 +316,15 @@ def read_order(word):
     return int.from_bytes(word.to_bytes(8, "little").translate(_REV8), "big") >> 1
 
 
-def _lanes(value, n, width=1):
-    """The 64-bit words of the n lanes of `width` words each packed in value, word by word.
+def _band_words(band, n, T, rows, cols):
+    """(i, j, u) of RandomSource.cell_words for the n cells of the diagonals in band.
 
-    _lanes(v, n, w)[k::w] runs over word k of every lane.
+    The cells are seeded side by side, one lane per cell: their four pool
+    words in 64-bit lanes, their PCG64 state after one step in 256-bit
+    lanes.  Bit-reversing a rotated word is rotating the reversed word the
+    other way, so the band reverses its xor-shifted PCG64 outputs in one
+    byte translation, and a cell only rotates its own lane.
     """
-    return memoryview(value.to_bytes(8 * width * n, "little")).cast("Q")
-
-
-def _seed_band(band, n, T, rows, cols):
-    """One band of RandomSource._cell_bands: the diagonals in band, n cells, seeded in lanes."""
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
     m32 = ones * _M32
     pool = []
@@ -350,22 +349,13 @@ def _seed_band(band, n, T, rows, cols):
     inc = (int.from_bytes(inc, "little") << 1 | ones) & m128
     state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
              + ((inc * _FIRST_B) & m128)) & m128
-    cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
-    return cells, n, pool, state, inc
-
-
-def _band_words(cells, n, pool, state, inc):
-    """RandomSource.cell_words of one band of _cell_bands.
-
-    Bit-reversing a rotated word is rotating the reversed word the other
-    way, so the band reverses its xor-shifted PCG64 outputs in one byte
-    translation, and a cell only rotates its own lane.
-    """
     low = int.from_bytes((b"\xff" * 8 + bytes(24)) * n, "little")  # low word of each lane
     x = (state ^ (state >> 64)) & low
     # reversing all the bytes reverses the lanes too, so read them from the end
     rev = memoryview(x.to_bytes(32 * n, "little").translate(_REV8)[::-1]).cast("Q")
-    for (i, j), r, hi in zip(cells, rev[::-4], _lanes(state, n, 4)[1::4]):
+    high = memoryview(state.to_bytes(32 * n, "little")).cast("Q")[1::4]
+    cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
+    for (i, j), r, hi in zip(cells, rev[::-4], high):
         rot = hi >> 58
         yield i, j, ((r << rot) | (r >> (64 - rot))) & _M63
 
@@ -375,9 +365,9 @@ class RandomSource:
 
     substream(*key) derives an independent deterministic child source;
     simulation modules use substream(i, j) per lattice cell so results do
-    not depend on evaluation order.  cell_streams(T) makes all those
-    children of a lattice at once, and cell_words(T) gives only their
-    first words, for samplers that draw at most once per cell.
+    not depend on evaluation order.  cell_words(T) gives the first words
+    of all those cells of a lattice at once, seeded in bands, with no
+    child object; CellBits reads a cell's bits from its word.
 
     The bits are exactly numpy's: a source keyed (seed, stream, *key)
     yields the words of ``Generator(PCG64(SeedSequence(seed,
@@ -392,13 +382,6 @@ class RandomSource:
     hashed pool and a substream mixes in only its own key words, when it
     is made.  The PCG64 state of a substream is seeded lazily, at the
     first bit, so a source that never draws never seeds it.
-    cell_streams(T) and cell_words(T) instead seed every cell, and draw
-    its first word, a band of anti-diagonals at a time (_cell_bands): all
-    cells of a band are packed side by side in a few Python ints, one
-    lane per cell, so each hash step and the PCG64 step is one integer
-    operation per band.  cell_streams wraps each cell's lanes in a child
-    equal to substream(i, j) after its first word; cell_words yields only
-    that word, so a cell that never draws costs no object.
     """
 
     __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
@@ -429,68 +412,34 @@ class RandomSource:
         child._buf = 1
         return child
 
-    def cell_streams(self, T):
-        """(i, j, self.substream(i, j)) for 1 <= i <= j <= T, by anti_diagonals(T) and then i.
-
-        The children come seeded and one word in, from _cell_bands; they
-        equal substream(i, j) children after their first word.
-        """
-        if not _LANES:
-            return ((i, t - i, self.substream(i, t - i))
-                    for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
-        h_after = _second_word_consts(self._mixed[1])[1]
-        seed, stream, key = self.seed, self.stream, self._key
-
-        def children(cells, n, pool, state, inc):
-            pools = zip(*(_lanes(p, n) for p in pool))
-            state, inc = _lanes(state, n, 4), _lanes(inc, n, 4)
-            for (i, j), p, lo, hi, ilo, ihi in zip(cells, pools, state[::4], state[1::4],
-                                                   inc[::4], inc[1::4]):
-                child = RandomSource.__new__(RandomSource)
-                child.seed = seed
-                child.stream = stream
-                child._key = key + (i, j)
-                child._mixed = (p, h_after)
-                child._state = lo | hi << 64
-                child._inc = ilo | ihi << 64
-                x, rot = lo ^ hi, hi >> 58
-                child._buf = (((x >> rot) | (x << (64 - rot))) & _M64) >> 1 | (1 << 63)
-                yield i, j, child
-
-        return self._cell_bands(T, children)
-
     def cell_words(self, T):
-        """(i, j, u) for the cells of cell_streams(T), in its order, with no child objects.
+        """(i, j, u) for 1 <= i <= j <= T, by anti_diagonals(T) and then i.
 
         u is the first word of substream(i, j) in the order bit() reads
         it: its 63 bits as an integer whose most significant bit is the
-        first bit read (read_order of the word), so that child's uniform
-        variate lies in [u, u + 1) / 2^63.  word_bernoulli draws from it.
+        first bit read (read_order of the word), so that substream's
+        uniform variate lies in [u, u + 1) / 2^63.  word_bernoulli draws
+        from u, and CellBits(u, self, i, j) reads on to every bit of the
+        substream.  No child object is made, and this source is unchanged.
+
+        The cells are seeded in bands.  Absorbing i takes this source's
+        pool to a row that every j shares; the hashed words of j at the
+        next depth form a column that every i shares.  Both are made once
+        per index, premultiplied by the mix constants, and laid out as
+        64-bit lanes so that the rows and columns of one diagonal are
+        contiguous byte slices.  The cells of about _BAND cells' worth of
+        whole anti-diagonals are then packed side by side in a few Python
+        ints, one lane per cell, so each hash step and the PCG64 step is
+        one integer operation per band (_band_words).  A band is let go
+        before the next is seeded, so only one is held at a time.
         """
         if not _LANES:
-            return ((i, t - i, read_order(self.substream(i, t - i)._word()))
-                    for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
-        return self._cell_bands(T, _band_words)
-
-    def _cell_bands(self, T, unpack):
-        """The lane seeder of cell_streams and cell_words: unpack's items, band by band.
-
-        Absorbing i takes this source's pool to a row that every j shares;
-        the hashed words of j at the next depth form a column that every i
-        shares.  Both are made once per index, premultiplied by the mix
-        constants, and laid out as 64-bit lanes so that the rows and
-        columns of one diagonal are contiguous byte slices.  The cells of
-        about _BAND cells' worth of whole anti-diagonals are then packed
-        side by side in a few Python ints, one lane per cell, so each hash
-        step and the PCG64 step is one integer operation per band.  Each
-        band goes to unpack(cells, n, pool, state, inc): its n cells
-        (i, j) in order, the four pool words of their children in 64-bit
-        lanes, and their PCG64 state after one step and increment in
-        256-bit lanes, lowest lane first.  That band is let go before the
-        next is seeded, so only one is held at a time.
-        """
+            for t, lo, hi in anti_diagonals(T):
+                for i in range(lo, hi + 1):
+                    yield i, t - i, read_order(self.substream(i, t - i)._word())
+            return
         pool, h = self._mixed
-        steps, _ = _second_word_consts(h)
+        steps = _second_word_steps(h)
         rows = [bytearray() for _ in range(4)]
         for i in range(1, T + 1):
             for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
@@ -504,11 +453,9 @@ class RandomSource:
         for diag in anti_diagonals(T):
             band.append(diag)
             n += diag[2] - diag[1] + 1
-            if n >= _BAND:
-                yield from unpack(*_seed_band(band, n, T, rows, cols))
+            if n >= _BAND or diag[0] == 2 * T:  # a full band, or the last diagonal
+                yield from _band_words(band, n, T, rows, cols)
                 band, n = [], 0
-        if band:
-            yield from unpack(*_seed_band(band, n, T, rows, cols))
 
     def _word(self):
         """The next 63-bit word: one PCG64 output shifted right by one."""
@@ -526,6 +473,36 @@ class RandomSource:
             buf = self._word() | (1 << 63)
         self._buf = buf >> 1
         return buf & 1
+
+
+class CellBits:
+    """The bits of parent.substream(i, j), read from its first word u.
+
+    u is that substream's first word in read order, as
+    RandomSource.cell_words gives it.  bit() returns u's 63 bits, most
+    significant first; after them it reads on from parent.substream(i, j)
+    past its first word, so every bit is the substream's, and the child
+    is made only for a cell whose draws need more than 63 bits.
+    """
+
+    __slots__ = ("_u", "_k", "_src", "_cell")
+
+    def __init__(self, u, parent, i, j):
+        self._u = u
+        self._k = 63  # bits of u not yet read
+        self._src = parent
+        self._cell = (i, j)
+
+    def bit(self):
+        k = self._k
+        if k:
+            self._k = k - 1
+            return (self._u >> (k - 1)) & 1
+        if self._cell is not None:  # u is used up: go on in the substream itself
+            self._src = self._src.substream(*self._cell)
+            self._src._word()
+            self._cell = None
+        return self._src.bit()
 
 
 def sample_categorical(probs, rng):
@@ -582,7 +559,7 @@ def word_bernoulli(num, den, u):
     is True, when above, False; sample_bernoulli decides [U < p] on the
     same nested dyadic intervals, so it returns the same.  None means the
     interval straddles p (probability at most 2^-63), and sample_bernoulli
-    on the source itself must decide.
+    on the source's bits (for a cell word, CellBits) must decide.
     """
     if (u + 1) * den <= num << 63:
         return True

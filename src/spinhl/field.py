@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from .exact import InvalidParams, InvalidPath, ONE, ZERO, half_quadrant
+from .exact import CellBits, InvalidParams, InvalidPath, ONE, ZERO, half_quadrant
 from .identities import cauchy_kernel
 from .partitions import interlaces
 from .sshl import f_one_row, g_one_row, tail_weight
@@ -34,9 +34,15 @@ def sample_field(T, rng, params, per_cell_streams=True):
     deterministic substream of `rng`, so the result depends only on
     (seed, stream, T) and not on evaluation order; per_cell_streams=False
     draws sequentially in sweep order, which is faster for Monte Carlo.
+    A RandomSource gives each cell the first word of its substream
+    (transitions.sweep), which the cell's draws read through
+    exact.CellBits; a cell whose draws need more than that word's 63 bits
+    reads on in the substream itself, so every bit is the substream's.
     """
     field = {(0, j): () for j in range(T + 1)}
     for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
+        if type(cell_rng) is int:
+            cell_rng = CellBits(cell_rng, rng, i, j)
         x, y = params.spectral(i - 1), params.spectral(j)
         if i < j:
             field[(i, j)] = bulk_forward(

@@ -62,6 +62,7 @@ from .partitions import (
 )
 from .sshl import column_sums, f_one_row, g_one_row, g_skew
 from .weights import (
+    INF,
     L,
     L_TABLE,
     M,
@@ -222,6 +223,8 @@ def intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
     below L (spectral y).  Right: the swapped column (L below MSTAR), then
     the crossing with outputs (k_out, l_out).  These are the total A- and
     B-weights of the random field's column (I, J, i_in, j_in, k_out, l_out).
+    At the field's column 0 both occupancies are the INF sentinel; one INF
+    next to a finite occupancy raises InvalidParams.
     """
     return _fraction_sides(_intertwining_star(x, y, params), I, J, i_in, j_in, k_out, l_out)
 
@@ -244,7 +247,15 @@ def _intertwining_star(x, y, params):
         return (sum(column_weights("A", l_row, mstar_row, rstar, *context)[1]),
                 sum(column_weights("B", l_row, mstar_row, rstar, *context)[1]))
 
-    return nums, lambda I, J: l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[0]
+    def den(I, J):
+        if I is INF or J is INF:  # column 0: the sentinel entries are over vd
+            if I is not J:
+                raise InvalidParams(f"occupancies ({I}, {J}): INF stands for column 0, "
+                                    "in both rows")
+            return l_row.vd * mstar_row.vd * rstar[0]
+        return l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[0]
+
+    return nums, den
 
 
 def check_intertwining_star(params, x, y, max_occ=6):

@@ -160,7 +160,7 @@ def p_bwd(I_lam, J_mu, i_prev, j_prev, k_h, l_h, x, y, params):
 
 
 # ---------------------------------------------------------------------------
-# the column walks
+# the column walk
 # ---------------------------------------------------------------------------
 
 def _top(*partitions):
@@ -168,52 +168,30 @@ def _top(*partitions):
     return max([p[0] for p in partitions if p], default=0)
 
 
-def _interlaced(*states):
-    """The interlacing check of both walks.
+def _walk(side, mid, lam, mu, top):
+    """One side of the column walk, as lists over the columns h = 0..top.
 
-    A state list counts #{parts of outer > h} - #{parts of inner > h} for
-    h = 0..top, and inner ≺ outer exactly when every count is 0 or 1.
+    Returns (I_lam, J_mu, c_lam, c_mu, M): the multiplicities of lam, mu
+    and the middle partition mid, with INF in each at column 0, and the
+    crossing states c_p[h] = #{parts of p > h} - #{parts of mid > h} on
+    the A side (mid = kappa; c_mu, c_lam are k_h, l_h), negated on the B
+    side (mid = nu; c_lam, c_mu are i_h, j_h).  top may exceed the largest
+    part; the columns past it are all zero.  Every state is 0 or 1 exactly
+    when mid ≺ lam and mid ≺ mu (A), or lam ≺ mid and mu ≺ mid (B);
+    ValueError otherwise.
     """
-    return set().union(*states) <= {0, 1}
-
-
-def _a_walk(kappa, lam, mu, top):
-    """The A side of the column walk, as lists over the columns h = 0..top.
-
-    Returns (I_lam, J_mu, k_h, l_h, K_h): the multiplicities of lam and mu,
-    the given crossing states read off kappa, and the multiplicities of
-    kappa, with INF in every multiplicity list at column 0.  top may exceed
-    the largest part; the columns past it are all zero.  Raises ValueError
-    unless kappa ≺ lam and kappa ≺ mu.
-    """
-    I, J, K = mult_vector(lam, top), mult_vector(mu, top), mult_vector(kappa, top)
-    k = [len(mu) - len(kappa)]
-    l = [len(lam) - len(kappa)]
+    sign = 1 if side == "A" else -1
+    I, J, M = mult_vector(lam, top), mult_vector(mu, top), mult_vector(mid, top)
+    c_lam = [sign * (len(lam) - len(mid))]
+    c_mu = [sign * (len(mu) - len(mid))]
     for h in range(1, top + 1):
-        k.append(k[-1] + K[h] - J[h])
-        l.append(l[-1] + K[h] - I[h])
-    if not _interlaced(k, l):
-        raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
-    I[0] = J[0] = K[0] = INF
-    return I, J, k, l, K
-
-
-def _b_walk(nu, lam, mu, top):
-    """The B side of the column walk: (I_lam, J_mu, i_h, j_h, M_h) over h = 0..top.
-
-    Like _a_walk, with the crossing states and the middle multiplicities
-    read off nu.  Raises ValueError unless lam ≺ nu and mu ≺ nu.
-    """
-    I, J, M = mult_vector(lam, top), mult_vector(mu, top), mult_vector(nu, top)
-    i = [len(nu) - len(lam)]
-    j = [len(nu) - len(mu)]
-    for h in range(1, top + 1):
-        i.append(i[-1] + I[h] - M[h])
-        j.append(j[-1] + J[h] - M[h])
-    if not _interlaced(i, j):
-        raise ValueError(f"need lam ≺ nu and mu ≺ nu; got {nu}, {lam}, {mu}")
+        c_lam.append(c_lam[-1] + sign * (M[h] - I[h]))
+        c_mu.append(c_mu[-1] + sign * (M[h] - J[h]))
+    if not {*c_lam, *c_mu} <= {0, 1}:
+        need = "kappa ≺ lam and kappa ≺ mu" if sign == 1 else "lam ≺ nu and mu ≺ nu"
+        raise ValueError(f"need {need}; got {mid}, {lam}, {mu}")
     I[0] = J[0] = M[0] = INF
-    return I, J, i, j, M
+    return I, J, c_lam, c_mu, M
 
 
 def _partition(mults):
@@ -362,23 +340,23 @@ def cell_sampler(x, y, params):
     return compiled(params).sampler(x, y)
 
 
-def sweep(T, rng, params, per_cell_streams, words=False):
-    """The growth order of both samplers: (i, j, cell_rng) for 1 <= i <= j <= T.
+def sweep(T, rng, params, per_cell_streams):
+    """The growth order of both samplers: (i, j, cell) for 1 <= i <= j <= T.
 
     Cells come by anti-diagonal i + j and then by i, so every cell comes
-    after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  cell_rng is
-    rng.substream(i, j) with per_cell_streams and rng itself otherwise, so
-    sequential draws follow this order.  A RandomSource seeds its cell
-    substreams in bands (RandomSource.cell_streams), and with words it
-    gives each cell's first word in read order instead of its child
-    (RandomSource.cell_words), for a sampler that draws at most once per
-    cell.  Any other bit source with bit() and substream(*key) is asked
-    once per cell, words or not.  params must be in probabilistic mode;
-    that is checked here at once, also when T = 0 has no cells.
+    after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  Without
+    per_cell_streams, cell is rng itself, so sequential draws follow this
+    order.  With them, a RandomSource yields words: cell is the first word
+    of rng.substream(i, j) in read order, seeded in bands
+    (RandomSource.cell_words), and exact.CellBits(cell, rng, i, j) reads
+    all of that substream's bits.  Any other bit source with bit() and
+    substream(*key) is asked for cell = rng.substream(i, j), once per
+    cell.  params must be in probabilistic mode; that is checked here at
+    once, also when T = 0 has no cells.
     """
     compiled(params).require_probabilistic()
     if per_cell_streams and type(rng) is RandomSource:
-        return rng.cell_words(T) if words else rng.cell_streams(T)
+        return rng.cell_words(T)
     return (
         (i, total - i, rng.substream(i, total - i) if per_cell_streams else rng)
         for total, lo, hi in anti_diagonals(T)
@@ -394,7 +372,7 @@ def bulk_forward(kappa, lam, mu, x, y, rng, params):
     """Sample nu from the forward bulk operator given corner kappa and neighbours lam, mu."""
     fwd = cell_sampler(x, y, params).fwd
     top = _top(kappa, lam, mu)
-    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, top)
+    I, J, ls, ks, _ = _walk("A", kappa, lam, mu, top)
     mids = []
     i_h, j_h = 1, 0
     for h in range(top + 1):
@@ -413,7 +391,7 @@ def bulk_backward(nu, lam, mu, x, y, rng, params):
     """Sample kappa from the backward bulk operator given corner nu and neighbours lam, mu."""
     bwd = cell_sampler(x, y, params).bwd
     top = _top(nu, lam, mu)
-    I, J, i, j, _ = _b_walk(nu, lam, mu, top)
+    I, J, i, j, _ = _walk("B", nu, lam, mu, top)
     parts = []
     k_h = l_h = 0
     for h in range(top, 0, -1):
@@ -442,9 +420,9 @@ def forward_prob(kappa, lam, mu, nu, x, y, params):
     """Exact probability that bulk_forward produces nu (a single forced trajectory)."""
     fwd = cell_sampler(x, y, params).fwd
     top = _top(kappa, lam, mu, nu)
-    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, top)
+    I, J, ls, ks, _ = _walk("A", kappa, lam, mu, top)
     try:
-        _, _, i, j, M = _b_walk(nu, lam, mu, top)
+        _, _, i, j, M = _walk("B", nu, lam, mu, top)
     except ValueError:
         return ZERO
     prob = ONE
@@ -461,9 +439,9 @@ def backward_prob(nu, lam, mu, kappa, x, y, params):
     """Exact probability that bulk_backward produces kappa."""
     bwd = cell_sampler(x, y, params).bwd
     top = _top(kappa, lam, mu, nu)
-    I, J, i, j, _ = _b_walk(nu, lam, mu, top)
+    I, J, i, j, _ = _walk("B", nu, lam, mu, top)
     try:
-        _, _, ks, ls, K = _a_walk(kappa, lam, mu, top)
+        _, _, ls, ks, K = _walk("A", kappa, lam, mu, top)
     except ValueError:
         return ZERO
     prob = ONE
@@ -484,7 +462,7 @@ def forward_distribution(kappa, lam, mu, x, y, params, part_cap):
     """
     fwd = cell_sampler(x, y, params).fwd
     top = _top(kappa, lam, mu)
-    I, J, ks, ls, _ = _a_walk(kappa, lam, mu, max(top, part_cap))
+    I, J, ls, ks, _ = _walk("A", kappa, lam, mu, max(top, part_cap))
     dist = {}
     overflow = [ZERO]
 

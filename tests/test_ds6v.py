@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinhl.exact import (
+    CellBits,
     InconsistentHeights,
     InvalidParams,
     ModelParams,
@@ -357,9 +358,24 @@ def test_word_path_falls_back_to_the_cell_substream(params, monkeypatch):
         outcomes.append(word_bernoulli(num, den, u))
         return outcomes[-1]
 
+    readers = []
+
+    class Reader(CellBits):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.read = 0
+            readers.append(self)
+
+        def bit(self):
+            self.read += 1
+            return super().bit()
+
     monkeypatch.setattr(ds6v, "word_bernoulli", recorded)
+    monkeypatch.setattr(ds6v, "CellBits", Reader)
     h = ds6v_sample(T, src, params)
     assert outcomes and set(outcomes) == {None}
+    # every undecided draw goes through the cell reader, one bit past the word
+    assert [r.read for r in readers] == [64] * len(outcomes)
     assert h == ds6v_sample(T, _Children(src), params)
     assert len(set(h.values())) > 2
 

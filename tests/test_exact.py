@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinhl.exact import (
+    CellBits,
     InvalidParams,
     ModelParams,
     NonStochastic,
@@ -353,7 +354,7 @@ def _numpy_bits(seed, key, n_words=1):
 
 def test_cell_substreams_match_numpy_and_the_one_word_chain():
     # substream(i, j) absorbs both key words at once and
-    # substream(i).substream(j) one by one; cell_streams is checked below
+    # substream(i).substream(j) one by one; cell_words is checked below
     pytest.importorskip("numpy")
     rnd = random.Random(20261019)
     edge = [0, 2**32 - 1, 2**32]  # the last one takes the general path
@@ -432,28 +433,23 @@ BAND_PARENTS = [
 @pytest.mark.parametrize("seed, stream, pkey, drawn", BAND_PARENTS,
                          ids=["plain", "three-word-seed", "five-word-seed", "drew-first"])
 @pytest.mark.parametrize("T", BAND_TS)
-def test_cell_streams_match_numpy_and_substream(seed, stream, pkey, drawn, T):
+def test_cell_bits_match_numpy_and_substream(seed, stream, pkey, drawn, T):
+    # the reader over a cell's word gives the substream's bits, across the
+    # word boundary into the substream itself
     pytest.importorskip("numpy")
     parent = RandomSource(seed, stream).substream(*pkey)
     for _ in range(drawn):
         parent.bit()
-    got = list(parent.cell_streams(T))
+    before = _state(parent)
+    got = list(parent.cell_words(T))
     assert [(i, j) for i, j, _ in got] == [
         (i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
-    for i, j, child in got:
-        scalar = parent.substream(i, j)
-        assert (child._mixed, child._key) == (scalar._mixed, scalar._key), (i, j)
-        scalar._buf = scalar._word() | 1 << 63  # the band draws each child's first word
-        assert _state(child) == _state(scalar), (i, j)
-    # every child over two words, so past the word the band drew
-    for i, j, child in got:
-        assert [child.bit() for _ in range(126)] == _numpy_bits(
-            seed, (stream, *pkey, i, j), 2), (i, j)
-    for i, j, child in got[:: max(1, len(got) // 7)]:
-        grandchild = child.substream(len(got))
-        assert grandchild._mixed == parent.substream(i, j, len(got))._mixed
-        assert [grandchild.bit() for _ in range(63)] == _numpy_bits(
-            seed, (stream, *pkey, i, j, len(got)))
+    for i, j, u in got:
+        reader, scalar = CellBits(u, parent, i, j), parent.substream(i, j)
+        bits = [reader.bit() for _ in range(130)]
+        assert bits == [scalar.bit() for _ in range(130)], (i, j)
+        assert bits[:126] == _numpy_bits(seed, (stream, *pkey, i, j), 2), (i, j)
+    assert _state(parent) == before
 
 
 @pytest.mark.parametrize("seed, stream, pkey, drawn", BAND_PARENTS,
@@ -480,28 +476,12 @@ def test_cell_words_without_lane_packing_are_the_same(monkeypatch):
     assert list(src.cell_words(12)) == banded
 
 
-def test_cell_streams_without_lane_packing_give_the_same_children(monkeypatch):
-    # machines that are not little-endian take substream(i, j) cell by cell
-    src = RandomSource(9, 2).substream(4)
-    src.bit()
-
-    def children():
-        return [(i, j, c._key, c._mixed, [c.bit() for _ in range(70)])
-                for i, j, c in src.cell_streams(12)]
-
-    banded = children()
-    monkeypatch.setattr(exact, "_LANES", False)
-    assert children() == banded
-
-
-def test_cell_streams_seed_one_band_at_a_time():
-    # the first child of a 45150-cell lattice comes before the rest are seeded
-    src = RandomSource(3, 1)
-    for cells in (src.cell_streams, src.cell_words):
-        tracemalloc.start()
-        try:
-            next(iter(cells(300)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, (cells, peak)
+def test_cell_words_seed_one_band_at_a_time():
+    # the first word of a 45150-cell lattice comes before the rest are seeded
+    tracemalloc.start()
+    try:
+        next(iter(RandomSource(3, 1).cell_words(300)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak

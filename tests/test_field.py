@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinhl.cli import INPUT_ERRORS
-from spinhl.exact import InvalidPath, ModelParams, RandomSource
+from spinhl.exact import CellBits, InvalidPath, ModelParams, RandomSource, anti_diagonals
 from spinhl.field import (
     check_field_invariants,
     field_from_json,
@@ -37,6 +37,25 @@ def test_sample_field_deterministic_and_schedule_free(params):
     # sequential-stream mode gives a (generally different) but valid field
     f3 = sample_field(3, RandomSource(9, 1), params, per_cell_streams=False)
     assert check_field_invariants(f3)
+
+
+def test_cell_draws_read_on_past_the_first_word(params, monkeypatch):
+    # a cell given its first word reads it through exact.CellBits, and draws
+    # that need more than its 63 bits read on in substream(i, j)
+    import spinhl.field as field
+
+    T, src, reads = 5, RandomSource(12, 3), []
+
+    def reading(*args):  # stands in for both operators; rng is the last but one
+        rng = args[-2]
+        reads.append((type(rng), [rng.bit() for _ in range(150)]))
+        return ()
+
+    monkeypatch.setattr(field, "bulk_forward", reading)
+    monkeypatch.setattr(field, "boundary_forward", reading)
+    sample_field(T, src, params)
+    cells = [src.substream(i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
+    assert reads == [(CellBits, [cell.bit() for _ in range(150)]) for cell in cells]
 
 
 def test_t1_corner_law(params):

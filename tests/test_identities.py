@@ -35,7 +35,8 @@ from spinhl.identities import (
     reflection_sides,
     run_suite,
 )
-from spinhl.weights import L, M, Mstar, R, Rstar
+from spinhl.transitions import p_bwd, p_fwd
+from spinhl.weights import INF, L, M, Mstar, R, Rstar
 
 
 X = F(1, 4)
@@ -64,6 +65,31 @@ def test_intertwining_star_trivial(params):
     # conservation-violating boundary vanishes on both sides
     lhs, rhs = intertwining_star_sides(1, 0, 0, 0, 0, 1, X, Y, params)
     assert lhs == rhs == 0
+
+
+def test_intertwining_star_at_column_0(all_points):
+    # both occupancies INF, as at the field's column 0: the sides are the
+    # totals of the column's A and B weights (from the Fraction vertex
+    # weights here), and each weight over its side is p_bwd's or p_fwd's
+    for params in all_points:
+        for bits in range(16):
+            ip, jp, k, l = b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
+            lhs, rhs = intertwining_star_sides(INF, INF, *b, X, Y, params)
+            assert lhs == rhs, b
+            wa = {(a, c, INF): Mstar(INF, c, INF, l, X, params) * L(INF, a, INF, k, Y, params)
+                  * Rstar(ip, jp, a, c, X, Y, params) for a in (0, 1) for c in (0, 1)}
+            wb = {(a, c, INF): L(INF, ip, INF, a, Y, params) * Mstar(INF, jp, INF, c, X, params)
+                  * Rstar(a, c, k, l, X, Y, params) for a in (0, 1) for c in (0, 1)}
+            assert (lhs, rhs) == (sum(wa.values()), sum(wb.values())), b
+            for side, table, w in ((lhs, p_bwd, wa), (rhs, p_fwd, wb)):
+                assert {o: p * side for o, p in table(INF, INF, *b, X, Y, params)
+                        .as_dict().items()} == {o: v for o, v in w.items() if v}, b
+
+
+@pytest.mark.parametrize("I, J", [(INF, 0), (3, INF)])
+def test_intertwining_star_rejects_one_inf_occupancy(params, I, J):
+    with pytest.raises(InvalidParams):
+        intertwining_star_sides(I, J, 1, 0, 0, 0, X, Y, params)
 
 
 # The exchange relations from the Fraction vertex weights: the reference

@@ -41,8 +41,7 @@ from spinhl.transitions import (
     length_transition,
     p_bwd,
     p_fwd,
-    _a_walk,
-    _b_walk,
+    _walk,
 )
 from spinhl.weights import L, Mstar, Rstar
 
@@ -424,19 +423,23 @@ def test_forward_backward_round_trip_support(params):
 
 
 def test_walks_check_interlacing_like_interlaces():
-    # the walks' 0/1 state check is the operators' only interlacing check
+    # the walk's 0/1 state check is the operators' only interlacing check,
+    # and its states count parts above each column, negated on the B side
     shapes = enumerate_partitions(3, 3)
     for p in shapes:
         for a in shapes:
             for b in shapes:
-                for walk, expect in ((_a_walk, interlaces(p, a) and interlaces(p, b)),
-                                     (_b_walk, interlaces(a, p) and interlaces(b, p))):
+                for side, sign, expect in (("A", 1, interlaces(p, a) and interlaces(p, b)),
+                                           ("B", -1, interlaces(a, p) and interlaces(b, p))):
                     try:
-                        walk(p, a, b, 3)
-                        ok = True
+                        _, _, c_a, c_b, _ = _walk(side, p, a, b, 3)
                     except ValueError:
-                        ok = False
-                    assert ok == expect, (walk.__name__, p, a, b)
+                        assert not expect, (side, p, a, b)
+                        continue
+                    assert expect, (side, p, a, b)
+                    above = [[sum(v > h for v in part) for h in range(4)] for part in (p, a, b)]
+                    assert c_a == [sign * (n - m) for n, m in zip(above[1], above[0])]
+                    assert c_b == [sign * (n - m) for n, m in zip(above[2], above[0])]
 
 
 def test_preconditions(params):
