@@ -17,10 +17,11 @@ config may give them as ints or strings of digits ("T": "8"), and any
 other value (a float, a bool) is a config error.  verify runs at the
 config's point when the config gives any of q, s, u and x (then --point
 is an error), and otherwise at the fixture points or the one --point
-picks.  Exit codes: 0 pass, 1 check failure, 2 configuration or
-parameter error (any package exception about the inputs, an integer
-option that is not an integer or is below its minimum, or a config that
-is not a JSON object, reported as one line on stderr).
+picks; an --only that is part of no check's name is a config error.
+Exit codes: 0 pass, 1 check failure, 2 configuration or parameter error
+(any package exception about the inputs, an integer option that is not
+an integer or is below its minimum, a config that is not a JSON object,
+or an --only that selects nothing, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -101,6 +102,9 @@ def _params_from(cfg, T):
 
 def cmd_verify(args):
     cfg = _load_config(args.config)
+    if args.only and not any(args.only in name for name in identities.CHECK_NAMES):
+        raise ConfigError(f"--only {args.only!r} matches no check of "
+                          f"{', '.join(identities.CHECK_NAMES)}")
     points = identities.FIXTURE_POINTS
     if any(name in cfg for name in ("q", "s", "u", "x")):
         if args.point is not None:

@@ -327,8 +327,8 @@ def particles_to_csv(states):
     w.writerow(["t", "site", "occupied"])
     for st in states:
         top = max([st.t] + list(st.positions))
-        for site in range(1, top + 1):
-            w.writerow([st.t, site, st.occupancy(site)])
+        occupied = set(st.positions)  # occupancy() would scan the positions once per site
+        w.writerows([st.t, site, 1 if site in occupied else 0] for site in range(1, top + 1))
     return buf.getvalue()
 
 
@@ -369,9 +369,16 @@ def currents_to_json(states):
     out = []
     for st in states:
         top = max([1] + [y for y in st.positions])
+        # N_x = st.current(x) for every x at once: particles per site, summed from the right
+        n_x = [0] * (top + 2)
+        for y in st.positions:
+            if y >= 1:
+                n_x[y] += 1
+        for xx in range(top - 1, 0, -1):
+            n_x[xx] += n_x[xx + 1]
         out.append({
             "t": st.t,
             "N": st.count(),
-            "N_x": {str(xx): st.current(xx) for xx in range(1, top + 1)},
+            "N_x": {str(xx): n_x[xx] for xx in range(1, top + 1)},
         })
     return json.dumps(out)

@@ -25,12 +25,13 @@ Two tail-bound constructions are used:
   (unrefined) identity, whose total is a known closed form; the bound is
   closed_form - retained_plain_sum, an exact rational.
 
-Every truncated sum comes from the column-transfer kernel
-``sshl.column_sums``, which returns the partial sum grouped by the length
+Every truncated sum comes from the integer column-transfer kernel of
+:mod:`spinhl.sshl`, which returns the partial sum grouped by the length
 of lam: the refined sums weight each length by its refinement
-coefficient, and the skew sums start the kernel's chains from their
-fixed inner partitions and run it at the caps cap - 3 .. cap for the
-increments.
+coefficient (``column_sums``, one scan at the cap), and the skew sums
+start the kernel's chains from their fixed inner partitions and read the
+partial sums at the caps cap - 3 .. cap for the increments from one scan
+(``column_scan``).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .partitions import (
     is_conjugate_even,
     pairing_factor,
 )
-from .sshl import column_sums, f_one_row, g_one_row, g_skew
+from .sshl import column_scan, column_sums, f_one_row, g_one_row, g_skew
 from .weights import (
     INF,
     L,
@@ -377,20 +378,23 @@ def pfaffian_exact(rows):
 # tail machinery
 # ---------------------------------------------------------------------------
 
-def geometric_tail(total, lo, cap, ratio, name):
+def geometric_tail(scan, lo, cap, ratio, name):
     """Partial sum and certified tail of a one-largest-part sum truncated at cap.
 
-    total(c) must be the exact sum of the terms with largest part <= c,
-    and lo the largest fixed part.  Beyond lo the increments
-    total(c) - total(c-1) are exactly geometric with the ratio; we verify
-    that recursion on the last three increments and return
+    scan(caps) must return, for each c in caps, the exact terms with
+    largest part <= c as a {len(lam): partial sum} dict, as
+    sshl.column_scan does; total(c) is that dict's sum, and lo is the
+    largest fixed part.  scan is called once, with the caps cap - 3 ..
+    cap, so one column scan gives all four partial sums.  Beyond lo the
+    increments total(c) - total(c-1) are exactly geometric with the ratio;
+    we verify that recursion on the last three increments and return
     (total(cap), increment(cap) * r / (1 - r)).
     """
     if not ZERO <= ratio < ONE:
         raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
     if cap < lo + 3:
         raise InvalidParams(f"{name}: cap too small to certify the geometric tail")
-    partial = [total(c) for c in range(cap - 3, cap + 1)]
+    partial = [sum(sums.values(), ZERO) for sums in scan(range(cap - 3, cap + 1))]
     inc = [b - a for a, b in zip(partial, partial[1:])]
     for k in (1, 2):
         if inc[k] != ratio * inc[k - 1]:
@@ -430,18 +434,19 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
 
     (1/Pi) * sum over outer kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
     equals the finite sum over inner nu of f_{lam/nu}(x) g_{mu/nu}(y);
-    the outer side comes from the column-transfer kernel with inner
-    partitions mu (f side) and lam (g side), and carries the certified
-    geometric tail.
+    the outer side comes from the integer column-transfer kernel with
+    inner partitions mu (f side) and lam (g side), and carries the
+    certified geometric tail: one column_scan gives the partial sums at
+    cap - 3 .. cap that geometric_tail checks.
     """
     _require_admissible([(x, y)], params)
     pre = ONE / cauchy_kernel(x, y, params)
 
-    def total(c):
-        return sum(column_sums((x,), (y,), c, params, f_inner=mu, g_inner=lam).values(), ZERO)
+    def scan(caps):
+        return column_scan((x,), (y,), caps, params, f_inner=mu, g_inner=lam)
 
     lo = max(lam[0] if lam else 0, mu[0] if mu else 0)
-    outer, tail = geometric_tail(total, lo, cap, convergence_ratio(x, y, params), "skew-cauchy")
+    outer, tail = geometric_tail(scan, lo, cap, convergence_ratio(x, y, params), "skew-cauchy")
     below_lam = set(interlacing_below(lam))
     rhs = ZERO
     for nu in interlacing_below(mu):
@@ -459,9 +464,10 @@ def check_skew_littlewood(mu, xs, cap, params):
     One variable: both conjugate-even sums collapse to single terms
     (the even cover above, the even core below); exact equality.
     Two variables: the cover side is an infinite sum over conjugate-even
-    lam, taken from the column-transfer kernel with inner partition mu and
-    the pairing factor as column factor, truncated by largest part with a
-    certified geometric tail.
+    lam, taken from the integer column-transfer kernel with inner
+    partition mu and the pairing factor as column factor, truncated by
+    largest part with a certified geometric tail whose partial sums at
+    cap - 3 .. cap come from one column_scan.
     """
     xs = tuple(xs)
     _require_admissible(itertools.combinations(xs, 2), params)
@@ -483,12 +489,11 @@ def check_skew_littlewood(mu, xs, cap, params):
             rhs += even_pair_coefficient(nu, params) * w
     rhs *= pre
 
-    def total(c):
-        sums = column_sums(xs, (), c, params, lambda m: pairing_factor(m, params), f_inner=mu)
-        return sum(sums.values(), ZERO)
+    def scan(caps):
+        return column_scan(xs, (), caps, params, lambda m: pairing_factor(m, params), f_inner=mu)
 
     lhs, tail = geometric_tail(
-        total, mu[0] if mu else 0, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
+        scan, mu[0] if mu else 0, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
     return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
 
 
@@ -533,10 +538,10 @@ def check_refined_cauchy(xs, ys, u, cap, params):
 
     Left: sum over partitions with at most n parts, largest part <= cap, of
     f_lam(xs) g_lam(ys) weighted by prod_{i=1}^{n-len(lam)} (1 - u q^i); the
-    per-length sums come from the column-transfer kernel
-    ``sshl.column_sums``.  Tail bound: with u in [0, 1] and probabilistic
-    parameters the dropped terms are dominated by the plain Cauchy tail,
-    whose total is the closed form prod Pi(x_i; y_j).
+    per-length sums come from one integer scan of the column-transfer
+    kernel ``sshl.column_sums``.  Tail bound: with u in [0, 1] and
+    probabilistic parameters the dropped terms are dominated by the plain
+    Cauchy tail, whose total is the closed form prod Pi(x_i; y_j).
     """
     xs, ys = tuple(xs), tuple(ys)
     n = len(xs)
@@ -613,9 +618,10 @@ def check_refined_littlewood(xs, u, cap, params):
     up and the length is even), largest part <= cap, of
     even_pair_coefficient(lam) f_lam(xs) weighted by the refinement
     coefficient prod_{k=1}^{m/2} (1 - u q^{2k-1}), m = 2n - len(lam).  The
-    per-length sums come from the column-transfer kernel
-    ``sshl.column_sums`` with no g side and the pairing factor of each
-    multiplicity as its column factor (zero for an odd multiplicity).
+    per-length sums come from one integer scan of the column-transfer
+    kernel ``sshl.column_sums`` with no g side and the pairing factor of
+    each multiplicity as its column factor (zero for an odd multiplicity),
+    folded into the integer rows over its own common denominator.
     Tail bound by the plain Littlewood closed form prod_{i<j} Pi(x_i; x_j),
     valid for u in [0, 1] in probabilistic mode.
     """
@@ -642,39 +648,39 @@ FIXTURE_POINTS = (
 )
 
 
+# run_suite's checks in their order, as (name, run(params, x, y, cap)) with
+# x, y the point's first two spectral values.  The check functions are
+# looked up when a check runs, so a patched check is the one run.
+SUITE = (
+    ("intertwining", lambda p, x, y, cap: check_intertwining(p, x, y)),
+    ("intertwining-star", lambda p, x, y, cap: check_intertwining_star(p, x, y)),
+    ("reflection", lambda p, x, y, cap: check_reflection(p, x)),
+    ("r-stochastic", lambda p, x, y, cap: check_r_stochastic(p, x, y)),
+    ("cauchy-closed-form", lambda p, x, y, cap: check_cauchy_closed_form(x, y, p)),
+    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((), (), x, y, max(cap, 12), p)),
+    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((1,), (), x, y, max(cap, 12), p)),
+    ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((3, 1), (x,), cap, p)),
+    ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((), (x, y), cap, p)),
+    ("refined-cauchy", lambda p, x, y, cap: check_refined_cauchy((x,), (y,), p.u, cap, p)),
+    ("refined-cauchy", lambda p, x, y, cap: check_refined_cauchy(
+        (p.x[0], p.x[2]), (p.x[1], p.x[3]), p.u, max(cap, 25), p)),
+    ("refined-littlewood", lambda p, x, y, cap: check_refined_littlewood((x, y), p.u, cap, p)),
+)
+CHECK_NAMES = tuple(dict.fromkeys(name for name, _ in SUITE))
+
+
 def run_suite(points=FIXTURE_POINTS, cap=30, only=None):
     """Run every check at the given parameter points; returns a list of CheckReport.
 
-    `only` filters by substring of the check name.
+    `only` filters by substring of the check name (see CHECK_NAMES).
     """
     reports = []
     for idx, params in enumerate(points):
         x, y = params.x[0], params.x[1]
-        named = [
-            ("intertwining", lambda p=params, x=x, y=y: check_intertwining(p, x, y)),
-            ("intertwining-star", lambda p=params, x=x, y=y: check_intertwining_star(p, x, y)),
-            ("reflection", lambda p=params, x=x, y=y: check_reflection(p, x)),
-            ("r-stochastic", lambda p=params, x=x, y=y: check_r_stochastic(p, x, y)),
-            ("cauchy-closed-form", lambda p=params, x=x, y=y: check_cauchy_closed_form(x, y, p)),
-            ("skew-cauchy",
-             lambda p=params, x=x, y=y: check_skew_cauchy((), (), x, y, max(cap, 12), p)),
-            ("skew-cauchy",
-             lambda p=params, x=x, y=y: check_skew_cauchy((1,), (), x, y, max(cap, 12), p)),
-            ("skew-littlewood",
-             lambda p=params, x=x, y=y: check_skew_littlewood((3, 1), (x,), cap, p)),
-            ("skew-littlewood",
-             lambda p=params, x=x, y=y: check_skew_littlewood((), (x, y), cap, p)),
-            ("refined-cauchy",
-             lambda p=params, x=x, y=y: check_refined_cauchy((x,), (y,), p.u, cap, p)),
-            ("refined-cauchy", lambda p=params, x=x, y=y: check_refined_cauchy(
-                (p.x[0], p.x[2]), (p.x[1], p.x[3]), p.u, max(cap, 25), p)),
-            ("refined-littlewood",
-             lambda p=params, x=x, y=y: check_refined_littlewood((x, y), p.u, cap, p)),
-        ]
-        for name, thunk in named:
+        for name, run in SUITE:
             if only and only not in name:
                 continue
-            rep = thunk()
+            rep = run(params, x, y, cap)
             rep.detail = (f"point={idx} " + rep.detail).strip()
             reports.append(rep)
     return reports

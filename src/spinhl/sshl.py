@@ -27,18 +27,26 @@ alike.
 
 Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys) (the Cauchy and
 Littlewood sides, plain, refined and skew) do not enumerate lam or its
-chains: ``column_sums`` is one exact column-transfer kernel over the first
-definition's lattice.  The one-row scans and chain sums stay as the
-reference it is tested against.
+chains: ``column_scan`` is one exact column-transfer kernel over the first
+definition's lattice, and ``column_sums`` is its scan at one cap.  Like
+``_one_row`` it works on integers: each column row holds VertexRow
+numerators over one denominator, the state vector holds numerators over
+the product of the denominators met so far, and a Fraction is made only
+per length of lam at the end.  The scan is split at the largest inner
+part: the columns above it share one row and come first, so one scan
+gives the partial sums at several caps.  The one-row scans and chain
+sums (f_skew, g_skew) stay as the reference the kernel is tested
+against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import ONE, ZERO
 from .partitions import mult_vector, even_core, even_pair_coefficient, interlacing_above
-from .weights import L, L_TABLE, M, M_TABLE, MSTAR_TABLE, VertexRow
+from .weights import L_TABLE, M_TABLE, MSTAR_TABLE, VertexRow, _check_den
 
 
 def _one_row(table, v, params, lower, upper, h, columns):
@@ -171,86 +179,149 @@ def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
     the vector of horizontal bits, and conservation in each row forces the
     multiplicities from the in- and out-bits, starting from m_c(f_inner)
     below the first f row and m_c(g_inner) below the first g row.  The
-    vertex weights do not depend on c, so each column row is built once
-    per (bits, start multiplicities), and the scan runs from column cap
-    down to 1 starting from (0,...,0, 1,...,1).  Columns above the largest
-    part are the exact pass-throughs L(0,0;0,0) = M(0,1;0,1) = 1.  The f
-    bits leaving column 1 add up to len(lam) - len(f_inner).  A cap below
-    the largest inner part leaves nothing to sum: the result is {}.
+    vertex weights do not depend on c, so a column's row depends only on
+    those two start multiplicities.  The scan runs from column cap down to
+    1 starting from (0,...,0, 1,...,1), on integers: each row holds the
+    numerators VertexRow.num gives over one denominator per column, the
+    state vector holds numerators over the product of the denominators met
+    so far, and one Fraction is made per length at the end.  Columns above
+    the largest part are the exact pass-throughs L(0,0;0,0) = M(0,1;0,1) =
+    1.  The f bits leaving column 1 add up to len(lam) - len(f_inner).  A
+    cap below the largest inner part leaves nothing to sum: the result is
+    {}.
 
     With ys empty the g side (and g_inner) is omitted rather than forced to
     lam = g_inner (the Littlewood form): the sum is then of
     f_{lam/f_inner}(xs) prod_c factor(m_c).  `factor` maps a multiplicity
     to its column factor (None means 1); factor(0) must be 1, as for the
-    pairing factor.
+    pairing factor.  Its values up to the largest multiplicity a column
+    can reach are put over their own common denominator and folded into
+    the integer rows.  A vanishing 1 - s x (or 1 - s y) raises
+    InvalidParams("1 - s x vanished"), as the weights do, once there is a
+    column to scan.
+    """
+    return column_scan(xs, ys, (cap,), params, factor, f_inner, g_inner)[0]
+
+
+def column_scan(xs, ys, caps, params, factor=None, f_inner=(), g_inner=()):
+    """[column_sums(xs, ys, cap, params, factor, f_inner, g_inner) for cap in caps], in one scan.
+
+    The scan is split at the largest inner part lo.  Every column above lo
+    has start multiplicities (0, 0) and so one shared row, and these
+    columns come first: one pass pushes the start state through that row
+    once per column, up to the largest cap, and the vector after cap - lo
+    pushes is taken, for each cap, through the columns lo .. 1 and summed
+    by length.  So the partial sums at several caps (the certified tails'
+    cap - 3 .. cap) cost one scan of the uniform columns.
     """
     xs, ys, f_inner, g_inner = tuple(xs), tuple(ys), tuple(f_inner), tuple(g_inner)
     n = len(xs)
-    if cap < max(f_inner[:1] + g_inner[:1], default=0):
-        return {}
-    mf, mg = mult_vector(f_inner, cap), mult_vector(g_inner, cap)
-    rows = {}
-    vec = {(0,) * n + (1,) * len(ys): ONE}
-    for c in range(cap, 0, -1):
-        nxt = {}
-        for bits, w in vec.items():
-            key = (bits, mf[c], mg[c])
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = _column_row(*key, xs, ys, params, factor)
-            for out, t in row.items():
-                nxt[out] = nxt.get(out, ZERO) + w * t
-        vec = nxt
-    sums = {}
-    for bits, w in vec.items():
-        length = len(f_inner) + sum(bits[:n])
-        sums[length] = sums.get(length, ZERO) + w
-    return sums
-
-
-def _column_row(bits, f_m0, g_m0, xs, ys, params, factor):
-    """{out bits: weight} of one column entered with horizontal bits `bits`.
-
-    f_m0 and g_m0 are the column's multiplicities in the inner partitions
-    of the f and the g side.
-    """
-    n = len(xs)
-    # f row k: L with the k-th chain multiplicity below, the (k-1)-th above
-    f_side = _row_stack(
-        bits[:n], f_m0, xs,
-        lambda prev, j, l, x: (prev + l - j, L(prev + l - j, j, prev, l, x, params)))
-    # g row k: M with the (k-1)-th chain multiplicity below, the k-th above
-    g_side = _row_stack(
-        bits[n:], g_m0, ys,
-        lambda prev, j, l, y: (prev + j - l, M(prev, j, prev + j - l, l, y, params)))
-    row = {}
-    for (m, f_out), wf in f_side.items():
+    lo = max(f_inner[:1] + g_inner[:1], default=0)
+    top = max(caps, default=-1)
+    if top < lo:
+        return [{} for _ in caps]
+    mf, mg = mult_vector(f_inner, lo), mult_vector(g_inner, lo)
+    f_rows = [VertexRow(x, params) for x in xs]
+    g_rows = [VertexRow(y, params) for y in ys]
+    fac, fac_den = None, 1
+    if top >= 1:
+        for row in f_rows + g_rows:
+            _check_den(row.base, "1 - s x")
         if factor is not None:
-            wf *= factor(m)
-            if wf == 0:
-                continue
-        if not ys:
-            row[f_out] = wf
-            continue
-        for (mg, g_out), wg in g_side.items():
-            if mg == m:
-                row[f_out + g_out] = wf * wg
-    return row
+            fs = [factor(m) for m in range(max(mf) + n + 1)]
+            fac_den = math.lcm(*(f.denominator for f in fs))
+            fac = [f.numerator * (fac_den // f.denominator) for f in fs]
+    columns = {key: _column(f_rows, g_rows, fac, fac_den, params.q.denominator, *key)
+               for key in {(0, 0), *zip(mf[1:], mg[1:])}}
+
+    def finish(vec, den):
+        for c in range(lo, 0, -1):
+            vec, den = _push(vec, den, *columns[mf[c], mg[c]])
+        nums = {}
+        for bits, w in vec.items():
+            length = len(f_inner) + sum(bits[:n])
+            nums[length] = nums.get(length, 0) + w
+        return {length: Fraction(w, den) for length, w in nums.items()}
+
+    wanted = set(caps)
+    sums = {}
+    vec, den = {(0,) * n + (1,) * len(ys): 1}, 1
+    for c in range(lo, top + 1):  # vec is the scan of the columns c .. lo + 1
+        if c in wanted:
+            sums[c] = finish(vec, den)
+        if c < top:
+            vec, den = _push(vec, den, *columns[0, 0])
+    return [sums.get(cap, {}) for cap in caps]
 
 
-def _row_stack(bits, m0, spectral, vertex):
-    """{(m_n, out bits): weight} for one column of n stacked rows, starting from m_0.
+def _push(vec, den, row, row_den):
+    """The vector {bits: numerator over den} pushed through one column row."""
+    nxt = {}
+    for bits, w in vec.items():
+        for out, t in row(bits):
+            nxt[out] = nxt.get(out, 0) + w * t
+    return nxt, den * row_den
 
-    `vertex(prev, j, l, z)` returns the next chain multiplicity (fixed by
-    conservation) and the vertex weight for in-bit j and out-bit l.
+
+def _column(f_rows, g_rows, fac, fac_den, qd, a, b):
+    """(row, denominator) of the columns whose inner multiplicities are a (f side) and b (g side).
+
+    row(bits) lists (out bits, numerator) for the column entered with
+    horizontal bits `bits`, built once per bits.  The chain multiplicities
+    of the f rows stay within a + len(f_rows) and those of the g rows
+    within b + len(g_rows), so every L vertex is taken over the exponent
+    a + len(f_rows) and every M vertex over b + len(g_rows): the
+    denominator is the product of the rows' bases, a power of qd and the
+    factor's common denominator fac_den.
     """
-    layer = {(m0, ()): ONE}
-    for j, z in zip(bits, spectral):
+    n, ef, eg = len(f_rows), a + len(f_rows), b + len(g_rows)
+    den = qd ** (n * ef + len(g_rows) * eg) * fac_den
+    for row in f_rows + g_rows:
+        den *= row.base
+    rows = {}
+
+    def row(bits):
+        out = rows.get(bits)
+        if out is not None:
+            return out
+        out = rows[bits] = []
+        # f row k: L with the k-th chain multiplicity below, the (k-1)-th above
+        f_side = _row_stack(f_rows, bits[:n], a, lambda r, prev, j, l: (
+            prev + l - j, r.num(L_TABLE, prev + l - j, j, prev, l, ef)))
+        # g row k: M with the (k-1)-th chain multiplicity below, the k-th above
+        g_side = {}
+        if g_rows:
+            for (m, g_out), w in _row_stack(g_rows, bits[n:], b, lambda r, prev, j, l: (
+                    prev + j - l, r.num(M_TABLE, prev, j, prev + j - l, l, eg))).items():
+                g_side.setdefault(m, []).append((g_out, w))
+        for (m, f_out), w in f_side.items():
+            if fac is not None:
+                w *= fac[m]
+                if not w:
+                    continue
+            if not g_rows:
+                out.append((f_out, w))
+                continue
+            for g_out, wg in g_side.get(m, ()):
+                out.append((f_out + g_out, w * wg))
+        return out
+
+    return row, den
+
+
+def _row_stack(rows, bits, m0, vertex):
+    """{(m_n, out bits): numerator} for one column of n stacked rows, starting from m_0.
+
+    `vertex(row, prev, j, l)` returns the next chain multiplicity (fixed by
+    conservation) and the vertex numerator for in-bit j and out-bit l.
+    """
+    layer = {(m0, ()): 1}
+    for r, j in zip(rows, bits):
         nxt = {}
         for (prev, out), w in layer.items():
             for l in (0, 1):
-                m, v = vertex(prev, j, l, z)
-                if v != 0:
+                m, v = vertex(r, prev, j, l)
+                if v:
                     nxt[(m, out + (l,))] = w * v
         layer = nxt
     return layer

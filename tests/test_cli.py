@@ -58,6 +58,17 @@ def test_verify_cap_flag_beats_config(tmp_path, flag, expect):
     assert details and all(d.endswith(expect) for d in details)
 
 
+@pytest.mark.parametrize("point", [[], ["--point", "0"]])
+def test_verify_only_matching_no_check_is_a_config_error(capsys, point):
+    # a typo in --only must not read as "all 0 checks passed"
+    assert main(["verify", "--only", "nosuch", *point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: --only 'nosuch' "), lines
+    assert lines[0].endswith(", ".join(identities.CHECK_NAMES))
+
+
 def test_verify_corrupt_hook_fails(capsys, monkeypatch):
     # one check of the two that "intertwining" selects reports a failure
     monkeypatch.setattr(identities, "check_intertwining_star",

@@ -14,6 +14,7 @@ from spinhl.exact import (
     ModelParams,
     RandomSource,
     anti_diagonals,
+    default_spectral,
     word_bernoulli,
 )
 from spinhl.ds6v import (
@@ -491,3 +492,21 @@ def test_exports_round_trip(params):
     assert [c["t"] for c in currents] == list(range(7))
     for c, st in zip(currents, states):
         assert c["N"] == st.count()
+
+
+def test_particle_exports_match_the_per_site_formulas():
+    # the one-pass exports write what occupancy() and current() give site by site
+    import json
+
+    params = ModelParams.make("1/3", "-1/2", "1/2", default_spectral(65))
+    states = particle_trajectory(64, RandomSource(5, 2), params)
+    assert any(st.count() > 1 for st in states)
+    rows = ["t,site,occupied"]
+    currents = []
+    for st in states:
+        top = max([st.t] + list(st.positions))
+        rows += [f"{st.t},{site},{st.occupancy(site)}" for site in range(1, top + 1)]
+        currents.append({"t": st.t, "N": st.count(), "N_x": {
+            str(x): st.current(x) for x in range(1, max([1] + list(st.positions)) + 1)}})
+    assert particles_to_csv(states) == "\r\n".join(rows) + "\r\n"
+    assert currents_to_json(states) == json.dumps(currents)

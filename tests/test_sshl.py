@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spinhl.exact import InvalidParams, ModelParams
 from spinhl.identities import FIXTURE_POINTS
 from spinhl.partitions import (
     enumerate_partitions,
@@ -18,6 +19,7 @@ from spinhl.partitions import (
     pairing_factor,
 )
 from spinhl.sshl import (
+    column_scan,
     column_sums,
     f_one_row,
     f_one_row_def2,
@@ -212,10 +214,18 @@ def test_chain_sums_match_f_skew_and_g_skew(params):
             assert g_sums.get(lam, 0) == g_skew(inner, lam, xs, params), (inner, lam)
 
 
-@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+# the fixture points and one point outside the probabilistic regime, where
+# q, some 1 - s x and some spectral values are negative: the integer
+# kernel's numerators and denominators take both signs
+COLUMN_POINTS = FIXTURE_POINTS + (
+    ModelParams.make("-2", "5/3", "1/2", ("7/3", "1/9", "-5/2", "1/5")),
+)
+
+
+@pytest.mark.parametrize("point", range(len(COLUMN_POINTS)))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_column_sums_match_chain_enumeration(point, n):
-    params = FIXTURE_POINTS[point]
+    params = COLUMN_POINTS[point]
     xs, ys = params.x[:n], params.x[::-1][:n]
     # inner partitions with up to two x and two y variables (the skew Cauchy form)
     shapes = [((), ())] + (SKEW_CAUCHY_SHAPES if n <= 2 else [])
@@ -232,10 +242,10 @@ def test_column_sums_match_chain_enumeration(point, n):
             assert _nonzero(sums) == brute, (n, lam, mu, cap)
 
 
-@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+@pytest.mark.parametrize("point", range(len(COLUMN_POINTS)))
 @pytest.mark.parametrize("n2", [2, 4])
 def test_column_sums_littlewood_form(point, n2):
-    params = FIXTURE_POINTS[point]
+    params = COLUMN_POINTS[point]
     xs = params.x[:n2]
     # inner partitions with two variables (the skew Littlewood form)
     inners = [()] + ([(1,), (2, 1), (3, 1)] if n2 == 2 else [])
@@ -249,3 +259,42 @@ def test_column_sums_littlewood_form(point, n2):
             sums = column_sums(
                 xs, (), cap, params, lambda m: pairing_factor(m, params), f_inner=mu)
             assert _nonzero(sums) == brute, (n2, mu, cap)
+
+
+@pytest.mark.parametrize("point", range(len(COLUMN_POINTS)))
+def test_column_scan_equals_column_sums_at_each_cap(point):
+    # one scan of the uniform columns gives the sums at every cap, as the
+    # certified tails read them at cap - 3 .. cap; caps below the largest
+    # inner part give {}
+    params = COLUMN_POINTS[point]
+    x, y = params.x[:2]
+    pairing = lambda m: pairing_factor(m, params)
+    for xs, ys, factor, f_inner, g_inner in [
+        ((x,), (y,), None, (), ()),
+        ((x,), (y,), None, (), (1,)),
+        ((x,), (y,), None, (3, 1), (2,)),
+        ((x, y), (), pairing, (), ()),
+        ((x, y), (), pairing, (3, 1), ()),
+        ((x, y), (y, x), None, (2, 2), (1,)),
+    ]:
+        for caps in [range(9, 13), range(-1, 5), (7, 2, 0, 7)]:
+            scan = column_scan(xs, ys, caps, params, factor, f_inner, g_inner)
+            assert scan == [column_sums(xs, ys, c, params, factor, f_inner, g_inner)
+                            for c in caps], (xs, ys, f_inner, g_inner, caps)
+
+
+@pytest.mark.parametrize("vanishing", ["x", "y"])
+def test_column_sums_raise_the_weights_text_when_1_minus_s_x_vanishes(vanishing):
+    # s = -1/2 and a spectral value -2: the one-row weights and the kernel
+    # raise the same InvalidParams, once there is a column to scan
+    params = ModelParams.make("1/3", "-1/2")
+    x, y = (F(-2), F(1, 5)) if vanishing == "x" else (F(1, 5), F(-2))
+    one_row = f_one_row if vanishing == "x" else g_one_row
+    with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
+        one_row((), (1,), x if vanishing == "x" else y, params)
+    for run in (lambda: column_sums((x,), (y,), 1, params),
+                lambda: column_sums((x, y), (), 3, params, lambda m: pairing_factor(m, params)),
+                lambda: column_scan((x,), (y,), range(2, 6), params, f_inner=(2,))):
+        with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
+            run()
+    assert column_sums((x,), (y,), 0, params) == {0: 1}
