@@ -1,12 +1,15 @@
 """Exact verification of the local equations and global summation identities.
 
 Local equations (exchange relations, reflection, stochasticity) are finite
-sums of rational weights and are checked for exact equality.  The two
-exchange relations are compared as integer numerators over one common
-denominator per labelled case, taken from the integer forms of
-:mod:`spinhl.weights`; the starred one sums the random field's own column
-weights (weights.column_weights).  Fractions are made only for the first
-failure and for the public *_sides functions.  Global
+sums of rational weights and are checked for exact equality, as integer
+numerators over one common denominator, taken from the integer forms of
+:mod:`spinhl.weights`.  Each exchange relation is one integer block per
+occupancy pair (I, J), which holds both sides of its 16 labelled cases;
+the starred block sums the random field's own column weights
+(weights.column_weights).  A reflection case puts both sides over one
+denominator, with the pairing factors as a running integer product.
+Fractions are made only for the first failure and for the public *_sides
+functions, which are Fraction views of the same integer forms.  Global
 identities (Cauchy / Littlewood and their refined determinant / Pfaffian
 forms) have one infinite side; that side is truncated by largest part and
 accompanied by a certified rational tail bound, so a pass means
@@ -64,11 +67,8 @@ from .partitions import (
 from .sshl import column_scan, column_sums, f_one_row, g_one_row, g_skew
 from .weights import (
     INF,
-    L,
     L_TABLE,
-    M,
     M_TABLE,
-    R,
     R_SLOTS,
     VertexRow,
     _check_den,
@@ -141,50 +141,72 @@ def intertwining_sides(I, J, i1, i3, j1, j3, x, y, params):
     Left: crossing first, then the column with M (spectral y) below L
     (spectral x).  Right: column first (L below M), then the crossing.
     The middle occupancy is pinned by conservation, so the sums are finite.
+    This is the Fraction view of one case of _intertwining's block.
     """
-    return _fraction_sides(_intertwining(x, y, params), I, J, i1, i3, j1, j3)
+    return _fraction_sides(_intertwining(x, y, params), I, J, (i1, i3, j1, j3))
+
+
+# The 16 labelled cases of an occupancy pair, in block order: case b of a
+# block is the bits of b, highest first (i1 i3 j1 j3, or i_in j_in k_out l_out).
+_CASES = tuple(itertools.product((0, 1), repeat=4))
 
 
 def _intertwining(x, y, params):
-    """The exchange relation of intertwining_sides on integers, as (nums, den).
+    """The exchange relation of intertwining_sides on integers, as (block, den).
 
-    nums(I, J, i1, i3, j1, j3) gives both sides' numerators over den(I, J)
+    block(I, J) gives both sides' numerators of the 16 labelled cases of
+    the occupancy pair (I, J), as two lists in _CASES order, over den(I, J)
     = base_x base_y qd^(I+J+2) qd Q (1 - q x y): every M and L vertex is
     taken over the exponent I + 1 or J + 1, which bounds both of its
-    occupancies.  Raises InvalidParams("1 - q x y vanished"), and then
-    InvalidParams("1 - s x vanished") when 1 - s x or 1 - s y does, the
-    first errors the Fraction weights meet at the first labelled case.
+    occupancies.  Each side's nonzero terms are made once: a nonzero R
+    entry and one free bit (j1 on the left, i1 on the right) fix the
+    middle occupancy and the last bit by conservation.  Raises
+    InvalidParams("1 - q x y vanished"), and then InvalidParams("1 - s x
+    vanished") when 1 - s x or 1 - s y does, the first errors the Fraction
+    weights meet at the first labelled case.
     """
     xr, yr = VertexRow(x, params), VertexRow(y, params)
     qn, qd, P, Q = pair_ints(x, y, params)
     r = r_row(qn, qd, P, Q)  # r[0] is also R's denominator
     _check_den(r[0], "1 - q x y")
     _check_den(xr.base * yr.base, "1 - s x")
+    entries = [(key, r[slot]) for key, slot in R_SLOTS.items()]
 
-    def nums(I, J, i1, i3, j1, j3):
-        lhs = rhs = 0
-        for k1 in (0, 1):
-            for k3 in (0, 1):
-                K = I + k1 - j1
-                slot = R_SLOTS.get((i3, i1, k3, k1))
-                if slot is not None and K >= 0 and K == J + j3 - k3:
-                    lhs += (r[slot] * yr.num(M_TABLE, I, k1, K, j1, I + 1)
-                            * xr.num(L_TABLE, K, k3, J, j3, J + 1))
-                K = I + i3 - k3
-                slot = R_SLOTS.get((k3, k1, j3, j1))
-                if slot is not None and K >= 0 and K == J + k1 - i1:
-                    rhs += (xr.num(L_TABLE, I, i3, K, k3, I + 1)
-                            * yr.num(M_TABLE, K, i1, J, k1, J + 1) * r[slot])
+    def block(I, J):
+        lhs, rhs = [0] * 16, [0] * 16
+        for (a, b, c, d), w in entries:
+            for free in (0, 1):
+                # left: R(i3, i1; k3, k1) = R(a, b; c, d), j1 = free
+                K = I + d - free
+                j3 = K - J + c
+                if K >= 0 and (j3 == 0 or j3 == 1):
+                    lhs[b << 3 | a << 2 | free << 1 | j3] += (
+                        w * yr.num(M_TABLE, I, d, K, free, I + 1)
+                        * xr.num(L_TABLE, K, c, J, j3, J + 1))
+                # right: R(k3, k1; j3, j1) = R(a, b; c, d), i1 = free
+                K = J + b - free
+                i3 = K - I + a
+                if K >= 0 and (i3 == 0 or i3 == 1):
+                    rhs[free << 3 | i3 << 2 | d << 1 | c] += (
+                        xr.num(L_TABLE, I, i3, K, a, I + 1)
+                        * yr.num(M_TABLE, K, free, J, b, J + 1) * w)
         return lhs, rhs
 
-    return nums, lambda I, J: xr.base * yr.base * qd ** (I + J + 2) * r[0]
+    return block, lambda I, J: xr.base * yr.base * qd ** (I + J + 2) * r[0]
 
 
-def _fraction_sides(relation, I, J, *bits):
-    """The two sides of an exchange relation (nums, den) at one labelled case, as Fractions."""
-    nums, den = relation
+def _fraction_sides(relation, I, J, bits):
+    """The two sides of an exchange relation (block, den) at one labelled case, as Fractions.
+
+    Labels off the lattice (a bit other than 0 and 1, a negative
+    occupancy) have no configuration: both sides are 0.
+    """
+    block, den = relation
     d = den(I, J)
-    return tuple(Fraction(n, d) for n in nums(I, J, *bits))
+    if min(I, J) < 0 or not all(b == 0 or b == 1 for b in bits):
+        return ZERO, ZERO
+    case = _CASES.index(tuple(bits))
+    return tuple(Fraction(side[case], d) for side in block(I, J))
 
 
 def check_intertwining(params, x, y, max_occ=6):
@@ -195,21 +217,22 @@ def check_intertwining(params, x, y, max_occ=6):
 def _exchange_report(name, relation, max_occ):
     """Compare both sides of an exchange relation on every occupancy pair and boundary bits.
 
-    relation is (nums, den) as _intertwining gives it.  Both sides of a
-    case share one denominator, so the numerators are compared as
-    integers; only the first failure is written out, as Fractions.
+    relation is (block, den) as _intertwining gives it: one block per
+    occupancy pair holds both sides of its 16 cases over one denominator,
+    so the numerators are compared as integers; only the first failure is
+    written out, as Fractions.
     """
-    nums = relation[0]
+    block, den = relation
     failures, first = 0, None
     for I in range(max_occ + 1):
         for J in range(max_occ + 1):
-            for bits in range(16):
-                b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
-                lhs, rhs = nums(I, J, *b)
-                if lhs != rhs:
+            lhs, rhs = block(I, J)
+            for case, bits in enumerate(_CASES):
+                if lhs[case] != rhs[case]:
                     failures += 1
                     if first is None:
-                        first = (I, J, *b, *_fraction_sides(relation, I, J, *b))
+                        d = den(I, J)
+                        first = (I, J, *bits, Fraction(lhs[case], d), Fraction(rhs[case], d))
     total = (max_occ + 1) ** 2 * 16
     return CheckReport(
         name, "exact", frac(total - failures), frac(total),
@@ -225,18 +248,20 @@ def intertwining_star_sides(I, J, i_in, j_in, k_out, l_out, x, y, params):
     the crossing with outputs (k_out, l_out).  These are the total A- and
     B-weights of the random field's column (I, J, i_in, j_in, k_out, l_out).
     At the field's column 0 both occupancies are the INF sentinel; one INF
-    next to a finite occupancy raises InvalidParams.
+    next to a finite occupancy raises InvalidParams.  This is the Fraction
+    view of one case of _intertwining_star's block.
     """
-    return _fraction_sides(_intertwining_star(x, y, params), I, J, i_in, j_in, k_out, l_out)
+    return _fraction_sides(_intertwining_star(x, y, params), I, J, (i_in, j_in, k_out, l_out))
 
 
 def _intertwining_star(x, y, params):
-    """The starred exchange relation on integers, as (nums, den) (see _intertwining).
+    """The starred exchange relation on integers, as (block, den) (see _intertwining).
 
-    The two sides are the sums of the A and B column weights of
-    weights.column_weights, the kernel the random field's column tables
-    normalise.  Raises InvalidParams("1 - x y vanished"), and then
-    InvalidParams("1 - s x vanished") when 1 - s x or 1 - s y does.
+    block(I, J) sums, for each of the 16 contexts (I, J, *bits), the A and
+    B column weights of weights.column_weights, the kernel the random
+    field's column tables normalise.  Raises InvalidParams("1 - x y
+    vanished"), and then InvalidParams("1 - s x vanished") when 1 - s x or
+    1 - s y does.
     """
     l_row, mstar_row = VertexRow(y, params), VertexRow(x, params)
     qn, qd, P, Q = pair_ints(x, y, params)
@@ -244,9 +269,9 @@ def _intertwining_star(x, y, params):
     _check_den(rstar[0], "1 - x y")
     _check_den(mstar_row.base * l_row.base, "1 - s x")
 
-    def nums(*context):
-        return (sum(column_weights("A", l_row, mstar_row, rstar, *context)[1]),
-                sum(column_weights("B", l_row, mstar_row, rstar, *context)[1]))
+    def block(I, J):
+        return tuple([sum(column_weights(side, l_row, mstar_row, rstar, I, J, *bits)[1])
+                      for bits in _CASES] for side in "AB")
 
     def den(I, J):
         if I is INF or J is INF:  # column 0: the sentinel entries are over vd
@@ -256,7 +281,7 @@ def _intertwining_star(x, y, params):
             return l_row.vd * mstar_row.vd * rstar[0]
         return l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[0]
 
-    return nums, den
+    return block, den
 
 
 def check_intertwining_star(params, x, y, max_occ=6):
@@ -271,42 +296,93 @@ def reflection_sides(K, j, l, x, params):
     even bottom occupancy 2I; the right side flips the outgoing state of
     an M vertex.  Conservation pins I on each side, so each side is at
     most a single term, weighted by prod_{k=1}^{I} (1-q^{2k-1})/(1-s^2 q^{2k-1}),
-    which is pairing_factor(2I).
+    which is pairing_factor(2I).  This is the Fraction view of
+    _reflection's case.
     """
-    lhs = ZERO
-    two_i = K + l + j - 1  # L(2I, 1-j; K, l) needs 2I + (1-j) = K + l
-    if two_i >= 0 and two_i % 2 == 0:
-        lhs = pairing_factor(two_i, params) * L(two_i, 1 - j, K, l, x, params)
-    rhs = ZERO
-    two_i = K + 1 - l - j  # M(2I, j; K, 1-l) needs 2I + j = K + (1-l)
-    if two_i >= 0 and two_i % 2 == 0:
-        rhs = pairing_factor(two_i, params) * M(two_i, j, K, 1 - l, x, params)
-    return lhs, rhs
+    return _reflection_fractions(*_reflection(x, params)(K, j, l))
+
+
+def _reflection(x, params):
+    """The reflection relation of reflection_sides on integers: case(K, j, l) -> (lhs, rhs, den).
+
+    Both sides' numerators are over one denominator den.  The L and M
+    entries are VertexRow numerators over base qd^(K+1) (the even bottom
+    occupancy 2I is at most K + 1), and the pairing factors are a running
+    integer product (num, den) per I, extended only as far as a case
+    needs.  Like the Fraction weights, a case evaluates the left side's
+    pairing factor, then its L entry, then the right side's: a vanishing
+    1 - s^2 q^(2k-1) raises pairing_factor's InvalidParams at the first
+    case that needs factor k, and a vanishing 1 - s x raises at the first
+    entry with both occupancies >= 0.
+    """
+    row = VertexRow(x, params)
+    qn, qd, sn, sd = row.qn, row.qd, row.sn, row.sd
+    pairing = [(1, 1)]  # pairing_factor(2I) = num / den, by I
+
+    def side(table, two_i, j, K, l):
+        if two_i < 0 or two_i % 2:
+            return 0, 1
+        while len(pairing) <= two_i // 2:
+            m = 2 * len(pairing) - 1
+            den = sd * sd * qd**m - sn * sn * qn**m  # sd^2 qd^m (1 - s^2 q^m)
+            if den == 0:
+                raise InvalidParams(f"1 - s^2 q^{m} vanished")
+            num, d = pairing[-1]
+            pairing.append((num * sd * sd * (qd**m - qn**m), d * den))
+        num, den = pairing[two_i // 2]
+        return num * row.num(table, two_i, j, K, l, K + 1), den
+
+    def case(K, j, l):
+        # L(2I, 1-j; K, l) needs 2I + (1-j) = K + l; M(2I, j; K, 1-l) needs 2I + j = K + (1-l)
+        lhs, lhs_den = side(L_TABLE, K + l + j - 1, 1 - j, K, l)
+        rhs, rhs_den = side(M_TABLE, K + 1 - l - j, j, K, 1 - l)
+        return lhs * rhs_den, rhs * lhs_den, row.base * qd ** (K + 1) * lhs_den * rhs_den
+
+    return case
+
+
+def _reflection_fractions(lhs, rhs, den):
+    return tuple(Fraction(n, den) if n else ZERO for n in (lhs, rhs))
 
 
 def check_reflection(params, x, max_occ=8):
-    bad = []
+    """Exact equality of the boundary reflection relation for top occupancies K <= max_occ.
+
+    Every case (K, j, l) compares both sides' integer numerators over one
+    denominator (_reflection); only the first failure is written out, as
+    the Fractions reflection_sides gives.
+    """
+    case = _reflection(x, params)
+    failures, first = 0, None
     for K in range(max_occ + 1):
         for j in (0, 1):
             for l in (0, 1):
-                lhs, rhs = reflection_sides(K, j, l, x, params)
+                lhs, rhs, den = case(K, j, l)
                 if lhs != rhs:
-                    bad.append((K, j, l, lhs, rhs))
+                    failures += 1
+                    if first is None:
+                        first = (K, j, l, *_reflection_fractions(lhs, rhs, den))
     total = (max_occ + 1) * 4
     return CheckReport(
-        "reflection", "exact", frac(total - len(bad)), frac(total),
-        not bad, detail=f"{total} cases; first failure: {bad[0] if bad else None}",
+        "reflection", "exact", frac(total - failures), frac(total),
+        not failures, detail=f"{total} cases; first failure: {first}",
     )
 
 
 def check_r_stochastic(params, x, y):
-    """Row sums of the R table equal one exactly for each input pair."""
+    """Row sums of the R table equal one exactly for each input pair.
+
+    A row's entries are r_row numerators over R's one denominator, so the
+    row sums to one exactly when its numerators sum to that denominator.
+    """
+    r = r_row(*pair_ints(x, y, params))  # r[0] is also R's denominator
+    _check_den(r[0], "1 - q x y")
     bad = []
     for i in (0, 1):
         for j in (0, 1):
-            total = sum(R(i, j, k, l, x, y, params) for k in (0, 1) for l in (0, 1))
-            if total != ONE:
-                bad.append((i, j, total))
+            total = sum(r[slot] for (a, b, _, _), slot in R_SLOTS.items() if (a, b) == (i, j))
+            if total != r[0]:
+                bad.append((i, j, Fraction(total, r[0])))
     return CheckReport(
         "r-stochastic", "exact", frac(4 - len(bad)), frac(4),
         not bad, detail=f"failures: {bad}" if bad else "4 input states",

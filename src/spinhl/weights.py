@@ -218,9 +218,15 @@ def column_weights(side, l_row, mstar_row, rstar, I, J, i_prev, j_prev, k_h, l_h
     crossing (rstar, the rstar_row of (x, y)).  With the crossing to the
     right of the column (side "B") the configurations are keyed by the
     crossing's inputs (a, b) = (i_h, j_h); with it to the left (side "A"),
-    by its outputs (a, b) = (k_prev, l_prev).  The middle occupancy mid is
-    pinned by conservation on both rows, and the configurations whose two
-    pins disagree are left out.
+    by its outputs (a, b) = (k_prev, l_prev).  The labels are a column
+    context: bits, and occupancies >= 0 or both INF (column 0).
+
+    Each configuration is checked in this order: the middle occupancy mid
+    is pinned by conservation on both rows, and a configuration whose two
+    pins disagree (or give mid < 0) is left out; a finite column then
+    raises InvalidParams("1 - s x vanished") if 1 - s x or 1 - s y does;
+    a configuration whose RSTAR entry is empty is left out before any
+    vertex numerator is computed.
 
     Returns (outcomes, weights), the outcomes (a, b, mid) in bit order
     (0, 0), (0, 1), (1, 0), (1, 1) with the zero weights dropped.  Every
@@ -241,15 +247,18 @@ def column_weights(side, l_row, mstar_row, rstar, I, J, i_prev, j_prev, k_h, l_h
                 mid = I + i_prev - a if fwd else I + l_h - b
                 if mid < 0 or mid != (J + j_prev - b if fwd else J + k_h - a):
                     continue
+                if not (l_row.base and mstar_row.base):
+                    raise InvalidParams("1 - s x vanished")
+            slot = RSTAR_SLOTS.get((a, b, k_h, l_h) if fwd else (i_prev, j_prev, a, b))
+            if slot is None:
+                continue
             if fwd:
-                slot = RSTAR_SLOTS.get((a, b, k_h, l_h))
                 w = (l_row.num(L_TABLE, I, i_prev, mid, a, I + 1)
                      * mstar_row.num(MSTAR_TABLE, mid, j_prev, J, b, J + 1))
             else:
-                slot = RSTAR_SLOTS.get((i_prev, j_prev, a, b))
                 w = (mstar_row.num(MSTAR_TABLE, I, b, mid, l_h, I + 1)
                      * l_row.num(L_TABLE, mid, a, J, k_h, J + 1))
-            w = 0 if slot is None else w * rstar[slot]
+            w *= rstar[slot]
             if w:
                 outcomes.append((a, b, mid))
                 weights.append(w)

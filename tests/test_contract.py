@@ -54,6 +54,22 @@ def test_benchmark_imports_resolve():
     assert seen and missing == []
 
 
+def test_benchmark_spans_each_check_once():
+    # the traced verify wraps every callable identities.check_* in a span named
+    # after it ("_" -> "-") and reads CHECKS' spans; a check_* helper called by
+    # another check would nest spans and move check time into cli.verify_overhead_s
+    from spinhl import identities
+
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    checks = [ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["CHECKS"]]
+    assert len(checks) == 1
+    names = [attr[len("check_"):].replace("_", "-") for attr in dir(identities)
+             if attr.startswith("check_") and callable(getattr(identities, attr))]
+    assert sorted(names) == sorted(checks[0]) and len(set(checks[0])) == len(checks[0])
+
+
 class _DuckBits:
     """A bit source with only bit() and substream(*key), as the samplers promise to need."""
 

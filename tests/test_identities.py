@@ -1,6 +1,7 @@
 """Identity verifier: local equations exactly, global sums with certified tails."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,7 @@ from spinhl.identities import (
     reflection_sides,
     run_suite,
 )
+from spinhl.partitions import pairing_factor
 from spinhl.transitions import p_bwd, p_fwd
 from spinhl.weights import INF, L, M, Mstar, R, Rstar
 
@@ -176,16 +178,30 @@ EXCHANGE_POINTS = [(p, p.x[0], p.x[1]) for p in FIXTURE_POINTS] + [
 ]
 
 
+@pytest.mark.parametrize("max_occ", [0, 1, 6])
 @pytest.mark.parametrize("params, x, y", EXCHANGE_POINTS)
 @pytest.mark.parametrize("name, sides, oracle, check", EXCHANGE, ids=[e[0] for e in EXCHANGE])
 def test_integer_exchange_sides_equal_the_fraction_oracle(name, sides, oracle, check,
-                                                           params, x, y):
-    for I in range(7):
-        for J in range(7):
+                                                           params, x, y, max_occ):
+    for I in range(max_occ + 1):
+        for J in range(max_occ + 1):
             for bits in range(16):
                 b = ((bits >> 3) & 1, (bits >> 2) & 1, (bits >> 1) & 1, bits & 1)
                 assert sides(I, J, *b, x, y, params) == oracle(I, J, *b, x, y, params), (I, J, b)
-    assert check(params, x, y) == oracle_report(name, oracle, params, x, y)
+    assert (check(params, x, y, max_occ=max_occ)
+            == oracle_report(name, oracle, params, x, y, max_occ=max_occ))
+
+
+@pytest.mark.parametrize("labels", [
+    (0, 0, 2, 0, 0, 0), (1, 2, 0, 1, 0, 2), (-1, 0, 1, 0, 0, 0), (0, -1, 0, 0, 0, 1),
+    (-1, -1, 1, 1, 0, 0), (2, 1, 1, 0, -1, 0),
+])
+@pytest.mark.parametrize("name, sides, oracle, check", EXCHANGE, ids=[e[0] for e in EXCHANGE])
+def test_exchange_sides_off_the_lattice_vanish(name, sides, oracle, check, params, labels):
+    # a bit other than 0 and 1, or a negative occupancy, has no configuration
+    assert sides(*labels, X, Y, params) == oracle(*labels, X, Y, params) == (0, 0)
+    if name == "intertwining-star":
+        assert sides(INF, INF, 2, 0, 1, 0, X, Y, params) == (0, 0)
 
 
 @pytest.mark.parametrize("q, s, x, y, messages", [
@@ -230,6 +246,89 @@ def test_a_mutated_weight_fails_like_the_oracle(monkeypatch, params, table, key,
     assert failed
 
 
+# The reflection relation from the Fraction vertex weights and pairing
+# factors: the reference the integer check is compared against.
+
+def oracle_reflection_sides(K, j, l, x, params):
+    lhs = ZERO
+    two_i = K + l + j - 1  # L(2I, 1-j; K, l) needs 2I + (1-j) = K + l
+    if two_i >= 0 and two_i % 2 == 0:
+        lhs = pairing_factor(two_i, params) * L(two_i, 1 - j, K, l, x, params)
+    rhs = ZERO
+    two_i = K + 1 - l - j  # M(2I, j; K, 1-l) needs 2I + j = K + (1-l)
+    if two_i >= 0 and two_i % 2 == 0:
+        rhs = pairing_factor(two_i, params) * M(two_i, j, K, 1 - l, x, params)
+    return lhs, rhs
+
+
+def oracle_check_reflection(params, x, max_occ=8):
+    bad = []
+    for K in range(max_occ + 1):
+        for j in (0, 1):
+            for l in (0, 1):
+                lhs, rhs = oracle_reflection_sides(K, j, l, x, params)
+                if lhs != rhs:
+                    bad.append((K, j, l, lhs, rhs))
+    total = (max_occ + 1) * 4
+    return CheckReport(
+        "reflection", "exact", F(total - len(bad)), F(total),
+        not bad, detail=f"{total} cases; first failure: {bad[0] if bad else None}",
+    )
+
+
+REFLECTION_CASES = [(K, j, l) for K in range(-2, 13) for j in (0, 1, 2) for l in (0, 1)]
+
+
+@pytest.mark.parametrize("params, x, y", EXCHANGE_POINTS)
+def test_integer_reflection_equals_the_fraction_oracle(params, x, y):
+    for v in (x, y):
+        for case in REFLECTION_CASES:
+            assert reflection_sides(*case, v, params) == oracle_reflection_sides(
+                *case, v, params), case
+        for max_occ in (0, 8, 12):
+            assert (check_reflection(params, v, max_occ)
+                    == oracle_check_reflection(params, v, max_occ))
+
+
+@pytest.mark.parametrize("table, key, value", [
+    ("L_TABLE", (0, 0, 0), True),
+    ("L_TABLE", (0, 1, -1), False),
+    ("M_TABLE", (1, 0, 1), False),
+    ("M_TABLE", (0, 0, 0), False),
+])
+def test_a_mutated_weight_fails_reflection_like_the_oracle(monkeypatch, params, table, key, value):
+    monkeypatch.setitem(getattr(weights, table), key, value)
+    # the report equals the oracle's, detail (the first failure's Fractions) included
+    rep = check_reflection(params, X)
+    assert not rep.passed and rep == oracle_check_reflection(params, X)
+
+
+def _outcome(run, *args):
+    """run(*args), or the text of the InvalidParams it raises."""
+    try:
+        return run(*args)
+    except InvalidParams as exc:
+        return f"InvalidParams: {exc}"
+
+
+@pytest.mark.parametrize("q, s, x, message", [
+    ("1/3", "2", "1/2", "1 - s x vanished"),
+    ("1/4", "2", "1/4", "1 - s^2 q^1 vanished"),  # s^2 q = 1: pairing factor k = 1
+    ("1/4", "8", "1/4", "1 - s^2 q^3 vanished"),  # s^2 q^3 = 1: only k = 2 vanishes
+    ("1/4", "2", "1/2", "1 - s x vanished"),  # both; 1 - s x is met first
+])
+def test_integer_reflection_raises_like_the_oracle(q, s, x, message):
+    params, x = ModelParams.make(q, s), F(x)
+    for run in (oracle_check_reflection, check_reflection):
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            run(params, x)
+    # case by case: the same cases raise, with the same text, and the others agree
+    outcomes = [_outcome(oracle_reflection_sides, *case, x, params) for case in REFLECTION_CASES]
+    assert f"InvalidParams: {message}" in outcomes
+    assert [_outcome(reflection_sides, *case, x, params)
+            for case in REFLECTION_CASES] == outcomes
+
+
 def test_reflection(all_points):
     for params in all_points:
         assert check_reflection(params, X, max_occ=8).passed
@@ -245,6 +344,34 @@ def test_reflection(all_points):
 def test_r_stochasticity(all_points):
     for params in all_points:
         assert check_r_stochastic(params, X, Y).passed
+
+
+def oracle_check_r_stochastic(params, x, y):
+    bad = []
+    for i in (0, 1):
+        for j in (0, 1):
+            total = sum(R(i, j, k, l, x, y, params) for k in (0, 1) for l in (0, 1))
+            if total != ONE:
+                bad.append((i, j, total))
+    return CheckReport(
+        "r-stochastic", "exact", F(4 - len(bad)), F(4),
+        not bad, detail=f"failures: {bad}" if bad else "4 input states",
+    )
+
+
+@pytest.mark.parametrize("mutation", [None, ((0, 1, 0, 1), 4), ((1, 0, 0, 1), 3),
+                                      ((0, 0, 1, 1), 1), ((1, 1, 0, 0), 2)])
+def test_integer_r_stochastic_equals_the_fraction_oracle(monkeypatch, mutation):
+    if mutation:
+        monkeypatch.setitem(weights.R_SLOTS, *mutation)
+    for params, x, y in EXCHANGE_POINTS:
+        rep = check_r_stochastic(params, x, y)
+        assert rep == oracle_check_r_stochastic(params, x, y)
+        assert rep.passed == (mutation is None)
+    params, x, y = ModelParams.make("2", "-1/2"), F(1), F(1, 2)  # 1 - q x y = 0
+    for run in (oracle_check_r_stochastic, check_r_stochastic):
+        with pytest.raises(InvalidParams, match="^1 - q x y vanished$"):
+            run(params, x, y)
 
 
 def test_cauchy_closed_form(all_points):

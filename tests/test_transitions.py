@@ -43,7 +43,7 @@ from spinhl.transitions import (
     p_fwd,
     _walk,
 )
-from spinhl.weights import L, Mstar, Rstar
+from spinhl.weights import L, Mstar, Rstar, VertexRow, column_weights, pair_ints, rstar_row
 
 
 X = F(1, 4)
@@ -142,18 +142,28 @@ def test_zero_sector_raises(params):
     assert str(exc.value) == "no A-configuration at column context I=0 J=1 carry=(0,0) out=(1,1)"
 
 
-def _coupling(weight, context, x, y, params):
-    """The independence coupling from the Fraction weights, as (outcomes, probs).
-
-    A total of zero gives ZeroSector and a negative probability
-    NonStochastic, the errors the tables raise, as (type, text prefix).
-    """
+def _terms(weight, context, x, y, params):
+    """The nonzero Fraction weights of one side of a column context, as [(outcome, weight)]."""
     terms = []
     for a in (0, 1):
         for b in (0, 1):
             w, mid = weight(*context, a, b, x, y, params)
             if w != 0:
                 terms.append(((a, b, mid), w))
+    return terms
+
+
+def _coupling(weight, context, x, y, params):
+    """The independence coupling from the Fraction weights, as (outcomes, probs).
+
+    A total of zero gives ZeroSector, a negative probability
+    NonStochastic and a vanishing 1 - s x the weights' InvalidParams, the
+    errors the tables raise, as (type, text prefix).
+    """
+    try:
+        terms = _terms(weight, context, x, y, params)
+    except InvalidParams as exc:
+        return InvalidParams, str(exc)
     total = sum((w for _, w in terms), F(0))
     if total == 0:
         return ZeroSector, "no "
@@ -229,6 +239,41 @@ def test_integer_rows_on_the_contexts_a_field_visits(point):
         x, y = F(xn, xd), F(yn, yd)
         _check_rows(x, y, params, list(sampler._fwd), sides="B")
         _check_rows(x, y, params, list(sampler._bwd), sides="A")
+
+
+@pytest.mark.parametrize("q, s, x, y", [
+    ("1/3", "2", "1/2", "3"), ("1/3", "2", "3", "1/2"), ("-1/2", "3/2", "2/3", "2"),
+])
+def test_column_kernel_where_1_minus_s_x_vanishes(q, s, x, y):
+    # admissible identity-mode pairs where 1 - s x or 1 - s y vanishes: the
+    # kernel's weights and errors on both sides are the Fraction weights',
+    # and so are p_fwd's and p_bwd's tables
+    params, x, y = ModelParams.make(q, s), F(x), F(y)
+    l_row, mstar_row = VertexRow(y, params), VertexRow(x, params)
+    qn, qd, P, Q = pair_ints(x, y, params)
+    rstar = rstar_row(qn, qd, P, Q)
+    assert not l_row.base * mstar_row.base
+    for context in GRID_CONTEXTS:
+        I, J, ip, jp, k, l = context
+        for side, weight in (("B", weight_b), ("A", weight_a)):
+            try:
+                expected = _terms(weight, context, x, y, params)
+            except InvalidParams as exc:
+                with pytest.raises(InvalidParams, match=f"^{exc}$"):
+                    column_weights(side, l_row, mstar_row, rstar, *context)
+                expected = InvalidParams
+            else:
+                outcomes, ws = column_weights(side, l_row, mstar_row, rstar, *context)
+                den = (l_row.vd * mstar_row.vd if I is INF
+                       else l_row.base * mstar_row.base * qd ** (I + J + 2)) * rstar[0]
+                assert list(zip(outcomes, (F(w, den) for w in ws))) == expected, (side, context)
+            # column 0 has the sentinel weights; a finite column raises
+            # "1 - s x vanished" exactly when some configuration conserves paths
+            pins = [(I + ip - a, J + jp - b) if side == "B" else (I + l - b, J + k - a)
+                    for a in (0, 1) for b in (0, 1)]
+            conserving = I is not INF and any(m == n >= 0 for m, n in pins)
+            assert (expected is InvalidParams) == conserving, (side, context)
+    _check_rows(x, y, params, GRID_CONTEXTS)
 
 
 def test_rows_keep_the_weight_checks():
