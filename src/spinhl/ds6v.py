@@ -61,6 +61,7 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     bits, and the heights are the same.
     """
     jumps = compiled(params).jumps
+    laws = [None] * (T + 1)  # laws[j] = jumps(j), looked up once, at row j's first draw
     # the neighbours are read from rows[i][j - i + 1] = h(i, j); rows[i][0] pads j = i - 1
     rows = [[0] * (T + 2 - i) for i in range(T + 1)]
     h = {(0, j): 0 for j in range(T + 1)}
@@ -72,7 +73,10 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
         if da != db:
             row[k] = h[i, j] = base + 1
             continue
-        b, c, den = jumps(j)[i - 1]
+        law = laws[j]
+        if law is None:
+            law = laws[j] = jumps(j)
+        b, c, den = law[i - 1]
         num = den - b if da else c
         if type(cell) is int:
             hit = word_bernoulli(num, den, cell)

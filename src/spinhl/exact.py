@@ -102,9 +102,13 @@ class ModelParams:
         return ModelParams(frac(q), frac(s), frac(u), tuple(frac(v) for v in x))
 
     def spectral(self, i):
-        if i >= len(self.x):
-            raise InvalidParams(f"spectral parameter x_{i} not supplied (have {len(self.x)})")
+        self.check_spectral(i)
         return self.x[i]
+
+    def check_spectral(self, i):
+        """InvalidParams unless x_i is supplied: 0 <= i < len(x)."""
+        if not 0 <= i < len(self.x):
+            raise InvalidParams(f"spectral parameter x_{i} not supplied (have {len(self.x)})")
 
     def is_probabilistic(self):
         return (
@@ -133,8 +137,13 @@ def admissible(x, y, params):
     the sign of that product off the numerators and denominators.
     """
     s = params.s
-    return ((s.denominator ** 2 - s.numerator ** 2)
-            * (x.denominator * y.denominator - x.numerator * y.numerator)) > 0
+    return pair_admissible(s.numerator, s.denominator,
+                           x.numerator * y.numerator, x.denominator * y.denominator)
+
+
+def pair_admissible(sn, sd, P, Q):
+    """admissible on integers: s = sn/sd and x y = P/Q with Q > 0."""
+    return (sd * sd - sn * sn) * (Q - P) > 0
 
 
 def convergence_ratio(x, y, params):

@@ -48,14 +48,14 @@ from .exact import (
     ScanCapExceeded,
     ZERO,
     ZeroSector,
-    admissible,
     anti_diagonals,
     _sample_from_cumulative,
     cumulative_boundaries,
     frac,
+    pair_admissible,
 )
 from .partitions import even_core, even_cover, mult_vector
-from .weights import INF, VertexRow, column_weights, pair_ints, r_row, rstar_row
+from .weights import INF, VertexRow, column_weights, r_row, rstar_row
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
 
@@ -212,7 +212,9 @@ class CellSampler:
     Monte Carlo sweeps hit the same few column contexts millions of times.
     The tables are keyed by the context (I_lam, J_mu, i_prev, j_prev, k_h,
     l_h) itself, whose entries are small ints or INF, so the hot path never
-    hashes a Fraction.  Each table is built once, from integer rows only:
+    hashes a Fraction.  The sampler is built from x = xn/xd, y = yn/yd and
+    the model's integers of q and s, and each table once, from integer
+    rows only:
 
       _l, _mstar  the model's VertexRows of y (the L row) and of x (the
                   MSTAR row)
@@ -230,13 +232,13 @@ class CellSampler:
 
     __slots__ = ("_l", "_mstar", "_rstar", "_fwd", "_bwd")
 
-    def __init__(self, x, y, model):
-        params = model.params
-        if not admissible(x, y, params):
-            raise NotAdmissible(f"({x}, {y}) not admissible")
-        self._l, self._mstar = model.row(y), model.row(x)
+    def __init__(self, model, xn, xd, yn, yd):
+        P, Q = xn * yn, xd * yd
+        if not pair_admissible(model.sn, model.sd, P, Q):
+            raise NotAdmissible(f"({frac(xn, xd)}, {frac(yn, yd)}) not admissible")
+        self._l, self._mstar = model.row(yn, yd), model.row(xn, xd)
         # admissibility gives (1 - s^2)(1 - x y) > 0, so 1 - x y never vanishes here
-        self._rstar = rstar_row(*pair_ints(x, y, params))
+        self._rstar = rstar_row(model.qn, model.qd, P, Q)
         self._fwd = {}
         self._bwd = {}
 
@@ -262,21 +264,25 @@ class CompiledModel:
 
     This is the one place where parameters become tables.  ``compiled``
     stores the model on its params object, so the tables live exactly as
-    long as that object, and no lookup hashes a Fraction.  Every table is
-    filled lazily:
+    long as that object, and no lookup hashes a Fraction.  The model reads
+    the parameter point into integers once, when it is built: q = qn/qd,
+    s = sn/sd and xs[i] = (numerator, denominator) of each x_i.  Every
+    table is filled lazily from those integers, with no Fraction
+    arithmetic:
 
-      row(v)         the row vertices L, M and MSTAR at the spectral value
-                     v (a weights.VertexRow): the integers of q, s and v,
-                     from which any entry's numerator is a few products
+      row(vn, vd)    the row vertices L, M and MSTAR at the spectral value
+                     vn/vd (a weights.VertexRow): the integers of q, s and
+                     v, from which any entry's numerator is a few products
       sampler(x, y)  the forward and backward column tables of the
-                     spectral pair (x, y) (a CellSampler over row(y),
-                     row(x) and its own RSTAR row), keyed by its integer
-                     data
+                     spectral pair (x, y) (a CellSampler over the rows of
+                     y and x and its own RSTAR row), keyed by the
+                     numerators and denominators of x and y
       jumps(j)       the jump coefficients of the cells (i, j),
                      1 <= i <= j, as a list indexed by i - 1 of integer
-                     triples (b_num, c_num, den) (see jump_coefficients).
-                     They are the whole law of a cell of the height model
-                     (its length patterns) and of the particle system.
+                     triples (b_num, c_num, den) (see jump_coefficients),
+                     built in one pass over xs.  They are the whole law
+                     of a cell of the height model (its length patterns)
+                     and of the particle system.
 
     The integer pairs are not reduced: sample_bernoulli, like
     sample_categorical, only compares num * 2^k with a * den, so the
@@ -285,6 +291,10 @@ class CompiledModel:
 
     def __init__(self, params):
         self.params = params
+        q, s = params.q, params.s
+        self.qn, self.qd = q.numerator, q.denominator
+        self.sn, self.sd = s.numerator, s.denominator
+        self.xs = tuple((v.numerator, v.denominator) for v in params.x)
         self._probabilistic = False
         self._rows = {}
         self._samplers = {}
@@ -296,31 +306,32 @@ class CompiledModel:
             self.params.require_probabilistic()
             self._probabilistic = True
 
-    def row(self, v):
-        key = (v.numerator, v.denominator)
+    def row(self, vn, vd):
+        key = (vn, vd)
         row = self._rows.get(key)
         if row is None:
-            row = self._rows[key] = VertexRow(v, self.params)
+            row = self._rows[key] = VertexRow.from_ints(vn, vd, self.qn, self.qd, self.sn, self.sd)
         return row
 
     def sampler(self, x, y):
         key = (x.numerator, x.denominator, y.numerator, y.denominator)
         ctx = self._samplers.get(key)
         if ctx is None:
-            ctx = self._samplers[key] = CellSampler(x, y, self)
+            ctx = self._samplers[key] = CellSampler(self, *key)
         return ctx
 
     def jumps(self, j):
         row = self._jumps.get(j)
         if row is None:
-            y = self.params.spectral(j)
+            self.params.check_spectral(j)
+            yn, yd = self.xs[j]
             row = []
-            for a in range(j):
-                b, c, den = law = jump_coefficients(self.params.spectral(a), y, self.params)
+            for law in _jump_laws(self.qn, self.qd, yn, yd, self.xs[:j]):
+                b, c, den = law
                 if not (0 <= b <= den and 0 <= c <= den):
                     raise NonStochastic(
                         f"jump coefficients b = {b}/{den}, c = {c}/{den} of cell "
-                        f"({a + 1}, {j}) are not probabilities")
+                        f"({len(row) + 1}, {j}) are not probabilities")
                 row.append(law)
             self._jumps[j] = row
         return row
@@ -519,10 +530,23 @@ def jump_coefficients(x, y, params):
     growing from (0, 0): the R entries (1, 0; 1, 0) and (0, 1; 0, 1).
     Raises InvalidParams when 1 - qxy vanishes.
     """
-    den, b, _, c, _ = r_row(*pair_ints(x, y, params))
-    if den == 0:
-        raise InvalidParams("1 - q x_{i-1} x_j vanished")
-    return (b, c, den) if den > 0 else (-b, -c, -den)
+    q = params.q
+    return next(_jump_laws(q.numerator, q.denominator, y.numerator, y.denominator,
+                           [(x.numerator, x.denominator)]))
+
+
+def _jump_laws(qn, qd, yn, yd, xs):
+    """jump_coefficients of (x, y) for each x = xn/xd in xs, in order, one at a time.
+
+    q = qn/qd and y = yn/yd.  Each triple is read off R's numerators
+    (weights.r_row); InvalidParams is raised at the first x where
+    1 - qxy vanishes, when that x is reached.
+    """
+    for xn, xd in xs:
+        den, b, _, c, _ = r_row(qn, qd, xn * yn, xd * yd)
+        if den == 0:
+            raise InvalidParams("1 - q x_{i-1} x_j vanished")
+        yield (b, c, den) if den > 0 else (-b, -c, -den)
 
 
 def length_transition(kind, key, x, y, params):

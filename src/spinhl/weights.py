@@ -92,10 +92,19 @@ class VertexRow:
 
     def __init__(self, v, params):
         q, s = params.q, params.s
-        self.vn, self.vd = v.numerator, v.denominator
-        self.qn, self.qd = q.numerator, q.denominator
-        self.sn, self.sd = s.numerator, s.denominator
-        self.base = self.sd * (self.sd * self.vd - self.sn * self.vn)
+        self._fill(v.numerator, v.denominator, q.numerator, q.denominator,
+                   s.numerator, s.denominator)
+
+    @classmethod
+    def from_ints(cls, vn, vd, qn, qd, sn, sd):
+        """The row at v = vn/vd, q = qn/qd and s = sn/sd, read off those integers."""
+        row = cls.__new__(cls)
+        row._fill(vn, vd, qn, qd, sn, sd)
+        return row
+
+    def _fill(self, vn, vd, qn, qd, sn, sd):
+        self.vn, self.vd, self.qn, self.qd, self.sn, self.sd = vn, vd, qn, qd, sn, sd
+        self.base = sd * (sd * vd - sn * vn)
 
     def num(self, table, I, j, K, l, e):
         if not (_is_bit(j) and _is_bit(l)):

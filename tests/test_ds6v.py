@@ -92,10 +92,14 @@ def test_jump_rows_hold_only_the_half_quadrant(params):
         assert len(model.jumps(j)) == j
     with pytest.raises(IndexError):
         model.jumps(2)[2]  # the cell (3, 2)
-    with pytest.raises(InvalidParams):
-        params.spectral(len(params.x))
-    with pytest.raises(InvalidParams):
-        model.jumps(len(params.x))
+    # an index past either end names x_index, and no row is kept for it
+    n = len(params.x)
+    for index in (n, n + 3, -1, -n):
+        for call in (params.spectral, model.jumps):
+            with pytest.raises(InvalidParams) as exc:
+                call(index)
+            assert str(exc.value) == f"spectral parameter x_{index} not supplied (have {n})"
+    assert sorted(model._jumps) == list(range(n))
 
 
 def test_fixture_heights_are_consistent():

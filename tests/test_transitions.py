@@ -37,6 +37,7 @@ from spinhl.transitions import (
     compiled,
     forward_distribution,
     forward_prob,
+    jump_coefficients,
     length_patterns,
     length_transition,
     p_bwd,
@@ -289,6 +290,73 @@ def test_rows_keep_the_weight_checks():
     assert p_fwd(INF, INF, 1, 0, 0, 1, F(1, 2), F(3), ModelParams.make("1/3", 2)).probs == (1,)
     with pytest.raises(NotAdmissible):
         p_fwd(INF, INF, 1, 0, 0, 0, F(1), F(1), ModelParams.make("1/3", "-1/2"))
+
+
+@pytest.mark.parametrize("x, y, text", [
+    (F(1), F(1), "(1, 1)"), (F(3, 2), F(2, 3), "(3/2, 2/3)"), (F(-5, 4), F(-4, 3), "(-5/4, -4/3)"),
+])
+def test_integer_built_sampler_names_the_pair_it_refuses(params, x, y, text):
+    # the sampler reads x and y as integers; its refusal prints them as Fractions
+    with pytest.raises(NotAdmissible) as exc:
+        compiled(params).sampler(x, y)
+    assert str(exc.value) == f"{text} not admissible"
+
+
+# an identity-mode point (q > 1) whose jump rows are probabilities: every
+# x_a x_j > 1, so 1 - q x_a x_j < 0 and each row entry is negated to den > 0
+JUMP_POINTS = FIXTURE_POINTS + (ModelParams.make("3/2", "-1/2", 1, ("2", "3", "5/2", "4", "7/3")),)
+
+
+@pytest.mark.parametrize("point", range(len(JUMP_POINTS)))
+def test_jump_rows_equal_the_jump_coefficients(point):
+    # the integer rows hold, cell for cell, the public one-pair view's triples
+    params = JUMP_POINTS[point]
+    model = compiled(params)
+    for j in range(len(params.x)):
+        row = model.jumps(j)
+        assert len(row) == j
+        for i in range(1, j + 1):
+            assert row[i - 1] == jump_coefficients(params.x[i - 1], params.x[j], params), (i, j)
+    if point == len(FIXTURE_POINTS):
+        assert not params.is_probabilistic()
+        assert all(den > 0 for j in range(len(params.x)) for _, _, den in model.jumps(j))
+
+
+def _first_bad_cell(params, j):
+    """(error type, i) of the first cell (i, j) whose jump coefficients are not a law, or None."""
+    for i in range(1, j + 1):
+        try:
+            b, c, den = jump_coefficients(params.x[i - 1], params.x[j], params)
+        except InvalidParams:
+            return InvalidParams, i
+        if not (0 <= b <= den and 0 <= c <= den):
+            return NonStochastic, i
+    return None
+
+
+@pytest.mark.parametrize("q, xs, j, error, i", [
+    # 1 - q x_1 x_3 = 1 - (1/3)(1)(3) vanishes at cell (2, 3); cell (1, 3) is a law
+    ("1/3", ("1/6", "1", "1/2", "3"), 3, InvalidParams, 2),
+    # cell (1, 3) has c = 2 before the vanishing cell (2, 3)
+    ("1/3", ("-1", "1", "1/2", "3"), 3, NonStochastic, 1),
+    # the vanishing cell (1, 3) comes before the cell (2, 3) with c = 2
+    ("1/3", ("1", "-1", "1/2", "3"), 3, InvalidParams, 1),
+    # q > 1 with x y < 1: c = (1 - x y)/(1 - q x y) > 1 from the first cell on
+    ("3/2", ("1/4", "1/5", "1/6"), 2, NonStochastic, 1),
+])
+def test_jump_rows_raise_at_the_first_bad_cell(q, xs, j, error, i):
+    params = ModelParams.make(q, "-1/2", 1, xs)
+    assert _first_bad_cell(params, j) == (error, i)
+    model = compiled(params)
+    for _ in range(2):  # a refused row is not kept
+        with pytest.raises(error) as exc:
+            model.jumps(j)
+    if error is InvalidParams:
+        assert str(exc.value) == "1 - q x_{i-1} x_j vanished"
+    else:
+        b, c, den = jump_coefficients(params.x[i - 1], params.x[j], params)
+        assert str(exc.value) == (f"jump coefficients b = {b}/{den}, c = {c}/{den} of cell "
+                                  f"({i}, {j}) are not probabilities")
 
 
 def test_emitted_tables_normalize(params):
