@@ -33,6 +33,7 @@ from .exact import (
     InconsistentHeights,
     InvalidParams,
     RandomSource,
+    bernoulli_draw,
     half_quadrant,
     sample_bernoulli,
     word_bernoulli,
@@ -213,9 +214,17 @@ def particle_step(state, rng, params):
     parking at site 1 and ejection, and corner creation when no flight
     reaches it.  The law coincides with reading two consecutive rows of
     the height field (which tests verify exactly).
+
+    Every draw is one sample_bernoulli, looked up once per step
+    (exact.bernoulli_draw): a RandomSource is read a word at a time, any
+    other bit source bit by bit, with the same bits either way.  params
+    must be in probabilistic mode (InvalidParams otherwise).
     """
+    model = compiled(params)
+    model.require_probabilistic()
     t = state.t
-    jumps = compiled(params).jumps(t + 1)  # (b, c, den) of cell (i, t + 1) at index i - 1
+    jumps = model.jumps(t + 1)  # (b, c, den) of cell (i, t + 1) at index i - 1
+    draw = bernoulli_draw(rng)
     corner_parity_even = (t - state.count()) % 2 == 0
     old = list(state.positions)  # descending
     occupied_old = set(old)
@@ -228,7 +237,7 @@ def particle_step(state, rng, params):
         landed = None
         if not blocked:
             _, c, den = jumps[col0 - 1]
-            if sample_bernoulli(c, den, rng):
+            if draw(c, den, rng):
                 landed = ypos + 1  # right hop
         if landed is None:
             # leftward flight over columns col0+1, col0+2, ...
@@ -242,13 +251,13 @@ def particle_step(state, rng, params):
                         landed = 1
                     else:
                         b, _, den = jumps[t]
-                        landed = None if sample_bernoulli(b, den, rng) else 1
+                        landed = None if draw(b, den, rng) else 1
                     break
                 if site_scanned in occupied_old:
                     landed = site_scanned + 1  # forced to park next to the blocker
                     break
                 b, _, den = jumps[c_col - 1]
-                if not sample_bernoulli(b, den, rng):
+                if not draw(b, den, rng):
                     landed = site_scanned + 1  # parks: site one right of the hole
                     break
                 c_col += 1
@@ -259,14 +268,19 @@ def particle_step(state, rng, params):
     if not corner_used:
         if corner_parity_even:
             _, c, den = jumps[t]
-            if sample_bernoulli(c, den, rng):
+            if draw(c, den, rng):
                 new_positions.append(1)
         # odd corner with no incoming flight never creates
     return ParticleState(t + 1, tuple(sorted(new_positions, reverse=True)))
 
 
 def particle_trajectory(T, rng, params):
-    """Run the particle system from the empty state through time T (sequential draws)."""
+    """Run the particle system from the empty state through time T (sequential draws).
+
+    params must be in probabilistic mode (InvalidParams otherwise), also
+    when T = 0 makes no step.
+    """
+    compiled(params).require_probabilistic()
     states = [ParticleState(0, ())]
     for _ in range(T):
         states.append(particle_step(states[-1], rng, params))

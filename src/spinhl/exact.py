@@ -23,6 +23,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,11 +112,14 @@ class ModelParams:
             raise InvalidParams(f"spectral parameter x_{i} not supplied (have {len(self.x)})")
 
     def is_probabilistic(self):
-        return (
-            ZERO < self.q < ONE
-            and -ONE < self.s < ZERO
-            and all(ZERO <= v < ONE for v in self.x)
-        )
+        """q in (0,1), s in (-1,0) and every x_i in [0,1), read off numerators and denominators."""
+        q, s = self.q, self.s
+        if not (0 < q.numerator < q.denominator and -s.denominator < s.numerator < 0):
+            return False
+        for v in self.x:
+            if not 0 <= v.numerator < v.denominator:
+                return False
+        return True
 
     def require_probabilistic(self):
         if not self.is_probabilistic():
@@ -285,6 +289,7 @@ _FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
 _BAND = 512  # cells seeded together by RandomSource.cell_words
 _LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
 
 
 def anti_diagonals(T):
@@ -320,9 +325,15 @@ def half_quadrant(entries, error):
     return out
 
 
-def read_order(word):
-    """A 63-bit word's bits in the order bit() reads them (least significant first), MSB-first."""
-    return int.from_bytes(word.to_bytes(8, "little").translate(_REV8), "big") >> 1
+def _bands(T):
+    """(band, n) for RandomSource.cell_words: whole anti-diagonals of about _BAND cells each."""
+    band, n = [], 0
+    for diag in anti_diagonals(T):
+        band.append(diag)
+        n += diag[2] - diag[1] + 1
+        if n >= _BAND or diag[0] == 2 * T:  # a full band, or the last diagonal
+            yield band, n
+            band, n = [], 0
 
 
 def _band_words(band, n, T, rows, cols):
@@ -332,7 +343,9 @@ def _band_words(band, n, T, rows, cols):
     words in 64-bit lanes, their PCG64 state after one step in 256-bit
     lanes.  Bit-reversing a rotated word is rotating the reversed word the
     other way, so the band reverses its xor-shifted PCG64 outputs in one
-    byte translation, and a cell only rotates its own lane.
+    byte translation and then rotates every lane left by its own amount,
+    one big-int step per bit of the amounts.  The result is a zip of the
+    i and j ranges with the list of words, so no Python frame runs per cell.
     """
     ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
     m32 = ones * _M32
@@ -353,20 +366,28 @@ def _band_words(band, n, T, rows, cols):
         view = memoryview(dst).cast("I")
         for pos, k in enumerate(order):
             view[pos::8] = w[k]
-    ones = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
-    m128 = ones * _M128
-    inc = (int.from_bytes(inc, "little") << 1 | ones) & m128
+    wide = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
+    m128 = wide * _M128
+    inc = (int.from_bytes(inc, "little") << 1 | wide) & m128
     state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
              + ((inc * _FIRST_B) & m128)) & m128
     low = int.from_bytes((b"\xff" * 8 + bytes(24)) * n, "little")  # low word of each lane
     x = (state ^ (state >> 64)) & low
-    # reversing all the bytes reverses the lanes too, so read them from the end
+    # reversing all the bytes reverses the lanes too, so read them from the end;
+    # u and rot are back in 64-bit lanes, in cell order, rot in the top six bits
     rev = memoryview(x.to_bytes(32 * n, "little").translate(_REV8)[::-1]).cast("Q")
-    high = memoryview(state.to_bytes(32 * n, "little")).cast("Q")[1::4]
-    cells = ((i, t - i) for t, lo, hi in band for i in range(lo, hi + 1))
-    for (i, j), r, hi in zip(cells, rev[::-4], high):
-        rot = hi >> 58
-        yield i, j, ((r << rot) | (r >> (64 - rot))) & _M63
+    u = int.from_bytes(rev[::-4].tobytes(), "little")
+    rot = int.from_bytes(memoryview(state.to_bytes(32 * n, "little")).cast("Q")[1::4].tobytes(),
+                         "little") >> 58
+    for b in range(6):  # rotate the lanes whose rot has bit b by 2^b
+        s = 1 << b
+        wrap = (1 << s) - 1  # the low bits of a lane, where its top s bits go
+        left = ((u << s) & ones * (_M64 ^ wrap)) | ((u >> (64 - s)) & ones * wrap)
+        u ^= (u ^ left) & ((rot >> b) & ones) * _M64
+    u = memoryview((u & ones * _M63).to_bytes(8 * n, "little")).cast("Q").tolist()
+    i = chain.from_iterable(range(lo, hi + 1) for _, lo, hi in band)
+    j = chain.from_iterable(range(t - lo, t - hi - 1, -1) for t, lo, hi in band)
+    return zip(i, j, u)
 
 
 class RandomSource:
@@ -386,6 +407,15 @@ class RandomSource:
     suite compares the two.  Seeds and key entries must be non-negative
     ints (ValueError otherwise).
 
+    The source holds its current word in read order, as _u: the word's
+    bits reversed, so the first bit read is the most significant and the
+    uniform variate of a fresh word lies in [u, u + 1) / 2^63.  _k counts
+    the bits not yet read, so the next bit is bit _k - 1 of _u, and
+    _load() makes the next word current.  sample_bernoulli compares all
+    the unread bits with p at once (_bernoulli_words); bit() reads one,
+    from _b, the bits of _u as bytes (_b[i] is bit i), which is faster
+    than shifting _u.
+
     SeedSequence hashes the spawn-key words one after another with
     constants that do not depend on the data, so a source keeps its
     hashed pool and a substream mixes in only its own key words, when it
@@ -393,7 +423,7 @@ class RandomSource:
     first bit, so a source that never draws never seeds it.
     """
 
-    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_buf")
+    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_u", "_k", "_b")
 
     def __init__(self, seed, stream=0):
         self.seed = seed
@@ -402,7 +432,7 @@ class RandomSource:
         pool, h = _seed_pool(_words(seed))
         self._mixed = _absorb(pool, h, _words(stream))  # (pool, hash constant)
         self._state = None
-        self._buf = 1  # remaining bits of the current word above a sentinel 1
+        self._k = 0
 
     def __repr__(self):
         key = f", key={self._key}" if self._key else ""
@@ -418,18 +448,18 @@ class RandomSource:
         child._key = self._key + key
         child._mixed = mixed
         child._state = None
-        child._buf = 1
+        child._k = 0
         return child
 
     def cell_words(self, T):
         """(i, j, u) for 1 <= i <= j <= T, by anti_diagonals(T) and then i.
 
-        u is the first word of substream(i, j) in the order bit() reads
-        it: its 63 bits as an integer whose most significant bit is the
-        first bit read (read_order of the word), so that substream's
-        uniform variate lies in [u, u + 1) / 2^63.  word_bernoulli draws
-        from u, and CellBits(u, self, i, j) reads on to every bit of the
-        substream.  No child object is made, and this source is unchanged.
+        u is the first word of substream(i, j) in read order (its first
+        bit most significant, as a source holds its current word), so
+        that substream's uniform variate lies in [u, u + 1) / 2^63.
+        word_bernoulli draws from u, and CellBits(u, self, i, j) reads on
+        to every bit of the substream.  No child object is made, and this
+        source is unchanged.
 
         The cells are seeded in bands.  Absorbing i takes this source's
         pool to a row that every j shares; the hashed words of j at the
@@ -438,15 +468,15 @@ class RandomSource:
         64-bit lanes so that the rows and columns of one diagonal are
         contiguous byte slices.  The cells of about _BAND cells' worth of
         whole anti-diagonals are then packed side by side in a few Python
-        ints, one lane per cell, so each hash step and the PCG64 step is
-        one integer operation per band (_band_words).  A band is let go
-        before the next is seeded, so only one is held at a time.
+        ints, one lane per cell, so each hash step, the PCG64 step and each
+        bit of the output rotation is one integer operation per band
+        (_band_words).  Each band comes as one zip of C-level iterators,
+        chained with itertools.chain, and a band is let go before the next
+        is seeded, so only one is held at a time.
         """
         if not _LANES:
-            for t, lo, hi in anti_diagonals(T):
-                for i in range(lo, hi + 1):
-                    yield i, t - i, read_order(self.substream(i, t - i)._word())
-            return
+            return ((i, t - i, self.substream(i, t - i)._load())
+                    for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
         pool, h = self._mixed
         steps = _second_word_steps(h)
         rows = [bytearray() for _ in range(4)]
@@ -458,60 +488,78 @@ class RandomSource:
             for lane, (x, m) in zip(cols, steps):
                 v = ((j ^ x) * m) & _M32
                 lane += ((_MIX_R * (v ^ (v >> 16))) & _M32).to_bytes(8, "little")
-        band, n = [], 0
-        for diag in anti_diagonals(T):
-            band.append(diag)
-            n += diag[2] - diag[1] + 1
-            if n >= _BAND or diag[0] == 2 * T:  # a full band, or the last diagonal
-                yield from _band_words(band, n, T, rows, cols)
-                band, n = [], 0
+        return chain.from_iterable(_band_words(band, n, T, rows, cols) for band, n in _bands(T))
 
-    def _word(self):
-        """The next 63-bit word: one PCG64 output shifted right by one."""
+    def _load(self):
+        """Make the next word current, all 63 bits unread, and return it in read order.
+
+        The word is one PCG64 output shifted right by one; its binary
+        digits, most significant first, are its bits from last read to
+        first, so they are _b as they stand and _u reversed.
+        """
         if self._state is None:
             self._state, self._inc = _pcg64(self._mixed[0])
         s = (self._state * _PCG_MULT + self._inc) & _M128
         self._state = s
         x = ((s >> 64) ^ s) & _M64
         rot = s >> 122
-        return (((x >> rot) | (x << (64 - rot))) & _M64) >> 1
+        digits = format((((x >> rot) | (x << (64 - rot))) & _M64) >> 1, "063b")
+        self._b = digits.encode().translate(_BIT_BYTES)
+        self._u = u = int(digits[::-1], 2)
+        return u
 
     def bit(self):
-        buf = self._buf
-        if buf == 1:
-            buf = self._word() | (1 << 63)
-        self._buf = buf >> 1
-        return buf & 1
+        k = self._k
+        if k:
+            k -= 1
+            self._k = k
+            return self._b[k]
+        u = self._load()
+        self._k = 62
+        return u >> 62
 
 
 class CellBits:
     """The bits of parent.substream(i, j), read from its first word u.
 
     u is that substream's first word in read order, as
-    RandomSource.cell_words gives it.  bit() returns u's 63 bits, most
-    significant first; after them it reads on from parent.substream(i, j)
-    past its first word, so every bit is the substream's, and the child
-    is made only for a cell whose draws need more than 63 bits.
+    RandomSource.cell_words gives it.  It is held as a RandomSource holds
+    its current word (_u, and _k bits of it unread), so sample_bernoulli
+    reads it a word at a time as it reads a RandomSource; bit() returns
+    u's 63 bits, most significant first.  After them _load() goes on in
+    parent.substream(i, j) past its first word, so every bit is the
+    substream's, and the child is made only for a cell whose draws need
+    more than 63 bits.
     """
 
     __slots__ = ("_u", "_k", "_src", "_cell")
 
     def __init__(self, u, parent, i, j):
         self._u = u
-        self._k = 63  # bits of u not yet read
+        self._k = 63
         self._src = parent
         self._cell = (i, j)
+
+    def _load(self):
+        if self._cell is not None:  # u is used up: go on in the substream itself
+            self._src = self._src.substream(*self._cell)
+            self._src._load()
+            self._cell = None
+        self._u = u = self._src._load()
+        return u
 
     def bit(self):
         k = self._k
         if k:
-            self._k = k - 1
-            return (self._u >> (k - 1)) & 1
-        if self._cell is not None:  # u is used up: go on in the substream itself
-            self._src = self._src.substream(*self._cell)
-            self._src._word()
-            self._cell = None
-        return self._src.bit()
+            k -= 1
+            self._k = k
+            return (self._u >> k) & 1
+        u = self._load()
+        self._k = 62
+        return u >> 62
+
+
+_WORD_SOURCES = (RandomSource, CellBits)  # what sample_bernoulli reads a word at a time
 
 
 def sample_categorical(probs, rng):
@@ -540,14 +588,32 @@ def cumulative_boundaries(probs):
         raise NonStochastic(f"probabilities sum to {total}, not 1")
     return cum
 
+
 def sample_bernoulli(num, den, rng):
     """Exact draw: True with probability num/den (0 <= num <= den, den > 0).
 
     The two-outcome case of sample_categorical, written out for the hot
     loops of the growth samplers: it refines the same dyadic interval with
     the same bits, so it returns True exactly when
-    sample_categorical((p, 1 - p), rng) would return 0.
+    sample_categorical((p, 1 - p), rng) would return 0.  A RandomSource
+    or a CellBits is read a word at a time (_bernoulli_words); any other
+    bit source bit by bit (_bernoulli_bits, the reference).  Both read
+    the same bits and leave the source at the same place;
+    bernoulli_draw(rng) gives the one to use.
     """
+    return bernoulli_draw(rng)(num, den, rng)
+
+
+def bernoulli_draw(rng):
+    """The draw(num, den, rng) that sample_bernoulli uses for rng, chosen by its exact type.
+
+    A caller that draws many times from one source looks it up once.
+    """
+    return _bernoulli_words if type(rng) in _WORD_SOURCES else _bernoulli_bits
+
+
+def _bernoulli_bits(num, den, rng):
+    """sample_bernoulli on any bit source, one bit() at a time."""
     a = 0
     scale = 1  # the uniform variate lies in [a, a + 1) / scale
     while True:
@@ -559,22 +625,63 @@ def sample_bernoulli(num, den, rng):
         scale <<= 1
 
 
+def _bernoulli_words(num, den, src):
+    """_bernoulli_bits on a RandomSource or CellBits, a word at a time.
+
+    With u the k unread bits and f = floor(p 2^k), the bit loop's prefix
+    of j bits is undecided exactly while it equals floor(p 2^j), the top j
+    bits of f, and p 2^j is not an integer.  So the draw ends at the first
+    bit where u and f differ, True when u has the 0 there (u < f), unless
+    p 2^j is an integer first: when den divides num 2^k, that is at
+    j = k - z, z the trailing zeros of f, and there the draw is False.  If
+    all k bits match and p 2^k is not an integer, the draw goes on from
+    the remainder, p 2^k - f, in the next word.  It reads exactly the bits
+    the loop reads.
+    """
+    if den <= num:
+        return True
+    if num <= 0:
+        return False
+    k = src._k
+    if k:
+        u = src._u & ((1 << k) - 1)
+    while True:
+        if not k:
+            u = src._load()
+            k = 63
+        t = num << k
+        f = t // den
+        if u < f:
+            src._k = (u ^ f).bit_length() - 1  # the bits after the first difference
+            return True
+        r = t - f * den
+        if u > f or not r:
+            unread = (u ^ f).bit_length() - 1
+            if not r:  # p 2^j is an integer from j = k - z on
+                z = (f & -f).bit_length() - 1
+                if z > unread:
+                    unread = z
+            src._k = unread
+            return False
+        num, k = r, 0
+
+
 def word_bernoulli(num, den, u):
     """sample_bernoulli(num, den, rng) from the first word of rng alone, or None.
 
-    u is that word in the order bit() reads it (read_order, or an entry of
-    RandomSource.cell_words), so the uniform variate lies in
-    [u, u + 1) / 2^63.  When that interval lies below p = num/den the draw
-    is True, when above, False; sample_bernoulli decides [U < p] on the
-    same nested dyadic intervals, so it returns the same.  None means the
-    interval straddles p (probability at most 2^-63), and sample_bernoulli
-    on the source's bits (for a cell word, CellBits) must decide.
+    u is that word in read order (an entry of RandomSource.cell_words), so
+    the uniform variate lies in [u, u + 1) / 2^63.  This is the first
+    word of _bernoulli_words, k = 63: with f = floor(p 2^63), the draw is
+    u < f when u and f differ, and False when they agree and p 2^63 = f.
+    None means they agree and p 2^63 is not an integer (probability at
+    most 2^-63): the interval straddles p, and sample_bernoulli on the
+    source's bits (for a cell word, CellBits) must decide.
     """
-    if (u + 1) * den <= num << 63:
-        return True
-    if num << 63 <= u * den:
-        return False
-    return None
+    t = num << 63
+    f = t // den
+    if u != f:
+        return u < f
+    return None if t - f * den else False
 
 
 def _sample_from_cumulative(cum, rng):

@@ -156,7 +156,7 @@ def test_integer_options_read_digit_strings_from_config(tmp_path):
 @pytest.mark.parametrize("command, cfg, error", [
     (["verify", "--cap", "10"],
      {"q": "1/3", "s": "-1/2", "x": ["6", "1/5", "1/6", "1/7", "1/8"]}, "NotAdmissible"),
-    (["particles", "--T", "4"], {"q": "3/2", "s": "-1/2"}, "NonStochastic"),
+    (["particles", "--T", "4"], {"q": "3/2", "s": "-1/2"}, "InvalidParams"),
 ])
 def test_package_errors_exit_2_with_one_line(tmp_path, capsys, command, cfg, error):
     path = tmp_path / "cfg.json"
@@ -203,6 +203,23 @@ def test_particles_outputs(tmp_path):
     assert lines[0] == "t,site,occupied"
     currents = json.loads((tmp_path / "p.csv.currents.json").read_text())
     assert [c["t"] for c in currents] == list(range(7))
+
+
+@pytest.mark.parametrize("command", ["ds6v", "particles"])
+def test_samplers_refuse_a_point_outside_probabilistic_mode(tmp_path, capsys, command):
+    # s = 1/2 > 0: both growth samplers exit 2 with the same one line, and write nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"q": "1/3", "s": "1/2", "u": "1/2",
+                                "x": ["1/4", "1/5", "1/6", "1/7", "1/8"]}))
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(path), command, "--T", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "parameter error: InvalidParams: probabilistic mode needs q in (0,1), s in (-1,0), "
+        "x_i in [0,1); got q=1/3, s=1/2, x=(Fraction(1, 4), Fraction(1, 5), Fraction(1, 6), "
+        "Fraction(1, 7), Fraction(1, 8))"]
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_compare_subcommand():

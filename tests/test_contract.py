@@ -9,7 +9,7 @@ import pytest
 
 from spinhl import exact
 from spinhl.cli import INPUT_ERRORS
-from spinhl.ds6v import ds6v_sample
+from spinhl.ds6v import ds6v_sample, particle_trajectory
 from spinhl.exact import RandomSource
 from spinhl.field import sample_field
 
@@ -97,3 +97,37 @@ def test_duck_typed_bit_sources_get_one_substream_per_cell(params, sampler, T):
     seq = sampler(T, _DuckBits(RandomSource(21, 4), calls), params, per_cell_streams=False)
     assert seq == sampler(T, RandomSource(21, 4), params, per_cell_streams=False)
     assert calls == []
+
+
+class _CountingBits:
+    """A bit source with only bit() and substream(*key), counting the bits of all its streams."""
+
+    def __init__(self, inner, counts):
+        self._inner = inner
+        self.counts = counts
+
+    def bit(self):
+        self.counts["bits"] += 1
+        return self._inner.bit()
+
+    def substream(self, *key):
+        self.counts["substreams"] += 1
+        return _CountingBits(self._inner.substream(*key), self.counts)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rng, p: sample_field(8, rng, p),
+    lambda rng, p: sample_field(8, rng, p, per_cell_streams=False),
+    lambda rng, p: ds6v_sample(14, rng, p),
+    lambda rng, p: ds6v_sample(14, rng, p, per_cell_streams=False),
+    lambda rng, p: particle_trajectory(18, rng, p),
+], ids=["field-cell", "field-seq", "ds6v-cell", "ds6v-seq", "particles"])
+def test_a_counting_bit_source_gets_the_same_draws(params, run):
+    # the bit loop on the wrapper reads the bits the word kernel reads from a
+    # RandomSource, so the outputs agree and both streams go on in step
+    counts = {"bits": 0, "substreams": 0}
+    bare, inner = RandomSource(30, 2), RandomSource(30, 2)
+    wrapped = _CountingBits(inner, counts)
+    assert run(wrapped, params) == run(bare, params)
+    assert counts["bits"] + counts["substreams"] > 0
+    assert [inner.bit() for _ in range(130)] == [bare.bit() for _ in range(130)]

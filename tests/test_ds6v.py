@@ -289,6 +289,18 @@ def test_particle_rules_exact_kernel_vs_height_rows(params):
             assert rule_kernel(list(positions), t) == dict(height_side), (t, row)
 
 
+@pytest.mark.parametrize("T", [0, 3])
+def test_particles_refuse_a_point_outside_probabilistic_mode(T):
+    # as ds6v_sample does, also at T = 0, and one step on its own
+    bad = ModelParams.make("1/3", "1/2", "1/2", ["1/4", "1/5", "1/6", "1/7", "1/8"])
+    with pytest.raises(InvalidParams, match="probabilistic mode needs"):
+        ds6v_sample(T, RandomSource(1, 1), bad)
+    with pytest.raises(InvalidParams, match="probabilistic mode needs"):
+        particle_trajectory(T, RandomSource(1, 2), bad)
+    with pytest.raises(InvalidParams, match="probabilistic mode needs"):
+        particle_step(ParticleState(T, ()), RandomSource(1, 2), bad)
+
+
 def test_particle_sampler_frequencies(params):
     # the production sampler follows the exact rule kernel on a fixed state
     state = ParticleState(3, (3, 1))

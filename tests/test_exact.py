@@ -20,7 +20,6 @@ from spinhl.exact import (
     convergence_ratio,
     frac,
     _sample_from_cumulative,
-    read_order,
     sample_bernoulli,
     sample_categorical,
     word_bernoulli,
@@ -219,11 +218,17 @@ def _first_bits(src):
     return int("".join(str(src.bit()) for _ in range(63)), 2)
 
 
-def test_read_order_is_the_order_bit_reads():
+def read_order(word):
+    """A 63-bit word's bits in the order bit() reads them (least significant first), MSB-first."""
+    return int(format(word, "063b")[::-1], 2)
+
+
+def test_each_loaded_word_is_the_numpy_word_in_the_order_bit_reads():
     for seed in (0, 5, 2**64 + 3):
         src, twin = RandomSource(seed, 2).substream(seed), RandomSource(seed, 2).substream(seed)
-        for _ in range(3):  # the first word of a source and the ones after it
-            assert read_order(src._word()) == _first_bits(twin)
+        words = [src._load() for _ in range(3)]  # the first word of a source and the ones after it
+        assert words == [_first_bits(twin) for _ in range(3)]
+        assert words == [read_order(w) for w in _numpy_words(seed, (2, seed), 3)]
     assert read_order(1) == 1 << 62 and read_order(1 << 62) == 1
     assert read_order((1 << 63) - 1) == (1 << 63) - 1
 
@@ -236,7 +241,7 @@ def test_word_bernoulli_is_sample_bernoulli_on_a_fresh_child(den, frac_num, seed
     # dyadic p = num / 2^k and the forced p in {0, 1} included
     num = int(frac_num * den)
     parent = RandomSource(seed, 1)
-    u = read_order(parent.substream(*cell)._word())
+    u = parent.substream(*cell)._load()
     hit = word_bernoulli(num, den, u)
     assert hit is sample_bernoulli(num, den, parent.substream(*cell))
     if num in (0, den):
@@ -263,7 +268,7 @@ def test_word_bernoulli_decides_exactly_when_63_bits_do(den, frac_num, shift, u,
 
 
 def test_word_bernoulli_straddles_only_p_inside_the_word():
-    u = read_order(RandomSource(4, 4).substream(2, 3)._word())
+    u = RandomSource(4, 4).substream(2, 3)._load()
     assert word_bernoulli(2 * u + 1, 2**64, u) is None  # p = (u + 1/2) / 2^63
     assert word_bernoulli(u, 2**63, u) is False  # p at the word's left end
     assert word_bernoulli(u + 1, 2**63, u) is True  # and at its right end
@@ -272,6 +277,110 @@ def test_word_bernoulli_straddles_only_p_inside_the_word():
     assert _first_bits(child) == u
     bit64 = child.bit()
     assert sample_bernoulli(2 * u + 1, 2**64, RandomSource(4, 4).substream(2, 3)) is (bit64 == 0)
+
+
+_FILL = 0x0A5F_3C91_7E04_B6D8 & ((1 << 57) - 1)  # the bits of a test word after its prefix
+
+
+def _twins(kind, u, offset):
+    """Two sources at the same place, offset bits in: a CellBits over word u, or RandomSource(u, 5).
+
+    The CellBits reads on, past u, in RandomSource(3, 5).substream(4, 6).
+    """
+    def make():
+        src = CellBits(u, RandomSource(3, 5), 4, 6) if kind == "cell" else RandomSource(u, 5)
+        for _ in range(offset):
+            src.bit()
+        return src
+    return make(), make()
+
+
+def _assert_kernel_is_the_loop(num, den, a, b):
+    """The word kernel on a, the bit loop on its twin b: the same outcome, then the same bits."""
+    hit = exact._bernoulli_words(num, den, a)
+    assert hit is exact._bernoulli_bits(num, den, b), (num, den)
+    assert [a.bit() for _ in range(130)] == [b.bit() for _ in range(130)], (num, den)
+
+
+def _unread(kind, u, offset):
+    """(v, k): the k >= 1 bits a twin reads before it takes another word, as an integer."""
+    src = _twins(kind, u, offset)[0]
+    k = src._k or 63
+    return int("".join(str(src.bit()) for _ in range(k)), 2), k
+
+
+def test_word_kernel_matches_the_bit_loop_on_every_prefix():
+    # p = num/den for den <= 8, with p <= 0, p = 1, p > 1 and unreduced pairs;
+    # the word starts with every 6-bit prefix, so every short draw is met
+    for den in range(1, 9):
+        for num in range(-1, den + 2):
+            for scale in (1, 3):
+                for prefix in range(64):
+                    a, b = _twins("cell", prefix << 57 | _FILL, 0)
+                    _assert_kernel_is_the_loop(num * scale, den * scale, a, b)
+
+
+@pytest.mark.parametrize("kind", ["random-source", "cell"])
+def test_word_kernel_matches_the_bit_loop_at_every_offset(kind):
+    # draws that start at each place in a word; p next to the unread bits v
+    # straddles them, (v + 1/2) / 2^k, so the draw reads into the next word
+    # (at offset 0 that is p = (u + 1/2) / 2^63 on a fresh word u)
+    rnd = random.Random(17)
+    for offset in range(64):
+        for _ in range(4):
+            den = rnd.choice([rnd.randint(1, 50), rnd.randint(1, 2**80), 1 << rnd.randint(0, 70)])
+            _assert_kernel_is_the_loop(rnd.randint(0, den), den,
+                                       *_twins(kind, rnd.getrandbits(63), offset))
+        u = rnd.getrandbits(63)
+        v, k = _unread(kind, u, offset)
+        for num, den in ((2 * v + 1, 2 << k), (v, 1 << k), (v + 1, 1 << k),
+                         (3 * (2 * v + 1), 3 << (k + 1)), (2 * v + 1 << 70, 2 << (k + 70))):
+            _assert_kernel_is_the_loop(num, den, *_twins(kind, u, offset))
+
+
+def test_word_kernel_matches_the_bit_loop_on_dyadic_p():
+    # p = num / 2^m, num odd, and unreduced copies of it: the loop stops where
+    # the prefix equals p exactly; words at, next to and just off p 2^63
+    rnd = random.Random(5)
+    for m in range(1, 72):
+        for _ in range(3):
+            num = rnd.randrange(1 << m) | 1
+            at = (num << 63) >> m
+            words = {at, max(at - 1, 0), min(at + 1, 2**63 - 1), at ^ (1 << rnd.randrange(63)),
+                     rnd.getrandbits(63)}
+            for u in sorted(words):
+                for scale in (1, 5, 8):
+                    _assert_kernel_is_the_loop(num * scale, scale << m, *_twins("cell", u, 0))
+
+
+def test_sample_bernoulli_reads_words_only_from_the_exact_types():
+    class Sub(RandomSource):
+        __slots__ = ()
+
+    assert exact.bernoulli_draw(RandomSource(1)) is exact._bernoulli_words
+    assert exact.bernoulli_draw(CellBits(5, RandomSource(1), 1, 1)) is exact._bernoulli_words
+    assert exact.bernoulli_draw(Sub(1)) is exact._bernoulli_bits
+    assert exact.bernoulli_draw(_Replay([])) is exact._bernoulli_bits
+
+
+def test_probabilistic_mode_reads_the_integers_as_the_fractions_do():
+    # the boundaries q in {0, 1}, s in {-1, 0} and x in {0, 1}, and a negative x
+    def by_fractions(p):
+        return F(0) < p.q < 1 and -1 < p.s < 0 and all(0 <= v < 1 for v in p.x)
+
+    qs = ["-1/3", "0", "1/1000", "1/3", "999/1000", "1", "4/3"]
+    ss = ["-3/2", "-1", "-999/1000", "-1/2", "-1/1000", "0", "1/2"]
+    xs = [[], ["0"], ["1/4", "1/5"], ["1/4", "1"], ["-1/7", "1/4"], ["0", "999/1000"], ["5/4"]]
+    for q, s, x in itertools.product(qs, ss, xs):
+        p = ModelParams.make(q, s, "1/2", x)
+        assert p.is_probabilistic() is by_fractions(p), (q, s, x)
+        if by_fractions(p):
+            p.require_probabilistic()
+            continue
+        with pytest.raises(InvalidParams) as err:
+            p.require_probabilistic()
+        assert str(err.value) == ("probabilistic mode needs q in (0,1), s in (-1,0), "
+                                  f"x_i in [0,1); got q={p.q}, s={p.s}, x={p.x}")
 
 
 def test_random_source_reproducible_and_streams_differ():
@@ -463,7 +572,7 @@ def test_cell_words_are_the_first_words_of_the_cell_substreams(seed, stream, pke
     assert [(i, j) for i, j, _ in got] == [
         (i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
     for i, j, u in got:
-        assert u == read_order(parent.substream(i, j)._word()), (i, j)
+        assert u == parent.substream(i, j)._load(), (i, j)
     for i, j, u in got[:: max(1, len(got) // 9)]:
         assert u == _first_bits(parent.substream(i, j)), (i, j)
 
