@@ -91,8 +91,10 @@ def _params_from(cfg, T):
         xs = cfg.get("x")
         if xs is None:
             xs = default_spectral(max(T + 1, 4))
-        else:
+        elif isinstance(xs, list):
             xs = tuple(frac(v) for v in xs)
+        else:
+            raise TypeError(f"x must be a list of rationals, got {xs!r}")
         if len(xs) < T + 1:
             raise ConfigError(f"need at least {T + 1} spectral values, got {len(xs)}")
         return ModelParams(q, s, u, tuple(xs))

@@ -29,7 +29,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exact import (
-    CellBits,
     InconsistentHeights,
     InvalidParams,
     RandomSource,
@@ -56,10 +55,10 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     probability b, each one Bernoulli draw.  A cell draws at most once,
     so when a RandomSource gives each cell the first word of its
     substream (transitions.sweep), word_bernoulli draws from that word;
-    only when the word cannot decide does the draw read on through
-    exact.CellBits, as the field's draws do.  Other sources are asked for
-    one substream(i, j) per cell.  Either way the draws read the same
-    bits, and the heights are the same.
+    only when the word cannot decide (probability at most 2^-63) does
+    the draw read rng.substream(i, j) from its start.  Other sources are
+    asked for one substream(i, j) per cell.  Either way the draws read
+    the same bits, and the heights are the same.
     """
     jumps = compiled(params).jumps
     laws = [None] * (T + 1)  # laws[j] = jumps(j), looked up once, at row j's first draw
@@ -82,7 +81,7 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
         if type(cell) is int:
             hit = word_bernoulli(num, den, cell)
             if hit is None:
-                hit = sample_bernoulli(num, den, CellBits(cell, rng, i, j))
+                hit = sample_bernoulli(num, den, rng.substream(i, j))
         else:
             hit = sample_bernoulli(num, den, cell)
         # (1, 1) grows by 1 on a hit and by 2 otherwise; (0, 0) by 0 or 1
@@ -231,7 +230,7 @@ def particle_step(state, rng, params):
     new_positions = []
     prev_new = None  # position of the already-updated right neighbour
     corner_used = False
-    for idx, ypos in enumerate(old):
+    for ypos in old:
         col0 = t - ypos + 1
         blocked = prev_new is not None and prev_new == ypos + 1
         landed = None

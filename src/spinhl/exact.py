@@ -70,15 +70,19 @@ class ConfigError(ValueError):
 
 
 def frac(value, den=None):
-    """Coerce to an exact Fraction.  Accepts ints, Fractions and strings like '-1/2'."""
+    """Coerce to an exact Fraction.  Accepts ints, Fractions and strings like '-1/2'.
+
+    Floats and bools are refused (InvalidParams): neither is a rational
+    the caller wrote down.
+    """
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, float):
-        raise InvalidParams(f"refusing float {value!r}; pass a string or Fraction")
+    if isinstance(value, (float, bool)):
+        raise InvalidParams(f"refusing {type(value).__name__} {value!r}; pass a string or Fraction")
     return Fraction(value)
 
 
@@ -289,7 +293,6 @@ _FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
 _BAND = 512  # cells seeded together by RandomSource.cell_words
 _LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # binary digits to bit values
 
 
 def anti_diagonals(T):
@@ -390,7 +393,31 @@ def _band_words(band, n, T, rows, cols):
     return zip(i, j, u)
 
 
-class RandomSource:
+class _WordBits:
+    """The word layout that RandomSource and CellBits share, and their one bit().
+
+    _u is the current 63-bit word with its first bit most significant, so
+    the uniform variate of a fresh word lies in [u, u + 1) / 2^63; _k
+    counts its unread bits, so the next bit is bit _k - 1 of _u.  Each
+    subclass's _load() makes its next word current and returns it.
+    bit() and sample_bernoulli's word kernel (_bernoulli_words) read every
+    such source alike.
+    """
+
+    __slots__ = ("_u", "_k")
+
+    def bit(self):
+        k = self._k
+        if k:
+            k -= 1
+            self._k = k
+            return (self._u >> k) & 1
+        u = self._load()
+        self._k = 62
+        return u >> 62
+
+
+class RandomSource(_WordBits):
     """Reproducible bit source keyed by (seed, stream).
 
     substream(*key) derives an independent deterministic child source;
@@ -407,14 +434,9 @@ class RandomSource:
     suite compares the two.  Seeds and key entries must be non-negative
     ints (ValueError otherwise).
 
-    The source holds its current word in read order, as _u: the word's
-    bits reversed, so the first bit read is the most significant and the
-    uniform variate of a fresh word lies in [u, u + 1) / 2^63.  _k counts
-    the bits not yet read, so the next bit is bit _k - 1 of _u, and
-    _load() makes the next word current.  sample_bernoulli compares all
-    the unread bits with p at once (_bernoulli_words); bit() reads one,
-    from _b, the bits of _u as bytes (_b[i] is bit i), which is faster
-    than shifting _u.
+    A source holds its current word as every _WordBits does, in read
+    order with a count of unread bits; _load() makes the next word
+    current.
 
     SeedSequence hashes the spawn-key words one after another with
     constants that do not depend on the data, so a source keeps its
@@ -423,7 +445,7 @@ class RandomSource:
     first bit, so a source that never draws never seeds it.
     """
 
-    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc", "_u", "_k", "_b")
+    __slots__ = ("seed", "stream", "_key", "_mixed", "_state", "_inc")
 
     def __init__(self, seed, stream=0):
         self.seed = seed
@@ -491,11 +513,11 @@ class RandomSource:
         return chain.from_iterable(_band_words(band, n, T, rows, cols) for band, n in _bands(T))
 
     def _load(self):
-        """Make the next word current, all 63 bits unread, and return it in read order.
+        """Make the next word current and return it in read order.
 
-        The word is one PCG64 output shifted right by one; its binary
-        digits, most significant first, are its bits from last read to
-        first, so they are _b as they stand and _u reversed.
+        The word is one PCG64 output shifted right by one, read least
+        significant bit first; reversing all 64 bits of the output (_REV8,
+        byte by byte) puts the word's first bit at bit 62.
         """
         if self._state is None:
             self._state, self._inc = _pcg64(self._mixed[0])
@@ -503,36 +525,23 @@ class RandomSource:
         self._state = s
         x = ((s >> 64) ^ s) & _M64
         rot = s >> 122
-        digits = format((((x >> rot) | (x << (64 - rot))) & _M64) >> 1, "063b")
-        self._b = digits.encode().translate(_BIT_BYTES)
-        self._u = u = int(digits[::-1], 2)
+        x = ((x >> rot) | (x << (64 - rot))) & _M64
+        self._u = u = int.from_bytes(x.to_bytes(8, "little").translate(_REV8), "big") & _M63
         return u
 
-    def bit(self):
-        k = self._k
-        if k:
-            k -= 1
-            self._k = k
-            return self._b[k]
-        u = self._load()
-        self._k = 62
-        return u >> 62
 
-
-class CellBits:
+class CellBits(_WordBits):
     """The bits of parent.substream(i, j), read from its first word u.
 
     u is that substream's first word in read order, as
-    RandomSource.cell_words gives it.  It is held as a RandomSource holds
-    its current word (_u, and _k bits of it unread), so sample_bernoulli
-    reads it a word at a time as it reads a RandomSource; bit() returns
-    u's 63 bits, most significant first.  After them _load() goes on in
+    RandomSource.cell_words gives it, held as every _WordBits holds its
+    current word.  After u's 63 bits, _load() goes on in
     parent.substream(i, j) past its first word, so every bit is the
     substream's, and the child is made only for a cell whose draws need
-    more than 63 bits.
+    more than 63 bits.  The field's cells read their words through it.
     """
 
-    __slots__ = ("_u", "_k", "_src", "_cell")
+    __slots__ = ("_src", "_cell")
 
     def __init__(self, u, parent, i, j):
         self._u = u
@@ -547,16 +556,6 @@ class CellBits:
             self._cell = None
         self._u = u = self._src._load()
         return u
-
-    def bit(self):
-        k = self._k
-        if k:
-            k -= 1
-            self._k = k
-            return (self._u >> k) & 1
-        u = self._load()
-        self._k = 62
-        return u >> 62
 
 
 _WORD_SOURCES = (RandomSource, CellBits)  # what sample_bernoulli reads a word at a time
@@ -592,14 +591,13 @@ def cumulative_boundaries(probs):
 def sample_bernoulli(num, den, rng):
     """Exact draw: True with probability num/den (0 <= num <= den, den > 0).
 
-    The two-outcome case of sample_categorical, written out for the hot
-    loops of the growth samplers: it refines the same dyadic interval with
-    the same bits, so it returns True exactly when
-    sample_categorical((p, 1 - p), rng) would return 0.  A RandomSource
-    or a CellBits is read a word at a time (_bernoulli_words); any other
-    bit source bit by bit (_bernoulli_bits, the reference).  Both read
-    the same bits and leave the source at the same place;
-    bernoulli_draw(rng) gives the one to use.
+    The two-outcome case of sample_categorical: it returns True exactly
+    when sample_categorical((p, 1 - p), rng) would return 0, reading the
+    same bits.  A RandomSource or a CellBits is read a word at a time
+    (_bernoulli_words); any other bit source goes through the categorical
+    draw itself (_bernoulli_bits, the reference).  Both read the same
+    bits and leave the source at the same place; bernoulli_draw(rng)
+    gives the one to use.
     """
     return bernoulli_draw(rng)(num, den, rng)
 
@@ -613,22 +611,18 @@ def bernoulli_draw(rng):
 
 
 def _bernoulli_bits(num, den, rng):
-    """sample_bernoulli on any bit source, one bit() at a time."""
-    a = 0
-    scale = 1  # the uniform variate lies in [a, a + 1) / scale
-    while True:
-        if (a + 1) * den <= num * scale:
-            return True
-        if num * scale <= a * den:
-            return False
-        a = (a << 1) | rng.bit()
-        scale <<= 1
+    """sample_bernoulli on any bit source: the two-cell categorical draw, bit by bit.
+
+    Cell 0, [0, p), is True.  For p <= 0 and p >= 1 it reads no bit, as
+    the draw is decided at once.
+    """
+    return _sample_from_cumulative(((num, den), (den, den)), rng) == 0
 
 
 def _bernoulli_words(num, den, src):
     """_bernoulli_bits on a RandomSource or CellBits, a word at a time.
 
-    With u the k unread bits and f = floor(p 2^k), the bit loop's prefix
+    With u the k unread bits and f = floor(p 2^k), the bit-by-bit prefix
     of j bits is undecided exactly while it equals floor(p 2^j), the top j
     bits of f, and p 2^j is not an integer.  So the draw ends at the first
     bit where u and f differ, True when u has the 0 there (u < f), unless
@@ -636,7 +630,7 @@ def _bernoulli_words(num, den, src):
     j = k - z, z the trailing zeros of f, and there the draw is False.  If
     all k bits match and p 2^k is not an integer, the draw goes on from
     the remainder, p 2^k - f, in the next word.  It reads exactly the bits
-    the loop reads.
+    _bernoulli_bits reads.
     """
     if den <= num:
         return True
@@ -674,8 +668,9 @@ def word_bernoulli(num, den, u):
     word of _bernoulli_words, k = 63: with f = floor(p 2^63), the draw is
     u < f when u and f differ, and False when they agree and p 2^63 = f.
     None means they agree and p 2^63 is not an integer (probability at
-    most 2^-63): the interval straddles p, and sample_bernoulli on the
-    source's bits (for a cell word, CellBits) must decide.
+    most 2^-63): the interval straddles p, and sample_bernoulli on rng
+    itself (for a cell word, rng.substream(i, j)) must decide; it reads u
+    again and then the words after it.
     """
     t = num << 63
     f = t // den

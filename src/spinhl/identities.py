@@ -736,7 +736,7 @@ SUITE = (
     ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((), (), x, y, max(cap, 12), p)),
     ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((1,), (), x, y, max(cap, 12), p)),
     ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((3, 1), (x,), cap, p)),
-    ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((), (x, y), cap, p)),
+    ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((), (x, y), max(cap, 3), p)),
     ("refined-cauchy", lambda p, x, y, cap: check_refined_cauchy((x,), (y,), p.u, cap, p)),
     ("refined-cauchy", lambda p, x, y, cap: check_refined_cauchy(
         (p.x[0], p.x[2]), (p.x[1], p.x[3]), p.u, max(cap, 25), p)),

@@ -144,6 +144,35 @@ def test_verify_runs_at_the_config_point(tmp_path, capsys, cfg, flags, code, exp
         assert captured.out.startswith('{"name": ' + expect)
 
 
+@pytest.mark.parametrize("cfg", [
+    {"q": True}, {"q": False}, {"s": True}, {"s": False}, {"u": True}, {"u": False},
+    {"x": [True, "1/5", "1/6", "1/7"]}, {"x": "1/4"}, {"x": "0123"},
+], ids=["q-true", "q-false", "s-true", "s-false", "u-true", "u-false", "x-entry-true",
+        "x-string", "x-digit-string"])
+def test_bad_parameter_types_exit_2(tmp_path, capsys, cfg):
+    # a JSON boolean is not a rational, and x is a list: a string is not read
+    # one character at a time ("0123" is not x = (0, 1, 2, 3))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path), "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: bad parameters: "), lines
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+def test_verify_accepts_every_cap(tmp_path, cap):
+    # the two-variable skew Littlewood check floors its cap at 3, the least its tail accepts
+    def skew_littlewood_line(c):
+        out = tmp_path / f"cap{c}.jsonl"
+        assert main(["verify", "--point", "0", "--cap", str(c), "--out", str(out)]) == 0
+        return [line for line in out.read_text().splitlines() if "skew-littlewood-2var" in line]
+
+    got = skew_littlewood_line(cap)
+    assert len(got) == 1 and got == skew_littlewood_line(3)
+
+
 def test_integer_options_read_digit_strings_from_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"T": "8", "seed": "7"}))

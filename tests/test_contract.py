@@ -123,7 +123,7 @@ class _CountingBits:
     lambda rng, p: particle_trajectory(18, rng, p),
 ], ids=["field-cell", "field-seq", "ds6v-cell", "ds6v-seq", "particles"])
 def test_a_counting_bit_source_gets_the_same_draws(params, run):
-    # the bit loop on the wrapper reads the bits the word kernel reads from a
+    # the bit-by-bit draw on the wrapper reads the bits the word kernel reads from a
     # RandomSource, so the outputs agree and both streams go on in step
     counts = {"bits": 0, "substreams": 0}
     bare, inner = RandomSource(30, 2), RandomSource(30, 2)

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinhl.exact import (
-    CellBits,
     InconsistentHeights,
     InvalidParams,
     ModelParams,
     RandomSource,
     anti_diagonals,
     default_spectral,
+    sample_bernoulli,
     word_bernoulli,
 )
 from spinhl.ds6v import (
@@ -361,38 +361,35 @@ def _jump_row(j, words):
 
 
 def test_word_path_falls_back_to_the_cell_substream(params, monkeypatch):
-    # every drawing cell's word straddles its p, so each draw reads on into the
-    # second word of substream(i, j); the heights are those of a source that
-    # hands out substream(i, j) children (one per cell, drawn by sample_bernoulli)
+    # a draw its cell's first word cannot decide reads rng.substream(i, j)
+    # from the start: one fresh substream per drawing cell, same heights
     import spinhl.ds6v as ds6v
 
     T, src = 6, RandomSource(12, 3)
     words = {(i, j): u for i, j, u in src.cell_words(T)}
+    cells = {u: cell for cell, u in words.items()}
+    assert len(cells) == len(words)
+    want = ds6v_sample(T, src, params)
+    drawing, reads = [], []
+
+    def read_on(num, den, rng):
+        hit = sample_bernoulli(num, den, rng)
+        reads.append((rng.seed, rng.stream, rng._key, rng._k))
+        return hit
+
+    monkeypatch.setattr(ds6v, "sample_bernoulli", read_on)
+    monkeypatch.setattr(ds6v, "word_bernoulli", lambda num, den, u: drawing.append(cells[u]))
+    assert ds6v_sample(T, src, params) == want
+    assert drawing and [r[:3] for r in reads] == [(12, 3, cell) for cell in drawing]
+
+    # words that straddle p leave word_bernoulli undecided itself; each draw
+    # reads the substream's first word and one bit past it, and the heights
+    # are those of a source that hands out substream(i, j) children
+    monkeypatch.setattr(ds6v, "word_bernoulli", word_bernoulli)
     monkeypatch.setattr(compiled(params), "jumps", lambda j: _jump_row(j, words))
-    outcomes = []
-
-    def recorded(num, den, u):
-        outcomes.append(word_bernoulli(num, den, u))
-        return outcomes[-1]
-
-    readers = []
-
-    class Reader(CellBits):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.read = 0
-            readers.append(self)
-
-        def bit(self):
-            self.read += 1
-            return super().bit()
-
-    monkeypatch.setattr(ds6v, "word_bernoulli", recorded)
-    monkeypatch.setattr(ds6v, "CellBits", Reader)
+    reads.clear()
     h = ds6v_sample(T, src, params)
-    assert outcomes and set(outcomes) == {None}
-    # every undecided draw goes through the cell reader, one bit past the word
-    assert [r.read for r in readers] == [64] * len(outcomes)
+    assert reads and [r[3] for r in reads] == [62] * len(reads)
     assert h == ds6v_sample(T, _Children(src), params)
     assert len(set(h.values())) > 2
 

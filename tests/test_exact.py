@@ -50,8 +50,9 @@ def test_fraction_always_reduced():
     assert (x.numerator, x.denominator) == (3, 4)
     y = frac("-10/4")
     assert (y.numerator, y.denominator) == (-5, 2)
-    with pytest.raises(InvalidParams):
-        frac(0.5)
+    for value in (0.5, True, False):  # neither a float nor a bool is a rational
+        with pytest.raises(InvalidParams):
+            frac(value)
 
 
 def test_admissible_examples():
@@ -296,7 +297,7 @@ def _twins(kind, u, offset):
 
 
 def _assert_kernel_is_the_loop(num, den, a, b):
-    """The word kernel on a, the bit loop on its twin b: the same outcome, then the same bits."""
+    """The word kernel on a, the bit-by-bit draw on b: the same outcome, then the same bits."""
     hit = exact._bernoulli_words(num, den, a)
     assert hit is exact._bernoulli_bits(num, den, b), (num, den)
     assert [a.bit() for _ in range(130)] == [b.bit() for _ in range(130)], (num, den)
@@ -511,7 +512,8 @@ def test_cell_substream_keys_go_through_operator_index():
 
 
 def _state(src):
-    return [getattr(src, name, None) for name in RandomSource.__slots__]
+    return [getattr(src, name, None)
+            for cls in RandomSource.__mro__ for name in getattr(cls, "__slots__", ())]
 
 
 @pytest.mark.parametrize("T", [0, 1, 5, 16])

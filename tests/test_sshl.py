@@ -1,6 +1,7 @@
 """One-row and skew f/g weights: frozen products, both definitions, symmetry."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -298,3 +299,58 @@ def test_column_sums_raise_the_weights_text_when_1_minus_s_x_vanishes(vanishing)
         with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
             run()
     assert column_sums((x,), (y,), 0, params) == {0: 1}
+
+
+def _q_pochhammer(a, q, m):
+    """(a; q)_m = (1 - a)(1 - a q) ... (1 - a q^(m-1))."""
+    out = F(1)
+    for i in range(m):
+        out *= 1 - a * q**i
+    return out
+
+
+def _symmetrized_g(lam, xs, params):
+    """g_lam(xs) by the symmetrization formula, lam padded with zeros to len(xs).
+
+    phi_0 = 1 and phi_k(x) = (1-q)x/(1-sx) ((x-s)/(1-sx))^(k-1); g_lam is
+    (1-q)^m0/(q;q)_m0 times the sum over permutations sigma of
+    sigma(prod_{i<j} (x_i - q x_j)/(x_i - x_j) prod_i phi_{lam_i}(x_i)),
+    with m0 the number of zero parts.
+    """
+    q, s = params.q, params.s
+    n = len(xs)
+    parts = tuple(lam) + (0,) * (n - len(lam))
+
+    def phi(k, x):
+        return F(1) if k == 0 else (1 - q) * x / (1 - s * x) * ((x - s) / (1 - s * x)) ** (k - 1)
+
+    total = F(0)
+    for ys in itertools.permutations(xs):
+        term = F(1)
+        for i, j in itertools.combinations(range(n), 2):
+            term *= (ys[i] - q * ys[j]) / (ys[i] - ys[j])
+        for k, y in zip(parts, ys):
+            term *= phi(k, y)
+        total += term
+    m0 = n - len(lam)
+    return (1 - q) ** m0 / _q_pochhammer(q, q, m0) * total
+
+
+@pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])
+def test_f_and_g_match_the_symmetrization_formula(n, top):
+    # f_lam = prod_{k>=1} (s^2;q)_{m_k}/(q;q)_{m_k} g_lam, with m_k the
+    # multiplicities of lam; this formula is verified here, literally, at the
+    # fixture points, for every lam in an n x top box, in n variables
+    boxed = enumerate_partitions(top, n)
+    assert len(boxed) == math.comb(n + top, n)
+    for params in FIXTURE_POINTS:
+        xs = params.x[:n]
+        for lam in boxed:
+            g = _symmetrized_g(lam, xs, params)
+            ratio = F(1)
+            for k in set(lam):
+                m = lam.count(k)
+                ratio *= (_q_pochhammer(params.s**2, params.q, m)
+                          / _q_pochhammer(params.q, params.q, m))
+            assert g_skew((), lam, xs, params) == g, (lam, params)
+            assert f_skew((), lam, xs, params) == ratio * g, (lam, params)
