@@ -374,7 +374,7 @@ def test_word_path_falls_back_to_the_cell_substream(params, monkeypatch):
 
     def read_on(num, den, rng):
         hit = sample_bernoulli(num, den, rng)
-        reads.append((rng.seed, rng.stream, rng._key, rng._k))
+        reads.append((rng.seed, rng.stream, rng._key, rng._k, rng._u))
         return hit
 
     monkeypatch.setattr(ds6v, "sample_bernoulli", read_on)
@@ -383,13 +383,21 @@ def test_word_path_falls_back_to_the_cell_substream(params, monkeypatch):
     assert drawing and [r[:3] for r in reads] == [(12, 3, cell) for cell in drawing]
 
     # words that straddle p leave word_bernoulli undecided itself; each draw
-    # reads the substream's first word and one bit past it, and the heights
+    # reads all 63 bits of the substream's first word and one bit of its
+    # second (that word is current, with 62 bits unread), and the heights
     # are those of a source that hands out substream(i, j) children
-    monkeypatch.setattr(ds6v, "word_bernoulli", word_bernoulli)
+    outcomes = []
+
+    def recorded(num, den, u):
+        outcomes.append(word_bernoulli(num, den, u))
+        return outcomes[-1]
+
+    monkeypatch.setattr(ds6v, "word_bernoulli", recorded)
     monkeypatch.setattr(compiled(params), "jumps", lambda j: _jump_row(j, words))
     reads.clear()
     h = ds6v_sample(T, src, params)
-    assert reads and [r[3] for r in reads] == [62] * len(reads)
+    assert outcomes and set(outcomes) == {None} and len(reads) == len(outcomes)
+    assert all(k == 62 and u != words[cell] for _, _, cell, k, u in reads)
     assert h == ds6v_sample(T, _Children(src), params)
     assert len(set(h.values())) > 2
 
