@@ -21,7 +21,8 @@ picks; an --only that is part of no check's name is a config error.
 Exit codes: 0 pass, 1 check failure, 2 configuration or parameter error
 (any package exception about the inputs, an integer option that is not
 an integer or is below its minimum, a config that is not a JSON object,
-or an --only that selects nothing, reported as one line on stderr).
+an --out that cannot be written, or an --only that selects nothing,
+reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -83,6 +84,15 @@ def _int_option(args, cfg, name, default=None, minimum=0):
     return n
 
 
+def _write(path, text):
+    """Write text to the file at path; an OSError is a ConfigError, so it exits 2."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
+
+
 def _params_from(cfg, T):
     try:
         q = frac(cfg.get("q", "1/3"))
@@ -117,14 +127,12 @@ def cmd_verify(args):
             raise ConfigError(f"--point must be in 0..{len(points) - 1}")
         points = (points[args.point],)
     reports = identities.run_suite(points, cap=_int_option(args, cfg, "cap", 30), only=args.only)
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    failed = 0
-    for rep in reports:
-        out.write(rep.to_json() + "\n")
-        if not rep.passed:
-            failed += 1
-    if out is not sys.stdout:
-        out.close()
+    text = "".join(rep.to_json() + "\n" for rep in reports)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _write(args.out, text)
+    failed = sum(not rep.passed for rep in reports)
     if failed:
         print(f"{failed}/{len(reports)} checks FAILED", file=sys.stderr)
         return 1
@@ -161,8 +169,7 @@ def cmd_sample(args):
         getattr(module, check)(result)
     written = files(result, args.out)
     for path, text in written:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write(path, text)
     print(f"wrote {' and '.join(path for path, _ in written)}", file=sys.stderr)
     return 0
 

@@ -231,22 +231,6 @@ def _absorb(pool, h, words):
     return tuple(pool), h
 
 
-def _second_word_steps(h):
-    """The (xor, multiply) pairs of the hash steps of the second of two key words.
-
-    h is the hash constant before both words; none of the pairs depends
-    on the words.
-    """
-    for _ in range(4):
-        h = (h * _MULT_A) & _M32
-    steps = []
-    for _ in range(4):
-        h2 = (h * _MULT_A) & _M32
-        steps.append((h, h2))
-        h = h2
-    return steps
-
-
 def _seed_pool(words):
     """SeedSequence's pool after its first pool-size words (zero-padded) and their cross-mix."""
     words = list(words) + [0] * (4 - len(words))
@@ -500,16 +484,17 @@ class RandomSource(_WordBits):
             return ((i, t - i, self.substream(i, t - i)._load())
                     for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
         pool, h = self._mixed
-        steps = _second_word_steps(h)
         rows = [bytearray() for _ in range(4)]
         for i in range(1, T + 1):
             for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
                 lane += ((_MIX_L * p) & _M32).to_bytes(8, "little")
+        h = _absorb(pool, h, (0,))[1]  # the hash constant after a first word, whatever it is
         cols = [bytearray() for _ in range(4)]
         for j in range(T, 0, -1):  # descending, so a diagonal's columns ascend with i
-            for lane, (x, m) in zip(cols, steps):
-                v = ((j ^ x) * m) & _M32
-                lane += ((_MIX_R * (v ^ (v >> 16))) & _M32).to_bytes(8, "little")
+            hj = h
+            for lane in cols:
+                v, hj = _hashmix(j, hj)
+                lane += ((_MIX_R * v) & _M32).to_bytes(8, "little")
         return chain.from_iterable(_band_words(band, n, T, rows, cols) for band, n in _bands(T))
 
     def _load(self):

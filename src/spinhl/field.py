@@ -121,8 +121,6 @@ def validate_path(vertices):
             raise InvalidPath(f"illegal step {step} at {(a, b)}")
     if vs[-1][0] != 0:
         raise InvalidPath(f"path must end on the column i = 0, got {vs[-1]}")
-    if not (0 <= vs[-1][0] <= vs[-1][1]):
-        raise InvalidPath("endpoint outside the half-space")
     return vs
 
 

@@ -15,22 +15,27 @@ forms) have one infinite side; that side is truncated by largest part and
 accompanied by a certified rational tail bound, so a pass means
 |lhs - rhs| <= tail_bound with everything exact.
 
-Two tail-bound constructions are used:
+Two tail-bound constructions are used.  Each is one function that takes
+only the sum's variables (xs against ys, or xs alone for a Littlewood
+side), its fixed inner partitions and the cap, and works out the rest:
 
 * one-largest-part sums (skew Cauchy with one x and one y, skew Littlewood
-  with two variables): increments at consecutive caps are exactly
-  geometric with the pairwise convergence ratio once the cap clears the
-  fixed parts; the code verifies that exact recursion on the last three
-  increments and then sums the geometric tail in closed form;
+  with two variables), ``geometric_tail``: increments at consecutive caps
+  are exactly geometric with the pairwise convergence ratio once the cap
+  clears the largest fixed part; the code verifies that exact recursion
+  on the last three increments and then sums the geometric tail in
+  closed form;
 
-* refined sums: the u-dependent coefficients lie in [0, 1] for u in [0, 1]
-  in probabilistic mode, so the tail is dominated by the tail of the plain
-  (unrefined) identity, whose total is a known closed form; the bound is
-  closed_form - retained_plain_sum, an exact rational.
+* refined sums, ``_refined_report``: the u-dependent coefficients lie in
+  [0, 1] for u in [0, 1] in probabilistic mode, so the tail is dominated
+  by the tail of the plain (unrefined) identity, whose total is a known
+  closed form; the bound is closed_form - retained_plain_sum, an exact
+  rational.
 
 Every truncated sum comes from the integer column-transfer kernel of
 :mod:`spinhl.sshl`, which returns the partial sum grouped by the length
-of lam: the refined sums weight each length by its refinement
+of lam; with no ys it sums the Littlewood side, with the pairing factor
+of every column.  The refined sums weight each length by its refinement
 coefficient (``column_sums``, one scan at the cap), and the skew sums
 start the kernel's chains from their fixed inner partitions and read the
 partial sums at the caps cap - 3 .. cap for the increments from one scan
@@ -56,15 +61,8 @@ from .exact import (
     convergence_ratio,
     frac,
 )
-from .partitions import (
-    even_core,
-    even_cover,
-    even_pair_coefficient,
-    interlacing_below,
-    is_conjugate_even,
-    pairing_factor,
-)
-from .sshl import column_scan, column_sums, f_one_row, g_one_row, g_skew
+from .partitions import even_cover, even_pair_coefficient, interlacing_below, is_conjugate_even
+from .sshl import column_scan, column_sums, f_one_row, g_one_row, g_skew, tail_weight
 from .weights import (
     INF,
     L_TABLE,
@@ -454,23 +452,26 @@ def pfaffian_exact(rows):
 # tail machinery
 # ---------------------------------------------------------------------------
 
-def geometric_tail(scan, lo, cap, ratio, name):
+def geometric_tail(name, xs, ys, cap, params, f_inner=(), g_inner=()):
     """Partial sum and certified tail of a one-largest-part sum truncated at cap.
 
-    scan(caps) must return, for each c in caps, the exact terms with
-    largest part <= c as a {len(lam): partial sum} dict, as
-    sshl.column_scan does; total(c) is that dict's sum, and lo is the
-    largest fixed part.  scan is called once, with the caps cap - 3 ..
-    cap, so one column scan gives all four partial sums.  Beyond lo the
+    The sum is column_sums(xs, ys, c, params, f_inner, g_inner) with its
+    two variables (x and y, or x1 and x2 with ys empty), and total(c) is
+    its value at cap c.  lo, the largest inner part, and the ratio, the
+    convergence_ratio of the two variables, follow from them.  One
+    column_scan gives total at the caps cap - 3 .. cap.  Beyond lo the
     increments total(c) - total(c-1) are exactly geometric with the ratio;
     we verify that recursion on the last three increments and return
-    (total(cap), increment(cap) * r / (1 - r)).
+    (total(cap), increment(cap) * r / (1 - r)).  The ratio is checked
+    first, then the cap, then the scan is run.
     """
+    ratio = convergence_ratio(*xs, *ys, params)
     if not ZERO <= ratio < ONE:
         raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
-    if cap < lo + 3:
+    if cap < max((*f_inner[:1], *g_inner[:1]), default=0) + 3:
         raise InvalidParams(f"{name}: cap too small to certify the geometric tail")
-    partial = [sum(sums.values(), ZERO) for sums in scan(range(cap - 3, cap + 1))]
+    scan = column_scan(xs, ys, range(cap - 3, cap + 1), params, f_inner, g_inner)
+    partial = [sum(sums.values(), ZERO) for sums in scan]
     inc = [b - a for a, b in zip(partial, partial[1:])]
     for k in (1, 2):
         if inc[k] != ratio * inc[k - 1]:
@@ -510,19 +511,13 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
 
     (1/Pi) * sum over outer kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
     equals the finite sum over inner nu of f_{lam/nu}(x) g_{mu/nu}(y);
-    the outer side comes from the integer column-transfer kernel with
-    inner partitions mu (f side) and lam (g side), and carries the
-    certified geometric tail: one column_scan gives the partial sums at
-    cap - 3 .. cap that geometric_tail checks.
+    the outer side is the kernel's sum with inner partitions mu (f side)
+    and lam (g side), truncated at cap with the certified tail of
+    geometric_tail("skew-cauchy", (x,), (y,), cap, params, mu, lam).
     """
     _require_admissible([(x, y)], params)
     pre = ONE / cauchy_kernel(x, y, params)
-
-    def scan(caps):
-        return column_scan((x,), (y,), caps, params, f_inner=mu, g_inner=lam)
-
-    lo = max(lam[0] if lam else 0, mu[0] if mu else 0)
-    outer, tail = geometric_tail(scan, lo, cap, convergence_ratio(x, y, params), "skew-cauchy")
+    outer, tail = geometric_tail("skew-cauchy", (x,), (y,), cap, params, f_inner=mu, g_inner=lam)
     below_lam = set(interlacing_below(lam))
     rhs = ZERO
     for nu in interlacing_below(mu):
@@ -537,26 +532,23 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
 def check_skew_littlewood(mu, xs, cap, params):
     """Skew Littlewood identity; exact for one variable, truncated for two.
 
-    One variable: both conjugate-even sums collapse to single terms
-    (the even cover above, the even core below); exact equality.
-    Two variables: the cover side is an infinite sum over conjugate-even
-    lam, taken from the integer column-transfer kernel with inner
-    partition mu and the pairing factor as column factor, truncated by
-    largest part with a certified geometric tail whose partial sums at
-    cap - 3 .. cap come from one column_scan.
+    One variable: both conjugate-even sums collapse to single terms, the
+    even cover above and the even core below; the one below is
+    sshl.tail_weight(mu, x), and the equality is exact.  Two variables:
+    the cover side is an infinite sum over conjugate-even lam, the
+    kernel's Littlewood form with inner partition mu, truncated by largest
+    part with the certified tail of geometric_tail("skew-littlewood", xs,
+    (), cap, params, f_inner=mu).
     """
     xs = tuple(xs)
     _require_admissible(itertools.combinations(xs, 2), params)
     if len(xs) == 1:
         lam = even_cover(mu)
-        tau = even_core(mu)
         lhs = even_pair_coefficient(lam, params) * f_one_row(mu, lam, xs[0], params)
-        rhs = even_pair_coefficient(tau, params) * g_one_row(tau, mu, xs[0], params)
-        return _exact_report(f"skew-littlewood-1var[{mu}]", lhs, rhs)
+        return _exact_report(f"skew-littlewood-1var[{mu}]", lhs, tail_weight(mu, xs[0], params))
     if len(xs) != 2:
         raise InvalidParams("truncated skew Littlewood implemented for one or two variables")
-    x1, x2 = xs
-    pre = cauchy_kernel(x1, x2, params)
+    pre = cauchy_kernel(*xs, params)
     # right side: finite sum over conjugate-even nu reachable below mu
     rhs = ZERO
     for nu in sorted(_even_below(mu)):
@@ -564,12 +556,7 @@ def check_skew_littlewood(mu, xs, cap, params):
         if w != 0:
             rhs += even_pair_coefficient(nu, params) * w
     rhs *= pre
-
-    def scan(caps):
-        return column_scan(xs, (), caps, params, lambda m: pairing_factor(m, params), f_inner=mu)
-
-    lhs, tail = geometric_tail(
-        scan, mu[0] if mu else 0, cap, convergence_ratio(x1, x2, params), "skew-littlewood")
+    lhs, tail = geometric_tail("skew-littlewood", xs, (), cap, params, f_inner=mu)
     return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
 
 
@@ -613,21 +600,15 @@ def check_refined_cauchy(xs, ys, u, cap, params):
     """Refined Cauchy identity for n x-variables against n y-variables, truncated.
 
     Left: sum over partitions with at most n parts, largest part <= cap, of
-    f_lam(xs) g_lam(ys) weighted by prod_{i=1}^{n-len(lam)} (1 - u q^i); the
-    per-length sums come from one integer scan of the column-transfer
-    kernel ``sshl.column_sums``.  Tail bound: with u in [0, 1] and
-    probabilistic parameters the dropped terms are dominated by the plain
-    Cauchy tail, whose total is the closed form prod Pi(x_i; y_j).
+    f_lam(xs) g_lam(ys) weighted by prod_{i=1}^{n-len(lam)} (1 - u q^i).
+    Right: the determinant closed form (refined_cauchy_rhs).  Tail bound
+    by the plain Cauchy closed form prod Pi(x_i; y_j); see _refined_report.
     """
     xs, ys = tuple(xs), tuple(ys)
-    n = len(xs)
-    if len(ys) != n:
+    if len(ys) != len(xs):
         raise InvalidParams("refined Cauchy needs equally many x and y variables")
-    pairs = list(itertools.product(xs, ys))
-    _require_refined_tail(u, pairs, params)
-    return _refined_report(
-        f"refined-cauchy[n={n},u={u}]", "Cauchy", pairs, column_sums(xs, ys, cap, params),
-        refined_cauchy_rhs(xs, ys, u, params), n, 1, u, cap, params)
+    return _refined_report(f"refined-cauchy[n={len(xs)},u={u}]", xs, ys, u, cap, params,
+                           lambda: refined_cauchy_rhs(xs, ys, u, params))
 
 
 def _require_refined_tail(u, pairs, params):
@@ -638,21 +619,34 @@ def _require_refined_tail(u, pairs, params):
     _require_admissible(pairs, params)
 
 
-def _refined_report(name, plain, pairs, sums, rhs, n, step, u, cap, params):
-    """Truncated report of a refined identity whose plain form is prod Pi(x; y) over `pairs`.
+def _refined_report(name, xs, ys, u, cap, params, closed_form):
+    """Truncated report of the refined identity in xs and ys (the Littlewood form if ys is empty).
 
-    `sums` maps len(lam) to the retained plain partial sum and rhs is the
-    refined closed form.  A lam with m = n - len(lam) zero parts has the
-    refinement coefficient prod (1 - u q^i) over i = 1, 1 + step, ... <= m.
-    Under _require_refined_tail every coefficient lies in [0, 1], so the
-    dropped terms are dominated by the plain tail: the bound is the plain
-    closed form minus the retained plain sum, an exact rational.
+    The plain form is the Cauchy identity over the pairs (x, y) of xs and
+    ys, or with ys empty the Littlewood identity over the pairs x_i, x_j
+    (i < j); its closed form is prod Pi over those pairs.  The retained
+    plain sum, by len(lam), is one column_sums scan at the cap.  A lam
+    with m = len(xs) - len(lam) zero parts has the refinement coefficient
+    prod (1 - u q^i) over i = 1, 2, ..., m (Cauchy) or i = 1, 3, ... <= m
+    (Littlewood).  Under _require_refined_tail every coefficient lies in
+    [0, 1], so the dropped terms are dominated by the plain tail: the bound
+    is the plain closed form minus the retained plain sum, an exact
+    rational.  The tail requirements are checked first, then the sum is
+    scanned, and only then is closed_form() called for the refined right
+    side.
     """
+    if ys:
+        plain, pairs, step = "Cauchy", list(itertools.product(xs, ys)), 1
+    else:
+        plain, pairs, step = "Littlewood", list(itertools.combinations(xs, 2)), 2
+    _require_refined_tail(u, pairs, params)
+    sums = column_sums(xs, ys, cap, params)
+    rhs = closed_form()
     lhs = total = ZERO
     for length, term in sums.items():
         total += term
         coeff = ONE
-        for i in range(1, n - length + 1, step):
+        for i in range(1, len(xs) - length + 1, step):
             coeff *= ONE - u * params.q**i
         lhs += coeff * term
     closed = ONE
@@ -693,24 +687,17 @@ def check_refined_littlewood(xs, u, cap, params):
     Left: sum over partitions with all multiplicities even (so parts pair
     up and the length is even), largest part <= cap, of
     even_pair_coefficient(lam) f_lam(xs) weighted by the refinement
-    coefficient prod_{k=1}^{m/2} (1 - u q^{2k-1}), m = 2n - len(lam).  The
-    per-length sums come from one integer scan of the column-transfer
-    kernel ``sshl.column_sums`` with no g side and the pairing factor of
-    each multiplicity as its column factor (zero for an odd multiplicity),
-    folded into the integer rows over its own common denominator.
-    Tail bound by the plain Littlewood closed form prod_{i<j} Pi(x_i; x_j),
-    valid for u in [0, 1] in probabilistic mode.
+    coefficient prod_{k=1}^{m/2} (1 - u q^{2k-1}), m = 2n - len(lam); the
+    kernel's Littlewood form (column_sums with no ys) gives the sums.
+    Right: the Pfaffian closed form (refined_littlewood_rhs).  Tail bound
+    by the plain Littlewood closed form prod_{i<j} Pi(x_i; x_j); see
+    _refined_report.
     """
     xs = tuple(xs)
     if len(xs) % 2 != 0:
         raise InvalidParams("refined Littlewood needs an even number of variables")
-    n2 = len(xs)
-    pairs = list(itertools.combinations(xs, 2))
-    _require_refined_tail(u, pairs, params)
-    sums = column_sums(xs, (), cap, params, factor=lambda m: pairing_factor(m, params))
-    return _refined_report(
-        f"refined-littlewood[2n={n2},u={u}]", "Littlewood", pairs, sums,
-        refined_littlewood_rhs(xs, u, params), n2, 2, u, cap, params)
+    return _refined_report(f"refined-littlewood[2n={len(xs)},u={u}]", xs, (), u, cap, params,
+                           lambda: refined_littlewood_rhs(xs, u, params))
 
 
 # ---------------------------------------------------------------------------

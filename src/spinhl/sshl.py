@@ -25,8 +25,9 @@ branching rule: one chain DP, ``_chain_sum``, sums products of one-row
 weights over the chains inner ≺ nu_1 ≺ ... ≺ outer, for f_skew and g_skew
 alike.
 
-Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys) (the Cauchy and
-Littlewood sides, plain, refined and skew) do not enumerate lam or its
+Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys), or with no ys of
+f_{lam/mu}(xs) times the pairing factor of every column (the Cauchy and
+Littlewood sides, plain, refined and skew), do not enumerate lam or its
 chains: ``column_scan`` is one exact column-transfer kernel over the first
 definition's lattice, and ``column_sums`` is its scan at one cap.  Like
 ``_one_row`` it works on integers: each column row holds VertexRow
@@ -45,7 +46,8 @@ import math
 from fractions import Fraction
 
 from .exact import ONE, ZERO
-from .partitions import mult_vector, even_core, even_pair_coefficient, interlacing_above
+from .partitions import (even_core, even_pair_coefficient, interlacing_above, mult_vector,
+                         pairing_factor)
 from .weights import L_TABLE, M_TABLE, MSTAR_TABLE, VertexRow, _check_den
 
 
@@ -167,8 +169,8 @@ def g_skew(inner, outer, ys, params):
     return _chain_sum(g_one_row, inner, outer, tuple(ys), params)
 
 
-def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
-    """Exact sum of f_{lam/f_inner}(xs) g_{lam/g_inner}(ys) prod_c factor(m_c(lam)), lam_1 <= cap.
+def column_sums(xs, ys, cap, params, f_inner=(), g_inner=()):
+    """Exact sum of f_{lam/f_inner}(xs) g_{lam/g_inner}(ys) over lam with lam_1 <= cap.
 
     Returns {len(lam): partial sum}.  One column-transfer pass replaces the
     enumeration of lam and of its interlacing chains.  Under the first
@@ -190,21 +192,23 @@ def column_sums(xs, ys, cap, params, factor=None, f_inner=(), g_inner=()):
     cap below the largest inner part leaves nothing to sum: the result is
     {}.
 
-    With ys empty the g side (and g_inner) is omitted rather than forced to
-    lam = g_inner (the Littlewood form): the sum is then of
-    f_{lam/f_inner}(xs) prod_c factor(m_c).  `factor` maps a multiplicity
-    to its column factor (None means 1); factor(0) must be 1, as for the
-    pairing factor.  Its values up to the largest multiplicity a column
-    can reach are put over their own common denominator and folded into
-    the integer rows.  A vanishing 1 - s x (or 1 - s y) raises
-    InvalidParams("1 - s x vanished"), as the weights do, once there is a
+    With ys empty the sum is the Littlewood side: the g side (and g_inner)
+    is omitted, and every column carries the pairing factor of its
+    multiplicity instead, so the sum is of
+    f_{lam/f_inner}(xs) prod_c pairing_factor(m_c(lam)), that is of
+    even_pair_coefficient(lam) f_{lam/f_inner}(xs) over conjugate-even
+    lam.  The pairing factors up to the largest multiplicity a column can
+    reach are put over their own common denominator and folded into the
+    integer rows.  A vanishing 1 - s x (or 1 - s y) raises
+    InvalidParams("1 - s x vanished"), as the weights do, and a vanishing
+    1 - s^2 q^k raises pairing_factor's InvalidParams, once there is a
     column to scan.
     """
-    return column_scan(xs, ys, (cap,), params, factor, f_inner, g_inner)[0]
+    return column_scan(xs, ys, (cap,), params, f_inner, g_inner)[0]
 
 
-def column_scan(xs, ys, caps, params, factor=None, f_inner=(), g_inner=()):
-    """[column_sums(xs, ys, cap, params, factor, f_inner, g_inner) for cap in caps], in one scan.
+def column_scan(xs, ys, caps, params, f_inner=(), g_inner=()):
+    """[column_sums(xs, ys, cap, params, f_inner, g_inner) for cap in caps], in one scan.
 
     The scan is split at the largest inner part lo.  Every column above lo
     has start multiplicities (0, 0) and so one shared row, and these
@@ -227,8 +231,8 @@ def column_scan(xs, ys, caps, params, factor=None, f_inner=(), g_inner=()):
     if top >= 1:
         for row in f_rows + g_rows:
             _check_den(row.base, "1 - s x")
-        if factor is not None:
-            fs = [factor(m) for m in range(max(mf) + n + 1)]
+        if not ys:
+            fs = [pairing_factor(m, params) for m in range(max(mf) + n + 1)]
             fac_den = math.lcm(*(f.denominator for f in fs))
             fac = [f.numerator * (fac_den // f.denominator) for f in fs]
     columns = {key: _column(f_rows, g_rows, fac, fac_den, params.q.denominator, *key)
@@ -271,8 +275,9 @@ def _column(f_rows, g_rows, fac, fac_den, qd, a, b):
     of the f rows stay within a + len(f_rows) and those of the g rows
     within b + len(g_rows), so every L vertex is taken over the exponent
     a + len(f_rows) and every M vertex over b + len(g_rows): the
-    denominator is the product of the rows' bases, a power of qd and the
-    factor's common denominator fac_den.
+    denominator is the product of the rows' bases, a power of qd and
+    fac_den.  With no g rows (the Littlewood form), fac[m] is the pairing
+    factor of multiplicity m as a numerator over fac_den.
     """
     n, ef, eg = len(f_rows), a + len(f_rows), b + len(g_rows)
     den = qd ** (n * ef + len(g_rows) * eg) * fac_den
@@ -295,15 +300,10 @@ def _column(f_rows, g_rows, fac, fac_den, qd, a, b):
                     prev + j - l, r.num(M_TABLE, prev, j, prev + j - l, l, eg))).items():
                 g_side.setdefault(m, []).append((g_out, w))
         for (m, f_out), w in f_side.items():
-            if fac is not None:
-                w *= fac[m]
-                if not w:
-                    continue
-            if not g_rows:
-                out.append((f_out, w))
-                continue
-            for g_out, wg in g_side.get(m, ()):
-                out.append((f_out + g_out, w * wg))
+            if g_rows:
+                out += [(f_out + g_out, w * wg) for g_out, wg in g_side.get(m, ())]
+            elif fac[m]:
+                out.append((f_out, w * fac[m]))
         return out
 
     return row, den

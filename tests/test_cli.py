@@ -206,6 +206,21 @@ def test_every_input_error_exits_2(tmp_path, capsys, monkeypatch, error):
     assert capsys.readouterr().err == f"parameter error: {error.__name__}: bad input\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--only", "r-stoch"], ["sample-field", "--T", "2"], ["ds6v", "--T", "2"],
+    ["particles", "--T", "2"],
+], ids=lambda c: c[0])
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    # exit 1 means a check failed; an --out in a missing directory is a config error
+    path = tmp_path / "missing" / "out"
+    assert main([*command, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: cannot write {path}: "), lines
+    assert not path.parent.exists()
+
+
 def test_sample_field_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["sample-field", "--T", "4", "--seed", "7", "--out", str(a)]) == 0

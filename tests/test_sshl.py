@@ -17,7 +17,6 @@ from spinhl.partitions import (
     interlaces,
     interlacing_above,
     is_conjugate_even,
-    pairing_factor,
 )
 from spinhl.sshl import (
     column_scan,
@@ -257,8 +256,7 @@ def test_column_sums_littlewood_form(point, n2):
                 for lam in enumerate_partitions(cap, len(mu) + n2)
                 if is_conjugate_even(lam)
             )
-            sums = column_sums(
-                xs, (), cap, params, lambda m: pairing_factor(m, params), f_inner=mu)
+            sums = column_sums(xs, (), cap, params, f_inner=mu)
             assert _nonzero(sums) == brute, (n2, mu, cap)
 
 
@@ -269,18 +267,17 @@ def test_column_scan_equals_column_sums_at_each_cap(point):
     # inner part give {}
     params = COLUMN_POINTS[point]
     x, y = params.x[:2]
-    pairing = lambda m: pairing_factor(m, params)
-    for xs, ys, factor, f_inner, g_inner in [
-        ((x,), (y,), None, (), ()),
-        ((x,), (y,), None, (), (1,)),
-        ((x,), (y,), None, (3, 1), (2,)),
-        ((x, y), (), pairing, (), ()),
-        ((x, y), (), pairing, (3, 1), ()),
-        ((x, y), (y, x), None, (2, 2), (1,)),
+    for xs, ys, f_inner, g_inner in [
+        ((x,), (y,), (), ()),
+        ((x,), (y,), (), (1,)),
+        ((x,), (y,), (3, 1), (2,)),
+        ((x, y), (), (), ()),
+        ((x, y), (), (3, 1), ()),
+        ((x, y), (y, x), (2, 2), (1,)),
     ]:
         for caps in [range(9, 13), range(-1, 5), (7, 2, 0, 7)]:
-            scan = column_scan(xs, ys, caps, params, factor, f_inner, g_inner)
-            assert scan == [column_sums(xs, ys, c, params, factor, f_inner, g_inner)
+            scan = column_scan(xs, ys, caps, params, f_inner, g_inner)
+            assert scan == [column_sums(xs, ys, c, params, f_inner, g_inner)
                             for c in caps], (xs, ys, f_inner, g_inner, caps)
 
 
@@ -294,7 +291,7 @@ def test_column_sums_raise_the_weights_text_when_1_minus_s_x_vanishes(vanishing)
     with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
         one_row((), (1,), x if vanishing == "x" else y, params)
     for run in (lambda: column_sums((x,), (y,), 1, params),
-                lambda: column_sums((x, y), (), 3, params, lambda m: pairing_factor(m, params)),
+                lambda: column_sums((x, y), (), 3, params),
                 lambda: column_scan((x,), (y,), range(2, 6), params, f_inner=(2,))):
         with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
             run()
@@ -336,6 +333,15 @@ def _symmetrized_g(lam, xs, params):
     return (1 - q) ** m0 / _q_pochhammer(q, q, m0) * total
 
 
+def _f_over_g(lam, params):
+    """prod_{k>=1} (s^2;q)_{m_k}/(q;q)_{m_k}, with m_k the multiplicities of lam."""
+    ratio = F(1)
+    for k in set(lam):
+        m = lam.count(k)
+        ratio *= _q_pochhammer(params.s**2, params.q, m) / _q_pochhammer(params.q, params.q, m)
+    return ratio
+
+
 @pytest.mark.parametrize("n, top", [(3, 4), (4, 3)])
 def test_f_and_g_match_the_symmetrization_formula(n, top):
     # f_lam = prod_{k>=1} (s^2;q)_{m_k}/(q;q)_{m_k} g_lam, with m_k the
@@ -347,10 +353,25 @@ def test_f_and_g_match_the_symmetrization_formula(n, top):
         xs = params.x[:n]
         for lam in boxed:
             g = _symmetrized_g(lam, xs, params)
-            ratio = F(1)
-            for k in set(lam):
-                m = lam.count(k)
-                ratio *= (_q_pochhammer(params.s**2, params.q, m)
-                          / _q_pochhammer(params.q, params.q, m))
             assert g_skew((), lam, xs, params) == g, (lam, params)
-            assert f_skew((), lam, xs, params) == ratio * g, (lam, params)
+            assert f_skew((), lam, xs, params) == _f_over_g(lam, params) * g, (lam, params)
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_column_sums_match_the_symmetrization_formula(point):
+    # the kernel against an oracle that shares no code with the lattice: f and
+    # g by the symmetrization formula, summed by length at every cap 0..8, in
+    # the Cauchy form (3 x's against 3 y's) and in the Littlewood form (4 x's,
+    # conjugate-even lam weighted by even_pair_coefficient), which pins the
+    # pairing factor the kernel uses as its column factor when ys is empty
+    params = FIXTURE_POINTS[point]
+    xs, ys = params.x[:3], params.x[::-1][:3]
+    cauchy = [(lam, _f_over_g(lam, params) * _symmetrized_g(lam, xs, params)
+               * _symmetrized_g(lam, ys, params)) for lam in enumerate_partitions(8, 3)]
+    littlewood = [(lam, even_pair_coefficient(lam, params) * _f_over_g(lam, params)
+                   * _symmetrized_g(lam, params.x[:4], params))
+                  for lam in enumerate_partitions(8, 4) if is_conjugate_even(lam)]
+    for cap in range(9):
+        for (xv, yv), terms in [((xs, ys), cauchy), ((params.x[:4], ()), littlewood)]:
+            oracle = _by_length((lam, w) for lam, w in terms if (lam[:1] or (0,))[0] <= cap)
+            assert _nonzero(column_sums(xv, yv, cap, params)) == oracle, (len(yv), cap)
