@@ -301,7 +301,8 @@ def _column(f_rows, g_rows, fac, fac_den, qd, a, b):
                 g_side.setdefault(m, []).append((g_out, w))
         for (m, f_out), w in f_side.items():
             if g_rows:
-                out += [(f_out + g_out, w * wg) for g_out, wg in g_side.get(m, ())]
+                for g_out, wg in g_side.get(m, ()):
+                    out.append((f_out + g_out, w * wg))
             elif fac[m]:
                 out.append((f_out, w * fac[m]))
         return out
