@@ -136,10 +136,12 @@ def check_heights(h):
 def paths_from_heights(h):
     """Recover the up-right path ensemble: occupied vertical and horizontal edges.
 
-    The vertical edge (i, j) -> (i, j+1) is occupied iff h(i, j) - h(i-1, j) = 1.
-    Horizontal occupancies follow by conservation at each bulk vertex; a
-    new path enters at every (1, j).  Diagonal vertices may absorb or emit
-    paths, so conservation is only enforced strictly above the diagonal.
+    The vertical edge (i, j) -> (i, j+1) is occupied iff h(i, j) - h(i-1, j) = 1,
+    and the horizontal edge (i-1, j) -> (i, j) iff h(i-1, j) = h(i-1, j-1);
+    a new path enters at every (1, j).  Conservation at a bulk vertex
+    (i < j) needs no check: the four increments around the cell satisfy
+    a + c = b + d, so the right edge carries 1 - d, which check_heights has
+    made 0 or 1.  Diagonal vertices may absorb or emit paths.
     Returns (vertical, horizontal): sets of edge-origin lattice points,
     where horizontal (i, j) means the edge (i, j) -> (i+1, j).
     """
@@ -151,18 +153,11 @@ def paths_from_heights(h):
             if v - h[(i - 1, j)] == 1:
                 vert.add((i, j))
     horiz = set()
-    # the horizontal edge west of (i, j) is occupied iff h(i-1, .) does not grow
-    # from j-1 to j; at i = 1 that always holds (h(0, .) = 0), the boundary inflow
+    # at i = 1 the horizontal edge is always occupied (h(0, .) = 0), the boundary inflow
     for j in range(1, T + 1):
         for i in range(1, j + 1):
-            left = 1 - (h[(i - 1, j)] - h[(i - 1, j - 1)])
-            if left:
+            if h[(i - 1, j)] == h[(i - 1, j - 1)]:
                 horiz.add((i - 1, j))
-            bottom = (h[(i, j - 1)] - h[(i - 1, j - 1)]) if (i, j - 1) in h else 0
-            top = h[(i, j)] - h[(i - 1, j)]
-            right = left + bottom - top
-            if i < j and right not in (0, 1):
-                raise InconsistentHeights(f"conservation fails at vertex {(i, j)}")
     return vert, horiz
 
 
@@ -231,35 +226,26 @@ def particle_step(state, rng, params):
     prev_new = None  # position of the already-updated right neighbour
     corner_used = False
     for ypos in old:
-        col0 = t - ypos + 1
-        blocked = prev_new is not None and prev_new == ypos + 1
         landed = None
-        if not blocked:
-            _, c, den = jumps[col0 - 1]
+        if prev_new != ypos + 1:  # not blocked by the updated right neighbour
+            _, c, den = jumps[t - ypos]
             if draw(c, den, rng):
                 landed = ypos + 1  # right hop
         if landed is None:
-            # leftward flight over columns col0+1, col0+2, ...
-            c_col = col0 + 1
-            while True:
-                site_scanned = t - c_col + 1  # old site the flight is passing
-                if c_col == t + 1:
-                    # the corner: park at site 1 or leave the system
-                    corner_used = True
-                    if corner_parity_even:
-                        landed = 1
-                    else:
-                        b, _, den = jumps[t]
-                        landed = None if draw(b, den, rng) else 1
+            # leftward flight over the old sites ypos - 1, ..., 1; site sits on column t - site + 1
+            for site in range(ypos - 1, 0, -1):
+                b, _, den = jumps[t - site]
+                if site in occupied_old or not draw(b, den, rng):
+                    landed = site + 1  # forced next to the blocker, or parks right of the hole
                     break
-                if site_scanned in occupied_old:
-                    landed = site_scanned + 1  # forced to park next to the blocker
-                    break
-                b, _, den = jumps[c_col - 1]
-                if not draw(b, den, rng):
-                    landed = site_scanned + 1  # parks: site one right of the hole
-                    break
-                c_col += 1
+            else:
+                # the corner: park at site 1 or leave the system
+                corner_used = True
+                if corner_parity_even:
+                    landed = 1
+                else:
+                    b, _, den = jumps[t]
+                    landed = None if draw(b, den, rng) else 1
         if landed is not None:
             new_positions.append(landed)
             prev_new = landed

@@ -247,17 +247,22 @@ def _seed_pool(words):
     return _absorb(pool, h, words[4:])
 
 
-def _generate_consts():
-    """The (xor, multiply) pairs of the eight hash steps of generate_state(4, uint64)."""
-    out, h = [], _INIT_B
-    for idx in range(8):
-        h2 = (h * _MULT_B) & _M32
-        out.append((idx & 3, h, h2))
-        h = h2
-    return tuple(out)
+def _schedule(h, mult, n):
+    """The (xor, multiply) pairs of n SeedSequence hash steps from hash constant h.
+
+    A step hashes its word v to ((v ^ xor) * multiply) & _M32 and then
+    xor-shifts it (as _hashmix does); the constants do not depend on v.
+    """
+    out = []
+    for _ in range(n):
+        m = (h * mult) & _M32
+        out.append((h, m))
+        h = m
+    return out
 
 
-_GENERATE = _generate_consts()
+# (pool index, xor, multiply) of the eight hash steps of generate_state(4, uint64)
+_GENERATE = tuple((idx & 3, x, m) for idx, (x, m) in enumerate(_schedule(_INIT_B, _MULT_B, 8)))
 
 
 def _pcg64(pool):
@@ -469,8 +474,10 @@ class RandomSource(_WordBits):
 
         The cells are seeded in bands.  Absorbing i takes this source's
         pool to a row that every j shares; the hashed words of j at the
-        next depth form a column that every i shares.  Both are made once
-        per index, premultiplied by the mix constants, and laid out as
+        next depth form a column that every i shares, hashed by the steps
+        5 to 8 of this source's hash schedule (_schedule), which do not
+        depend on i.  Both are made once per index, premultiplied by the
+        mix constants, and laid out as
         64-bit lanes so that the rows and columns of one diagonal are
         contiguous byte slices.  The cells of about _BAND cells' worth of
         whole anti-diagonals are then packed side by side in a few Python
@@ -488,13 +495,12 @@ class RandomSource(_WordBits):
         for i in range(1, T + 1):
             for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
                 lane += ((_MIX_L * p) & _M32).to_bytes(8, "little")
-        h = _absorb(pool, h, (0,))[1]  # the hash constant after a first word, whatever it is
+        steps = _schedule(h, _MULT_A, 8)[4:]  # the second key word's steps, one per pool entry
         cols = [bytearray() for _ in range(4)]
         for j in range(T, 0, -1):  # descending, so a diagonal's columns ascend with i
-            hj = h
-            for lane in cols:
-                v, hj = _hashmix(j, hj)
-                lane += ((_MIX_R * v) & _M32).to_bytes(8, "little")
+            for lane, (x, m) in zip(cols, steps):
+                v = ((j ^ x) * m) & _M32
+                lane += ((_MIX_R * (v ^ (v >> 16))) & _M32).to_bytes(8, "little")
         return chain.from_iterable(_band_words(band, n, T, rows, cols) for band, n in _bands(T))
 
     def _load(self):

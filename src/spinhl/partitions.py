@@ -8,10 +8,17 @@ Two special constructions drive the diagonal of the half-space samplers:
 ``even_cover`` and ``even_core`` give the unique conjugate-even partitions
 interlacing a given one from above and below (parts pair up as
 lam[0]=lam[1], lam[2]=lam[3], ...).
+
+The enumerated sets are boxes.  Every interlacing bound holds one part
+alone (mu[k] <= lam[k] <= mu[k-1]), so the partitions of one length that
+interlace a fixed one, from above or below, are a product of ranges
+(itertools.product); the partitions in a rectangle are the multisets of
+its part values (itertools.combinations_with_replacement).
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement, product
 
 from .exact import InvalidParams, ONE, ZERO
 
@@ -118,19 +125,11 @@ def enumerate_partitions(max_part, max_len):
 
     Deterministic graded order: by size, then lexicographically largest
     first within a grade, e.g. (2,2) gives (), (1), (2), (1,1), (2,1), (2,2).
+    The partitions of each length n are the size-n multisets of the parts
+    max_part, ..., 1, each listed in that (non-increasing) order.
     """
-    acc = []
-
-    def rec(prefix, bound, room):
-        acc.append(tuple(prefix))
-        if room == 0:
-            return
-        for a in range(1, bound + 1):
-            prefix.append(a)
-            rec(prefix, a, room - 1)
-            prefix.pop()
-
-    rec([], max_part, max_len)
+    parts = range(max_part, 0, -1)
+    acc = [p for n in range(max_len + 1) for p in combinations_with_replacement(parts, n)]
     acc.sort(key=lambda p: (sum(p), tuple(-a for a in p)))
     return acc
 
@@ -138,56 +137,35 @@ def enumerate_partitions(max_part, max_len):
 def interlacing_above(mu, cap_part=None, within=None):
     """All lam with mu ≺ lam, bounded by a part cap and/or containment in `within`.
 
-    The first part needs some upper bound; pass cap_part or within.
+    The first part needs some upper bound; pass cap_part or within.  Each
+    bound holds one part alone (mu[k] <= lam[k] <= mu[k-1], cap_part and
+    within[k]), so the lam of one length form a box of ranges: length
+    len(mu) first, then len(mu) + 1, each in lexicographic order.
     """
-    lm = len(mu)
+    if within is None:
+        if cap_part is None:
+            raise ValueError("unbounded enumeration: give cap_part or within")
+        within = (cap_part,) * (len(mu) + 1)
+    elif cap_part is not None:
+        within = [min(w, cap_part) for w in within]
+    lows = (*mu, 1)
+    highs = [*within[:1], *map(min, within[1:], mu)]  # within[k], and mu[k - 1] past k = 0
     out = []
-    for ll in (lm, lm + 1):
-        if within is not None and ll > len(within):
-            continue
-
-        def rec(k, lam):
-            if k == ll:
-                out.append(tuple(lam))
-                return
-            lo = mu[k] if k < lm else 1
-            his = []
-            if k > 0:
-                his.append(mu[k - 1])  # chain lam[k] <= mu[k-1] (implies lam[k] <= lam[k-1])
-            if cap_part is not None:
-                his.append(cap_part)
-            if within is not None:
-                his.append(within[k])
-            if not his:
-                raise ValueError("unbounded enumeration: give cap_part or within")
-            for v in range(max(lo, 1), min(his) + 1):
-                lam.append(v)
-                rec(k + 1, lam)
-                lam.pop()
-
-        rec(0, [])
+    for ll in (len(mu), len(mu) + 1):
+        if ll <= len(highs):
+            out += product(*(range(lows[k], highs[k] + 1) for k in range(ll)))
     return out
 
 
 def interlacing_below(lam):
-    """All mu with mu ≺ lam (a finite set)."""
-    ll = len(lam)
-    out = []
-    for lm in (ll, ll - 1):
-        if lm < 0:
-            continue
+    """All mu with mu ≺ lam (a finite set): the box lam[k+1] <= mu[k] <= lam[k].
 
-        def rec(k, mu):
-            if k == lm:
-                out.append(tuple(mu))
-                return
-            lo = lam[k + 1] if k + 1 < ll else 1
-            for v in range(max(lo, 1), lam[k] + 1):
-                mu.append(v)
-                rec(k + 1, mu)
-                mu.pop()
-
-        rec(0, [])
+    Length len(lam) first, then len(lam) - 1, each in lexicographic order.
+    """
+    ranges = [range(lo, hi + 1) for hi, lo in zip(lam, (*lam[1:], 1))]
+    out = list(product(*ranges))
+    if ranges:
+        out += product(*ranges[:-1])
     return out
 
 

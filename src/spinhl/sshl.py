@@ -58,9 +58,9 @@ def _one_row(table, v, params, lower, upper, h, columns):
     lower[c] and upper[c] are the vertical occupations below and above
     column c.  Horizontal edges carry at most one path, so at each column
     the out bit is the one bit whose (h, l, K - I) the table holds (its
-    conservation law); with none, or a zero weight, the row weighs 0 and
-    the out state is None.  The product is kept as integer numerators over
-    VertexRow's denominators and reduced once.
+    conservation law); with none, the row weighs 0 and the out state is
+    None.  The product is kept as integer numerators over VertexRow's
+    denominators and reduced once.
     """
     row = VertexRow(v, params)
     num = den = 1
@@ -73,10 +73,7 @@ def _one_row(table, v, params, lower, upper, h, columns):
         else:
             return ZERO, None
         e = max(I, K)
-        t = row.num(table, I, h, K, l, e)
-        if not t:
-            return ZERO, None
-        num *= t
+        num *= row.num(table, I, h, K, l, e)
         den *= row.base * row.qd**e
         h = l
     return Fraction(num, den), h

@@ -126,6 +126,28 @@ def test_bad_options_exit_2_with_one_config_line(tmp_path, capsys, command, cfg)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, cfg, expect", [
+    (["verify"], "missing", "cannot read config {cfg}: [Errno 2] No such file or directory: "
+                            "'{cfg}'"),
+    (["ds6v"], None, "missing required option 'T' (flag or config)"),
+    (["ds6v", "--T", "3"], {"x": ["1/4", "1/5"]},
+     "bad parameters: need at least 4 spectral values, got 2"),
+    (["verify", "--point", "3"], None, "--point must be in 0..2"),
+], ids=["unreadable-config", "ds6v-without-T", "too-few-spectral-values", "verify-point-3"])
+def test_config_errors_exit_2_with_their_line(tmp_path, capsys, command, cfg, expect):
+    # cfg "missing" passes --config naming a file that does not exist
+    path = tmp_path / "cfg.json"
+    argv = [] if cfg is None else ["--config", str(path)]
+    if isinstance(cfg, dict):
+        path.write_text(json.dumps(cfg))
+    out = ["--out", str(tmp_path / "out")] if command[0] == "ds6v" else []
+    assert main([*argv, *command, *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: " + expect.format(cfg=path) + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg, flags, code, expect", [
     ({"u": "1/3"}, ["--only", "refined-cauchy"], 0, '"refined-cauchy[n=1,u=1/3]"'),
     ({"x": ["6", "1/5", "1/6", "1/7"]}, [], 2, "parameter error: NotAdmissible"),

@@ -30,6 +30,18 @@ def test_sampled_fields_satisfy_invariants(params):
         assert all(field[(0, j)] == () for j in range(5))
 
 
+@pytest.mark.parametrize("field, message", [
+    ({(0, 0): (), (0, 1): (1,)}, "boundary column not empty at (0, 1)"),
+    ({(1, 1): (2,), (1, 2): (5, 3)}, "vertical interlacing fails at (1, 1)"),
+    ({(1, 2): (2,), (2, 2): (5, 3)}, "horizontal interlacing fails at (1, 2)"),
+], ids=["pinned-column", "vertical", "horizontal"])
+def test_field_invariants_raise_on_each_violation(field, message):
+    # (2,) does not interlace (5, 3) from below: 2 < 3
+    with pytest.raises(ValueError) as exc:
+        check_field_invariants(field)
+    assert str(exc.value) == message
+
+
 def test_sample_field_deterministic_and_schedule_free(params):
     f1 = sample_field(3, RandomSource(9, 1), params)
     f2 = sample_field(3, RandomSource(9, 1), params)

@@ -509,6 +509,18 @@ def test_pfaffian_and_determinant():
         pfaffian_exact([[F(1), F(2)], [F(3), F(4)]])
 
 
+def test_det_exact_zero_pivot_column_and_non_square_matrices():
+    # no row can bring a nonzero pivot up: at column 0, and (after one
+    # elimination step) at column 1, where the second column is twice the first
+    assert det_exact([[F(0), F(1)], [F(0), F(2)]]) == 0
+    assert det_exact([[F(1), F(2), F(3)], [F(2), F(4), F(5)], [F(3), F(6), F(7)]]) == 0
+    for bad in ([[F(1), F(2)]], [[F(0), F(1)], [F(1)]]):
+        with pytest.raises(DimensionMismatch, match="^determinant needs a square matrix$"):
+            det_exact(bad)
+        with pytest.raises(DimensionMismatch, match="^pfaffian needs a square matrix$"):
+            pfaffian_exact(bad)
+
+
 def test_det_exact_against_cofactor_oracle():
     def cofactor_det(m):
         n = len(m)

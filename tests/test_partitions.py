@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +36,30 @@ def contains(inner, outer):
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
+def horizontal_strip(mu, lam):
+    """Oracle for mu ≺ lam: containment with at most one box added per column."""
+    if not contains(mu, lam):
+        return False
+    cl, cm = conjugate(lam), conjugate(mu)
+    cm = cm + (0,) * (len(cl) - len(cm))
+    return all(a - b in (0, 1) for a, b in zip(cl, cm))
+
+
+def box(max_part, max_len):
+    """The set of partitions with parts <= max_part and length <= max_len.
+
+    The max_len-multisets of 0..max_part, each listed largest first with
+    its zeros stripped, give every such partition once.
+    """
+    return {tuple(a for a in c if a)
+            for c in combinations_with_replacement(range(max_part, -1, -1), max_len)}
+
+
+def graded(p):
+    """The documented order of enumerate_partitions: by size, then largest first."""
+    return (sum(p), tuple(-a for a in p))
+
+
 def random_partition(rng, max_part=8, max_len=6):
     parts = sorted((rng.randint(1, max_part) for _ in range(rng.randint(0, max_len))),
                    reverse=True)
@@ -48,18 +73,10 @@ def test_interlaces_examples():
 
 
 def test_interlaces_is_horizontal_strip():
-    # oracle: containment with at most one box added per column
-    def strip(mu, lam):
-        if not contains(mu, lam):
-            return False
-        cl, cm = conjugate(lam), conjugate(mu)
-        cm = cm + (0,) * (len(cl) - len(cm))
-        return all(a - b in (0, 1) for a, b in zip(cl, cm))
-
-    ps = enumerate_partitions(4, 4)
+    ps = box(4, 4)
     for mu in ps:
         for lam in ps:
-            assert interlaces(mu, lam) == strip(mu, lam), (mu, lam)
+            assert interlaces(mu, lam) == horizontal_strip(mu, lam), (mu, lam)
 
 
 def test_interlaces_length_gap():
@@ -138,6 +155,16 @@ def test_enumerate_partitions():
         assert len(enumerate_partitions(p, l)) == math.comb(p + l, l)
 
 
+@pytest.mark.parametrize("max_part", range(6))
+@pytest.mark.parametrize("max_len", range(5))
+def test_enumerate_partitions_lists_the_box_in_graded_order(max_part, max_len):
+    # brute force: every non-increasing max_len-tuple of 0..max_part, zeros
+    # stripped; (0, 0), (0, 3) and (3, 0) are among the cases
+    tuples = product(range(max_part + 1), repeat=max_len)
+    brute = {tuple(a for a in p if a) for p in tuples if all(a >= b for a, b in zip(p, p[1:]))}
+    assert enumerate_partitions(max_part, max_len) == sorted(brute, key=graded)
+
+
 def test_interlacing_enumerators_match_predicate():
     ps = enumerate_partitions(4, 3)
     for mu in enumerate_partitions(3, 2):
@@ -153,21 +180,30 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=
 PARTITIONS = st.lists(st.integers(1, 6), max_size=5).map(lambda a: tuple(sorted(a, reverse=True)))
 
 
-@PROPERTY
-@given(mu=PARTITIONS, k=st.integers(0, 8))
-def test_interlacing_above_matches_brute_force(mu, k):
-    # any lam above mu has at most one more part, each part at most k
-    box = enumerate_partitions(k, len(mu) + 1)
-    expect = sorted(lam for lam in box if interlaces(mu, lam))
-    assert sorted(interlacing_above(mu, cap_part=k)) == expect
+@settings(PROPERTY, max_examples=800)
+@given(mu=PARTITIONS, k=st.none() | st.integers(0, 8), within=st.none() | PARTITIONS)
+def test_interlacing_above_matches_brute_force(mu, k, within):
+    # any lam above mu has at most one more part, each at most k and inside
+    # within; the list runs length len(mu) first, each length lexicographically
+    if k is None and within is None:
+        with pytest.raises(ValueError, match="^unbounded enumeration: give cap_part or within$"):
+            interlacing_above(mu)
+        return
+    bounds = [] if k is None else [k]  # on the first part, so on every part
+    if within is not None:
+        bounds.append(within[0] if within else 0)
+    expect = sorted((lam for lam in box(min(bounds), len(mu) + 1) if horizontal_strip(mu, lam)
+                     and (within is None or contains(lam, within))), key=lambda p: (len(p), p))
+    assert interlacing_above(mu, cap_part=k, within=within) == expect
 
 
 @PROPERTY
 @given(lam=PARTITIONS)
 def test_interlacing_below_matches_brute_force(lam):
-    box = enumerate_partitions(lam[0] if lam else 0, len(lam))
-    expect = sorted(mu for mu in box if interlaces(mu, lam))
-    assert sorted(interlacing_below(lam)) == expect
+    # length len(lam) first, each length lexicographically
+    expect = sorted((mu for mu in box(lam[0] if lam else 0, len(lam))
+                     if horizontal_strip(mu, lam)), key=lambda p: (-len(p), p))
+    assert interlacing_below(lam) == expect
 
 
 def test_mult_and_text_forms():

@@ -391,6 +391,14 @@ def test_forward_law_from_empty_corner(params):
         assert dist[(k,)] == expect
 
 
+def test_probabilities_of_a_target_off_the_interlacing_are_exact_zeros(params):
+    # nu = (3, 3) lies above neither lam nor mu, and kappa = (2,) below neither
+    p = forward_prob((), (1,), (1,), (3, 3), X, Y, params)
+    assert p == 0 and type(p) is F
+    p = backward_prob((2, 1), (1,), (1,), (2,), X, Y, params)
+    assert p == 0 and type(p) is F
+
+
 def test_exact_reversibility_enumerated(params):
     # U_fwd(kappa->nu) Pi f_{lam/kappa}(x) g_{mu/kappa}(y)
     #   == U_bwd(nu->kappa) f_{nu/mu}(x) g_{nu/lam}(y), parts <= 4
