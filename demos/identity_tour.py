@@ -36,15 +36,15 @@ report = check_intertwining(params, x, y, max_occ=6)
 print("full sweep (I,J <= 6, all 16 boundary labellings):", report.passed)
 
 # --- the one-variable Cauchy identity, resummed exactly --------------------
-# The product weights f_(k)(x) g_(k)(y) are exactly geometric in k, so the
-# infinite sum has a closed form; the identity becomes rational equality.
+# The column-transfer kernel sums f_lam(x) g_lam(y) over every lam exactly
+# (its cap -> infinity limit), so the identity becomes rational equality.
 rep = check_cauchy_closed_form(x, y, params)
 print("Cauchy closed form:", rep.lhs, "=", rep.rhs, "->", rep.passed)
 
-# --- truncated identities carry certified tails ----------------------------
+# --- truncated identities carry exact tails --------------------------------
 # The skew Cauchy sum over the outer partition is truncated by largest
-# part; the dropped mass is bounded by an exact geometric tail, so `passed`
-# means |lhs - rhs| <= tail_bound as rationals.
+# part; the dropped mass is exact (the infinite sum minus the partial sum),
+# so `passed` means |lhs - rhs| <= tail_bound as rationals.
 rep = check_skew_cauchy((2, 1), (1, 1), x, y, 30, params)
 print("skew Cauchy (2,1)/(1,1):", rep.passed,
       " |lhs-rhs| =", float(abs(rep.lhs - rep.rhs)), " tail =", float(rep.tail_bound))

@@ -105,11 +105,11 @@ def _params_from(cfg, T):
             xs = tuple(frac(v) for v in xs)
         else:
             raise TypeError(f"x must be a list of rationals, got {xs!r}")
-        if len(xs) < T + 1:
-            raise ConfigError(f"need at least {T + 1} spectral values, got {len(xs)}")
-        return ModelParams(q, s, u, tuple(xs))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad parameters: {exc}")
+    if len(xs) < T + 1:
+        raise ConfigError(f"need at least {T + 1} spectral values, got {len(xs)}")
+    return ModelParams(q, s, u, tuple(xs))
 
 
 def cmd_verify(args):

@@ -157,8 +157,10 @@ def pair_admissible(sn, sd, P, Q):
 def convergence_ratio(x, y, params):
     """Geometric ratio (x-s)(y-s)/((1-sx)(1-sy)) governing one-variable Cauchy tails.
 
-    Raises InvalidParams on a vanishing denominator.  Admissibility of
-    (x, y) is exactly the statement that this ratio is < 1.
+    Raises InvalidParams on a vanishing denominator.  Where (1-sx)(1-sy) > 0,
+    admissibility of (x, y) is exactly the statement that this ratio is < 1;
+    where it is negative, an admissible pair can have a ratio above 1 (s =
+    1/2, x = 3, y = 1/4 gives 10/7).
     """
     s = params.s
     den = (ONE - s * x) * (ONE - s * y)

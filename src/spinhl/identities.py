@@ -11,41 +11,34 @@ denominator, with the pairing factors as a running integer product.
 Fractions are made only for the first failure and for the public *_sides
 functions, which are Fraction views of the same integer forms.  Global
 identities (Cauchy / Littlewood and their refined determinant / Pfaffian
-forms) have one infinite side; that side is truncated by largest part and
-accompanied by a certified rational tail bound, so a pass means
-|lhs - rhs| <= tail_bound with everything exact.
+forms) have one infinite side, which the integer column-transfer kernel
+of :mod:`spinhl.sshl` sums: ``column_sums`` returns the sum grouped by
+the length of lam, truncated by largest part at a cap or, at cap =
+math.inf, exactly.  With no ys it sums the Littlewood side, with the
+pairing factor of every column.
 
-Two tail-bound constructions are used.  Each is one function that takes
-only the sum's variables (xs against ys, or xs alone for a Littlewood
-side), its fixed inner partitions and the cap, and works out the rest:
+* one-variable Cauchy (``check_cauchy_closed_form``): the exact infinite
+  sum against Pi(x; y), an exact report;
 
-* one-largest-part sums (skew Cauchy with one x and one y, skew Littlewood
-  with two variables), ``geometric_tail``: increments at consecutive caps
-  are exactly geometric with the pairwise convergence ratio once the cap
-  clears the largest fixed part; the code verifies that exact recursion
-  on the last three increments and then sums the geometric tail in
-  closed form;
+* skew sums (skew Cauchy with one x and one y, skew Littlewood with two
+  variables), ``exact_tail``: the kernel's chains start from the fixed
+  inner partitions, and the report carries the partial sum at the cap
+  with its exact tail, the infinite sum minus the partial sum, so a pass
+  means |lhs - rhs| <= tail with everything exact;
 
-* refined sums, ``_refined_report``: the u-dependent coefficients lie in
-  [0, 1] for u in [0, 1] in probabilistic mode, so the tail is dominated
-  by the tail of the plain (unrefined) identity, whose total is a known
-  closed form; the bound is closed_form - retained_plain_sum, an exact
-  rational.
-
-Every truncated sum comes from the integer column-transfer kernel of
-:mod:`spinhl.sshl`, which returns the partial sum grouped by the length
-of lam; with no ys it sums the Littlewood side, with the pairing factor
-of every column.  The refined sums weight each length by its refinement
-coefficient (``column_sums``, one scan at the cap), and the skew sums
-start the kernel's chains from their fixed inner partitions and read the
-partial sums at the caps cap - 3 .. cap for the increments from one scan
-(``column_scan``).
+* refined sums, ``_refined_report``: the only sums that keep a bound.
+  The partial sum at the cap weights each length by its refinement
+  coefficient; these lie in [0, 1] for u in [0, 1] in probabilistic mode,
+  so the tail is dominated by the tail of the plain (unrefined) identity,
+  whose total is a known closed form; the bound is closed_form -
+  retained_plain_sum, an exact rational.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,7 +55,7 @@ from .exact import (
     frac,
 )
 from .partitions import even_cover, even_pair_coefficient, interlacing_below, is_conjugate_even
-from .sshl import column_scan, column_sums, f_one_row, g_one_row, g_skew, tail_weight
+from .sshl import column_sums, f_one_row, g_one_row, g_skew, tail_weight
 from .weights import (
     INF,
     L_TABLE,
@@ -452,33 +445,22 @@ def pfaffian_exact(rows):
 # tail machinery
 # ---------------------------------------------------------------------------
 
-def geometric_tail(name, xs, ys, cap, params, f_inner=(), g_inner=()):
-    """Partial sum and certified tail of a one-largest-part sum truncated at cap.
+def exact_tail(name, xs, ys, cap, params, f_inner=(), g_inner=()):
+    """Partial sum and exact tail of a one-largest-part sum truncated at cap.
 
     The sum is column_sums(xs, ys, c, params, f_inner, g_inner) with its
-    two variables (x and y, or x1 and x2 with ys empty), and total(c) is
-    its value at cap c.  lo, the largest inner part, and the ratio, the
-    convergence_ratio of the two variables, follow from them.  One
-    column_scan gives total at the caps cap - 3 .. cap.  Beyond lo the
-    increments total(c) - total(c-1) are exactly geometric with the ratio;
-    we verify that recursion on the last three increments and return
-    (total(cap), increment(cap) * r / (1 - r)).  The ratio is checked
-    first, then the cap, then the scan is run.
+    two variables (x and y, or x1 and x2 with ys empty).  The convergence
+    ratio of the two variables is checked first: outside [0, 1) the tail
+    would be negative, so no truncated report could pass.  Returns
+    (partial, tail): the partial sum at cap, and the kernel's exact
+    infinite sum (cap = math.inf) minus it.
     """
     ratio = convergence_ratio(*xs, *ys, params)
     if not ZERO <= ratio < ONE:
         raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
-    if cap < max((*f_inner[:1], *g_inner[:1]), default=0) + 3:
-        raise InvalidParams(f"{name}: cap too small to certify the geometric tail")
-    scan = column_scan(xs, ys, range(cap - 3, cap + 1), params, f_inner, g_inner)
-    partial = [sum(sums.values(), ZERO) for sums in scan]
-    inc = [b - a for a, b in zip(partial, partial[1:])]
-    for k in (1, 2):
-        if inc[k] != ratio * inc[k - 1]:
-            raise InvalidParams(
-                f"{name}: increment at cap {cap - 2 + k} is not yet geometric; raise cap"
-            )
-    return partial[-1], inc[-1] * ratio / (ONE - ratio)
+    partial, total = (sum(column_sums(xs, ys, c, params, f_inner, g_inner).values(), ZERO)
+                      for c in (cap, math.inf))
+    return partial, total - partial
 
 
 # ---------------------------------------------------------------------------
@@ -488,22 +470,13 @@ def geometric_tail(name, xs, ys, cap, params, f_inner=(), g_inner=()):
 def check_cauchy_closed_form(x, y, params):
     """Exact resummation of the one-variable Cauchy identity.
 
-    The terms f_(k)(x) g_(k)(y) are exactly geometric; summing the series
-    in closed form must reproduce Pi(x; y) - no truncation error.  The
-    geometric recursion itself is verified on the first terms.
+    The left side, the sum over lam of f_lam(x) g_lam(y), is the kernel's
+    exact infinite sum (column_sums at cap = math.inf); it must equal
+    Pi(x; y), with no truncation.  A divergent sum raises NotAdmissible.
     """
     _require_admissible([(x, y)], params)
-    r = convergence_ratio(x, y, params)
-    first = f_one_row((), (1,), x, params) * g_one_row((), (1,), y, params)
-    for k in range(1, 8):
-        tk = f_one_row((), (k,), x, params) * g_one_row((), (k,), y, params)
-        tk1 = f_one_row((), (k + 1,), x, params) * g_one_row((), (k + 1,), y, params)
-        if tk1 != r * tk:
-            return _exact_report("cauchy-closed-form", tk1, r * tk,
-                                 detail=f"geometric recursion broke at k={k}")
-    lhs = ONE + first / (ONE - r)
-    rhs = cauchy_kernel(x, y, params)
-    return _exact_report("cauchy-closed-form", lhs, rhs)
+    lhs = sum(column_sums((x,), (y,), math.inf, params).values(), ZERO)
+    return _exact_report("cauchy-closed-form", lhs, cauchy_kernel(x, y, params))
 
 
 def check_skew_cauchy(lam, mu, x, y, cap, params):
@@ -512,12 +485,12 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
     (1/Pi) * sum over outer kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
     equals the finite sum over inner nu of f_{lam/nu}(x) g_{mu/nu}(y);
     the outer side is the kernel's sum with inner partitions mu (f side)
-    and lam (g side), truncated at cap with the certified tail of
-    geometric_tail("skew-cauchy", (x,), (y,), cap, params, mu, lam).
+    and lam (g side), truncated at cap with the exact tail of
+    exact_tail("skew-cauchy", (x,), (y,), cap, params, mu, lam).
     """
     _require_admissible([(x, y)], params)
     pre = ONE / cauchy_kernel(x, y, params)
-    outer, tail = geometric_tail("skew-cauchy", (x,), (y,), cap, params, f_inner=mu, g_inner=lam)
+    outer, tail = exact_tail("skew-cauchy", (x,), (y,), cap, params, f_inner=mu, g_inner=lam)
     below_lam = set(interlacing_below(lam))
     rhs = ZERO
     for nu in interlacing_below(mu):
@@ -537,7 +510,7 @@ def check_skew_littlewood(mu, xs, cap, params):
     sshl.tail_weight(mu, x), and the equality is exact.  Two variables:
     the cover side is an infinite sum over conjugate-even lam, the
     kernel's Littlewood form with inner partition mu, truncated by largest
-    part with the certified tail of geometric_tail("skew-littlewood", xs,
+    part with the exact tail of exact_tail("skew-littlewood", xs,
     (), cap, params, f_inner=mu).
     """
     xs = tuple(xs)
@@ -556,7 +529,7 @@ def check_skew_littlewood(mu, xs, cap, params):
         if w != 0:
             rhs += even_pair_coefficient(nu, params) * w
     rhs *= pre
-    lhs, tail = geometric_tail("skew-littlewood", xs, (), cap, params, f_inner=mu)
+    lhs, tail = exact_tail("skew-littlewood", xs, (), cap, params, f_inner=mu)
     return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
 
 
@@ -611,14 +584,6 @@ def check_refined_cauchy(xs, ys, u, cap, params):
                            lambda: refined_cauchy_rhs(xs, ys, u, params))
 
 
-def _require_refined_tail(u, pairs, params):
-    """What the refined tail bound needs: u in [0, 1], probabilistic mode, admissible pairs."""
-    if not (ZERO <= u <= ONE):
-        raise InvalidParams("certified tail needs u in [0, 1]")
-    params.require_probabilistic()
-    _require_admissible(pairs, params)
-
-
 def _refined_report(name, xs, ys, u, cap, params, closed_form):
     """Truncated report of the refined identity in xs and ys (the Littlewood form if ys is empty).
 
@@ -628,18 +593,22 @@ def _refined_report(name, xs, ys, u, cap, params, closed_form):
     plain sum, by len(lam), is one column_sums scan at the cap.  A lam
     with m = len(xs) - len(lam) zero parts has the refinement coefficient
     prod (1 - u q^i) over i = 1, 2, ..., m (Cauchy) or i = 1, 3, ... <= m
-    (Littlewood).  Under _require_refined_tail every coefficient lies in
-    [0, 1], so the dropped terms are dominated by the plain tail: the bound
-    is the plain closed form minus the retained plain sum, an exact
-    rational.  The tail requirements are checked first, then the sum is
-    scanned, and only then is closed_form() called for the refined right
-    side.
+    (Littlewood).  With u in [0, 1] in probabilistic mode every
+    coefficient lies in [0, 1], so the dropped terms are dominated by the
+    plain tail: the bound is the plain closed form minus the retained
+    plain sum, an exact rational.  The tail requirements are checked
+    first (u in [0, 1], then probabilistic mode, then the admissible
+    pairs), then the sum is scanned, and only then is closed_form() called
+    for the refined right side.
     """
     if ys:
         plain, pairs, step = "Cauchy", list(itertools.product(xs, ys)), 1
     else:
         plain, pairs, step = "Littlewood", list(itertools.combinations(xs, 2)), 2
-    _require_refined_tail(u, pairs, params)
+    if not (ZERO <= u <= ONE):
+        raise InvalidParams("certified tail needs u in [0, 1]")
+    params.require_probabilistic()
+    _require_admissible(pairs, params)
     sums = column_sums(xs, ys, cap, params)
     rhs = closed_form()
     lhs = total = ZERO

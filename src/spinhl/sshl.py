@@ -28,16 +28,16 @@ alike.
 Global sums over lam of f_{lam/mu}(xs) g_{lam/nu}(ys), or with no ys of
 f_{lam/mu}(xs) times the pairing factor of every column (the Cauchy and
 Littlewood sides, plain, refined and skew), do not enumerate lam or its
-chains: ``column_scan`` is one exact column-transfer kernel over the first
-definition's lattice, and ``column_sums`` is its scan at one cap.  Like
-``_one_row`` it works on integers: each column row holds VertexRow
-numerators over one denominator, the state vector holds numerators over
-the product of the denominators met so far, and a Fraction is made only
-per length of lam at the end.  The scan is split at the largest inner
-part: the columns above it share one row and come first, so one scan
-gives the partial sums at several caps.  The one-row scans and chain
-sums (f_skew, g_skew) stay as the reference the kernel is tested
-against.
+chains: ``column_sums`` is one exact column-transfer kernel over the first
+definition's lattice, scanned up to a cap.  Like ``_one_row`` it works on
+integers: each column row holds VertexRow numerators over one
+denominator, the state vector holds numerators over the product of the
+denominators met so far, and a Fraction is made only per length of lam
+at the end.  The columns above the largest inner part share one row and
+come first; with cap = math.inf the kernel replaces their pushes by the
+limit, one pass over that row's states in topological order, and returns
+the exact infinite sum.  The one-row scans and chain sums (f_skew,
+g_skew) stay as the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import ONE, ZERO
+from .exact import ONE, ZERO, NotAdmissible
 from .partitions import (even_core, even_pair_coefficient, interlacing_above, mult_vector,
                          pairing_factor)
 from .weights import L_TABLE, M_TABLE, MSTAR_TABLE, VertexRow, _check_den
@@ -186,8 +186,12 @@ def column_sums(xs, ys, cap, params, f_inner=(), g_inner=()):
     so far, and one Fraction is made per length at the end.  Columns above
     the largest part are the exact pass-throughs L(0,0;0,0) = M(0,1;0,1) =
     1.  The f bits leaving column 1 add up to len(lam) - len(f_inner).  A
-    cap below the largest inner part leaves nothing to sum: the result is
-    {}.
+    cap below the largest inner part lo leaves nothing to sum: the result
+    is {}.  Every column above lo has start multiplicities (0, 0) and so
+    one shared row, which the start state goes through cap - lo times
+    before the columns lo .. 1.  With cap = math.inf those pushes are
+    their limit (_limit), so the result is the exact infinite sum by
+    length; a sum that does not converge raises NotAdmissible.
 
     With ys empty the sum is the Littlewood side: the g side (and g_inner)
     is omitted, and every column carries the pairing factor of its
@@ -201,31 +205,16 @@ def column_sums(xs, ys, cap, params, f_inner=(), g_inner=()):
     1 - s^2 q^k raises pairing_factor's InvalidParams, once there is a
     column to scan.
     """
-    return column_scan(xs, ys, (cap,), params, f_inner, g_inner)[0]
-
-
-def column_scan(xs, ys, caps, params, f_inner=(), g_inner=()):
-    """[column_sums(xs, ys, cap, params, f_inner, g_inner) for cap in caps], in one scan.
-
-    The scan is split at the largest inner part lo.  Every column above lo
-    has start multiplicities (0, 0) and so one shared row, and these
-    columns come first: one pass pushes the start state through that row
-    once per column, up to the largest cap, and the vector after cap - lo
-    pushes is taken, for each cap, through the columns lo .. 1 and summed
-    by length.  So the partial sums at several caps (the certified tails'
-    cap - 3 .. cap) cost one scan of the uniform columns.
-    """
     xs, ys, f_inner, g_inner = tuple(xs), tuple(ys), tuple(f_inner), tuple(g_inner)
     n = len(xs)
     lo = max(f_inner[:1] + g_inner[:1], default=0)
-    top = max(caps, default=-1)
-    if top < lo:
-        return [{} for _ in caps]
+    if cap < lo:
+        return {}
     mf, mg = mult_vector(f_inner, lo), mult_vector(g_inner, lo)
     f_rows = [VertexRow(x, params) for x in xs]
     g_rows = [VertexRow(y, params) for y in ys]
     fac, fac_den = None, 1
-    if top >= 1:
+    if cap >= 1:
         for row in f_rows + g_rows:
             _check_den(row.base, "1 - s x")
         if not ys:
@@ -234,25 +223,56 @@ def column_scan(xs, ys, caps, params, f_inner=(), g_inner=()):
             fac = [f.numerator * (fac_den // f.denominator) for f in fs]
     columns = {key: _column(f_rows, g_rows, fac, fac_den, params.q.denominator, *key)
                for key in {(0, 0), *zip(mf[1:], mg[1:])}}
+    start = (0,) * n + (1,) * len(ys)
+    vec, den = {start: 1}, 1
+    if cap == math.inf:  # the uniform columns, all pushes at once
+        vec, cap = _limit(start, *columns[0, 0]), lo
+    for c in range(cap, 0, -1):
+        vec, den = _push(vec, den, *columns[(mf[c], mg[c]) if c <= lo else (0, 0)])
+    nums = {}
+    for bits, w in vec.items():
+        length = len(f_inner) + sum(bits[:n])
+        nums[length] = nums.get(length, 0) + w
+    return {length: Fraction(w, den) for length, w in nums.items()}
 
-    def finish(vec, den):
-        for c in range(lo, 0, -1):
-            vec, den = _push(vec, den, *columns[mf[c], mg[c]])
-        nums = {}
-        for bits, w in vec.items():
-            length = len(f_inner) + sum(bits[:n])
-            nums[length] = nums.get(length, 0) + w
-        return {length: Fraction(w, den) for length, w in nums.items()}
 
-    wanted = set(caps)
-    sums = {}
-    vec, den = {(0,) * n + (1,) * len(ys): 1}, 1
-    for c in range(lo, top + 1):  # vec is the scan of the columns c .. lo + 1
-        if c in wanted:
-            sums[c] = finish(vec, den)
-        if c < top:
-            vec, den = _push(vec, den, *columns[0, 0])
-    return [sums.get(cap, {}) for cap in caps]
+def _limit(start, row, den):
+    """{bits: Fraction}: the start state pushed through row / den infinitely often.
+
+    The start state keeps weight den on itself and no other state leads
+    back to it, so with self-loops dropped the reachable states form an
+    acyclic graph, and the limit is e_start + d (I - T')^-1 with d the start
+    row and T' the row on the other states, over den.  One pass in
+    topological order (Kahn's) gives it: v_b = sum_{a -> b} v_a t_ab / (den
+    - t_bb).  NotAdmissible if the start state does not keep den, if a
+    self-loop has |t_bb| >= |den| (the series diverges), or if the states
+    have a cycle once self-loops are dropped.
+    """
+    indeg, todo = {start: 0}, [start]  # in-degrees without self-loops
+    while todo:
+        a = todo.pop()
+        for b, _ in row(a):
+            if b not in indeg:
+                todo.append(b)
+            indeg[b] = indeg.get(b, 0) + (b != a)
+    vec, ready = {start: Fraction(1)}, [a for a, k in indeg.items() if not k]
+    for a in ready:  # ready grows as the pass frees states
+        out = dict(row(a))
+        t = out.pop(a, 0)
+        if a == start and t != den:
+            raise NotAdmissible("column limit: the start state does not keep its weight")
+        if a != start:
+            if abs(t) >= abs(den):
+                raise NotAdmissible(f"column limit diverges: self-loop {Fraction(t, den)}")
+            vec[a] /= den - t
+        for b, w in out.items():
+            vec[b] = vec.get(b, 0) + vec[a] * w
+            indeg[b] -= 1
+            if not indeg[b]:
+                ready.append(b)
+    if len(ready) < len(indeg):
+        raise NotAdmissible("column limit: the uniform column has a cycle")
+    return vec
 
 
 def _push(vec, den, row, row_den):

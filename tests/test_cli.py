@@ -131,7 +131,7 @@ def test_bad_options_exit_2_with_one_config_line(tmp_path, capsys, command, cfg)
                             "'{cfg}'"),
     (["ds6v"], None, "missing required option 'T' (flag or config)"),
     (["ds6v", "--T", "3"], {"x": ["1/4", "1/5"]},
-     "bad parameters: need at least 4 spectral values, got 2"),
+     "need at least 4 spectral values, got 2"),
     (["verify", "--point", "3"], None, "--point must be in 0..2"),
 ], ids=["unreadable-config", "ds6v-without-T", "too-few-spectral-values", "verify-point-3"])
 def test_config_errors_exit_2_with_their_line(tmp_path, capsys, command, cfg, expect):
@@ -152,7 +152,9 @@ def test_config_errors_exit_2_with_their_line(tmp_path, capsys, command, cfg, ex
     ({"u": "1/3"}, ["--only", "refined-cauchy"], 0, '"refined-cauchy[n=1,u=1/3]"'),
     ({"x": ["6", "1/5", "1/6", "1/7"]}, [], 2, "parameter error: NotAdmissible"),
     ({"q": "2/5", "s": "-1/3"}, ["--point", "2"], 2, "config error: "),
-], ids=["u", "x", "point-with-q"])
+    ({"s": "1/2", "x": ["3", "1/4", "1/5", "1/6"]}, ["--only", "cauchy-closed-form"], 2,
+     "parameter error: NotAdmissible: column limit diverges: self-loop 10/7\n"),
+], ids=["u", "x", "point-with-q", "divergent-ratio"])
 def test_verify_runs_at_the_config_point(tmp_path, capsys, cfg, flags, code, expect):
     # any of q, s, u and x makes the config's point the one verify runs
     path = tmp_path / "cfg.json"

@@ -14,6 +14,7 @@ from spinhl.exact import (
     NotAdmissible,
     ONE,
     ZERO,
+    convergence_ratio,
 )
 from spinhl import identities, weights
 from spinhl.identities import (
@@ -30,6 +31,7 @@ from spinhl.identities import (
     check_skew_cauchy,
     check_skew_littlewood,
     det_exact,
+    exact_tail,
     intertwining_sides,
     intertwining_star_sides,
     pfaffian_exact,
@@ -37,6 +39,7 @@ from spinhl.identities import (
     run_suite,
 )
 from spinhl.partitions import pairing_factor
+from spinhl.sshl import column_sums
 from spinhl.transitions import p_bwd, p_fwd
 from spinhl.weights import INF, L, M, Mstar, R, Rstar
 
@@ -380,6 +383,45 @@ def test_cauchy_closed_form(all_points):
         assert rep.mode == "exact" and rep.passed
 
 
+def test_cauchy_closed_form_follows_the_convergence_ratio():
+    # s = 1/2: (3/4, 1/4) has the convergent negative ratio -4/35, and
+    # (3, 1/4), an admissible pair, the divergent ratio 10/7, which the
+    # infinite sum refuses
+    params = ModelParams.make("1/3", "1/2")
+    assert convergence_ratio(F(3, 4), F(1, 4), params) == F(-4, 35)
+    rep = check_cauchy_closed_form(F(3, 4), F(1, 4), params)
+    assert rep.mode == "exact" and rep.passed
+    assert rep.lhs == rep.rhs == cauchy_kernel(F(3, 4), F(1, 4), params)
+    assert convergence_ratio(F(3), F(1, 4), params) == F(10, 7)
+    with pytest.raises(NotAdmissible, match="^column limit diverges: self-loop 10/7$"):
+        check_cauchy_closed_form(F(3), F(1, 4), params)
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_exact_tail_is_the_geometric_tail(point):
+    # above the largest inner part lo the increments of the partial sums are
+    # geometric with the convergence ratio r, so the exact tail (the
+    # infinite sum minus the partial sum) is the last increment times
+    # r / (1 - r), as a rational
+    params = FIXTURE_POINTS[point]
+    x, y = params.x[:2]
+    for xs, ys, f_inner, g_inner in [
+        ((x,), (y,), (), ()),
+        ((x,), (y,), (), (1,)),
+        ((x, y), (), (), ()),
+        ((x,), (y,), (1,), ()),
+        ((x,), (y,), (2, 2), (3, 1)),
+        ((x, y), (), (3, 1), ()),
+    ]:
+        r = convergence_ratio(*xs, *ys, params)
+        lo = max(f_inner[:1] + g_inner[:1], default=0)
+        for cap in sorted({lo + 3, 12, 16, 20, 25}):
+            partial, tail = exact_tail("sum", xs, ys, cap, params, f_inner, g_inner)
+            before = sum(column_sums(xs, ys, cap - 1, params, f_inner, g_inner).values())
+            assert partial == sum(column_sums(xs, ys, cap, params, f_inner, g_inner).values())
+            assert tail == (partial - before) * r / (1 - r), (xs, ys, f_inner, g_inner, cap)
+
+
 def test_skew_cauchy_empty(params):
     rep = check_skew_cauchy((), (), X, Y, 40, params)
     assert rep.passed
@@ -428,18 +470,15 @@ def test_skew_littlewood_two_variables(params):
 @pytest.mark.parametrize("cap", range(4))
 @pytest.mark.parametrize("which", ["skew-cauchy", "skew-littlewood"])
 def test_skew_checks_small_cap(params, which, cap):
-    # the geometric certificate needs three increments above the fixed
-    # parts (lo = 1 and 0 here): a smaller cap, including one below the
-    # largest fixed part, is a parameter error, not a lookup failure
+    # the tail is exact at every cap, including one below the largest fixed
+    # part (lo = 1 for skew Cauchy here), where the partial sum is empty
     if which == "skew-cauchy":
-        lo, run = 1, lambda: check_skew_cauchy((1,), (), X, Y, cap, params)
+        lo, rep = 1, check_skew_cauchy((1,), (), X, Y, cap, params)
     else:
-        lo, run = 0, lambda: check_skew_littlewood((), (X, Y), cap, params)
-    if cap < lo + 3:
-        with pytest.raises(InvalidParams, match="cap too small"):
-            run()
-    else:
-        assert run().passed
+        lo, rep = 0, check_skew_littlewood((), (X, Y), cap, params)
+    assert rep.passed and rep.tail_bound >= 0
+    if cap < lo:  # nothing is retained: the tail is the whole sum
+        assert rep.lhs == 0 and rep.tail_bound == rep.rhs
 
 
 def test_refined_cauchy_n1_closed_form(params):

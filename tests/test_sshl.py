@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinhl.exact import InvalidParams, ModelParams
-from spinhl.identities import FIXTURE_POINTS
+from spinhl.exact import InvalidParams, ModelParams, NotAdmissible
+from spinhl.identities import FIXTURE_POINTS, cauchy_kernel
 from spinhl.partitions import (
     enumerate_partitions,
     even_core,
@@ -18,8 +18,8 @@ from spinhl.partitions import (
     interlacing_above,
     is_conjugate_even,
 )
+from spinhl import sshl, weights
 from spinhl.sshl import (
-    column_scan,
     column_sums,
     f_one_row,
     f_one_row_def2,
@@ -261,10 +261,9 @@ def test_column_sums_littlewood_form(point, n2):
 
 
 @pytest.mark.parametrize("point", range(len(COLUMN_POINTS)))
-def test_column_scan_equals_column_sums_at_each_cap(point):
-    # one scan of the uniform columns gives the sums at every cap, as the
-    # certified tails read them at cap - 3 .. cap; caps below the largest
-    # inner part give {}
+def test_column_sums_limit_is_where_the_sums_at_growing_caps_go(point):
+    # cap = math.inf is the limit of the sums at growing caps, length by
+    # length; a sum whose partial sums grow without bound is refused
     params = COLUMN_POINTS[point]
     x, y = params.x[:2]
     for xs, ys, f_inner, g_inner in [
@@ -275,10 +274,76 @@ def test_column_scan_equals_column_sums_at_each_cap(point):
         ((x, y), (), (3, 1), ()),
         ((x, y), (y, x), (2, 2), (1,)),
     ]:
-        for caps in [range(9, 13), range(-1, 5), (7, 2, 0, 7)]:
-            scan = column_scan(xs, ys, caps, params, f_inner, g_inner)
-            assert scan == [column_sums(xs, ys, c, params, f_inner, g_inner)
-                            for c in caps], (xs, ys, f_inner, g_inner, caps)
+        sums = [column_sums(xs, ys, cap, params, f_inner, g_inner) for cap in (5, 10, 20, 40)]
+        try:
+            limit = column_sums(xs, ys, math.inf, params, f_inner, g_inner)
+        except NotAdmissible as exc:
+            assert str(exc).startswith("column limit diverges: self-loop ")
+            assert (point, len(ys)) == (3, 2)  # y = 1/9, s = 5/3: the (y, y) ratio is 441/121
+            steps = [abs(sum(b.values()) - sum(a.values())) for a, b in zip(sums, sums[1:])]
+            assert steps[0] < steps[1] < steps[2]
+            continue
+        assert set(limit) == set(sums[-1]), (xs, ys, f_inner, g_inner)
+        for length, total in limit.items():
+            gaps = [abs(total - partial.get(length, 0)) for partial in sums]
+            assert gaps == sorted(gaps, reverse=True) and gaps[-1] < F(1, 10**10)
+        gaps = [abs(sum(limit.values()) - sum(partial.values())) for partial in sums]
+        assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
+
+
+IDENTITY_MODE_POINT = ModelParams.make("3", "1/2", "1/2", ("1/4", "1/5", "1/6", "1/7"))
+
+
+@pytest.mark.parametrize("params", FIXTURE_POINTS + (IDENTITY_MODE_POINT,))
+def test_column_sums_limit_is_the_cauchy_and_littlewood_product(params):
+    # the infinite sums are exactly prod Pi(x; y) over the x, y pairs
+    # (Cauchy, n = 1, 2, 3) and over the pairs x_i, x_j, i < j (Littlewood,
+    # 2n = 2, 4), at the fixture points and at an identity-mode point
+    xs = params.x
+    for n in (1, 2, 3):
+        product = math.prod(cauchy_kernel(x, y, params)
+                            for x in xs[:n] for y in xs[::-1][:n])
+        assert sum(column_sums(xs[:n], xs[::-1][:n], math.inf, params).values()) == product
+    for n2 in (2, 4):
+        product = math.prod(cauchy_kernel(x, y, params)
+                            for x, y in itertools.combinations(xs[:n2], 2))
+        assert sum(column_sums(xs[:n2], (), math.inf, params).values()) == product
+
+
+def test_column_sums_limit_is_refused_where_the_sum_diverges():
+    # s = -2: every convergence ratio of the spectral values exceeds 1
+    params = ModelParams.make("1/3", "-2", "1/2", ("1/4", "1/5", "1/6", "1/7"))
+    xs = params.x
+    for f_vars, g_vars in [(xs[:n], xs[::-1][:n]) for n in (1, 2, 3)] + [(xs[:2], ()), (xs, ())]:
+        with pytest.raises(NotAdmissible, match="^column limit diverges: self-loop "):
+            column_sums(f_vars, g_vars, math.inf, params)
+
+
+@pytest.mark.parametrize("table, key", [("L_TABLE", (0, 0, 0)), ("M_TABLE", (1, 1, 0))])
+def test_column_sums_limit_refuses_a_start_state_that_loses_weight(monkeypatch, table, key):
+    # flipping the flag of the pass-through L(0,0;0,0) or M(0,1;0,1) makes it
+    # (v - s)/(1 - s v), not 1: the limit is refused, not wrong
+    params = FIXTURE_POINTS[0]
+    x, y = params.x[:2]
+    monkeypatch.setitem(getattr(weights, table), key, not getattr(weights, table)[key])
+    with pytest.raises(NotAdmissible, match="start state does not keep its weight"):
+        column_sums((x,), (y,), math.inf, params)
+
+
+def test_limit_refuses_a_cycle_and_a_divergent_self_loop():
+    # rows over den = 4: the start state keeps 4 on itself and leads to "a"
+    def row(loop, back):
+        return lambda bits: {"start": [("start", 4), ("a", 1)],
+                             "a": [("a", loop), ("b", 2)],
+                             "b": [("b", 1)] + ([("a", 1)] if back else [])}[bits]
+
+    assert sshl._limit("start", row(2, False), 4) == {"start": 1, "a": F(1, 2), "b": F(1, 3)}
+    assert sshl._limit("start", row(-3, False), 4) == {"start": 1, "a": F(1, 7), "b": F(2, 21)}
+    for loop in (4, -4, 5):
+        with pytest.raises(NotAdmissible, match="^column limit diverges: self-loop "):
+            sshl._limit("start", row(loop, False), 4)
+    with pytest.raises(NotAdmissible, match="^column limit: the uniform column has a cycle$"):
+        sshl._limit("start", row(2, True), 4)
 
 
 @pytest.mark.parametrize("vanishing", ["x", "y"])
@@ -292,10 +357,13 @@ def test_column_sums_raise_the_weights_text_when_1_minus_s_x_vanishes(vanishing)
         one_row((), (1,), x if vanishing == "x" else y, params)
     for run in (lambda: column_sums((x,), (y,), 1, params),
                 lambda: column_sums((x, y), (), 3, params),
-                lambda: column_scan((x,), (y,), range(2, 6), params, f_inner=(2,))):
+                lambda: column_sums((x,), (y,), 5, params, f_inner=(2,)),
+                lambda: column_sums((x,), (y,), math.inf, params),
+                lambda: column_sums((x, y), (), math.inf, params, f_inner=(2,))):
         with pytest.raises(InvalidParams, match="^1 - s x vanished$"):
             run()
     assert column_sums((x,), (y,), 0, params) == {0: 1}
+    assert column_sums((x,), (y,), 1, params, f_inner=(2,)) == {}
 
 
 def _q_pochhammer(a, q, m):
