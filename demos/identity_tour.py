@@ -44,15 +44,22 @@ print("Cauchy closed form:", rep.lhs, "=", rep.rhs, "->", rep.passed)
 # --- truncated identities carry exact tails --------------------------------
 # The skew Cauchy sum over the outer partition is truncated by largest
 # part; the dropped mass is exact (the infinite sum minus the partial sum),
-# so `passed` means |lhs - rhs| <= tail_bound as rationals.
-rep = check_skew_cauchy((2, 1), (1, 1), x, y, 30, params)
+# so `passed` means |lhs - rhs| <= tail_bound as rationals.  Both identities
+# take any number of variables: one x and one y here, then two x's.
+rep = check_skew_cauchy((2, 1), (1, 1), (x,), (y,), 30, params)
 print("skew Cauchy (2,1)/(1,1):", rep.passed,
       " |lhs-rhs| =", float(abs(rep.lhs - rep.rhs)), " tail =", float(rep.tail_bound))
+rep = check_skew_cauchy((2, 1), (1,), (x, params.x[2]), (y,), 20, params)
+print("skew Cauchy (2,1)/(1) in two x's and one y:", rep.passed,
+      " tail =", float(rep.tail_bound))
 
 # The conjugate-even (Littlewood) sum collapses to a single term per side
 # when there is one variable - that case is exact, no truncation at all.
 rep = check_skew_littlewood((4, 4, 4, 3, 2, 2, 1), (x,), 0, params)
 print("one-variable Littlewood sandwich:", rep.lhs == rep.rhs)
+rep = check_skew_littlewood((2, 1), params.x[:3], 20, params)
+print("skew Littlewood (2,1) in three variables:", rep.passed,
+      " tail =", float(rep.tail_bound))
 
 # --- refined identities: determinant and Pfaffian closed forms -------------
 rep = check_refined_cauchy((params.x[0], params.x[2]), (params.x[1], params.x[3]),

@@ -189,7 +189,13 @@ class ParticleState:
 
 
 def particles_from_heights(h, t):
-    """Particle state at time t: site i occupied iff h(t-i+1, t) - h(t-i, t) = 0."""
+    """Particle state at time t: site i occupied iff h(t-i+1, t) - h(t-i, t) = 0.
+
+    InconsistentHeights if t is not a time of the lattice, 0 <= t <= T.
+    """
+    if (t, t) not in h:  # also every t < 0: the lattice has no negative time
+        T = max((j for _, j in h), default=None)
+        raise InconsistentHeights(f"time {t} outside the lattice 0 <= t <= T = {T}")
     pos = []
     for i in range(1, t + 1):
         c = t - i + 1

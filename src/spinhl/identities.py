@@ -15,16 +15,20 @@ forms) have one infinite side, which the integer column-transfer kernel
 of :mod:`spinhl.sshl` sums: ``column_sums`` returns the sum grouped by
 the length of lam, truncated by largest part at a cap or, at cap =
 math.inf, exactly.  With no ys it sums the Littlewood side, with the
-pairing factor of every column.
+pairing factor of every column.  The plain sum's closed form is prod Pi
+over its variable pairs (``_pairs``, ``_kernel_product``).
 
 * one-variable Cauchy (``check_cauchy_closed_form``): the exact infinite
   sum against Pi(x; y), an exact report;
 
-* skew sums (skew Cauchy with one x and one y, skew Littlewood with two
-  variables), ``exact_tail``: the kernel's chains start from the fixed
-  inner partitions, and the report carries the partial sum at the cap
-  with its exact tail, the infinite sum minus the partial sum, so a pass
-  means |lhs - rhs| <= tail with everything exact;
+* skew sums in any number of variables (skew Cauchy in xs and ys, skew
+  Littlewood in xs), ``exact_tail``: the kernel's chains start from the
+  fixed inner partitions, and the report carries the partial sum at the
+  cap with its exact tail, the infinite sum minus the partial sum, so a
+  pass means |lhs - rhs| <= tail with everything exact.  The finite side
+  is a sum of f_skew / g_skew over the partitions in the inner shapes'
+  box.  Skew Littlewood in one variable has a finite left side too, read
+  exactly, and its report is exact;
 
 * refined sums, ``_refined_report``: the only sums that keep a bound.
   The partial sum at the cap weights each length by its refinement
@@ -54,8 +58,8 @@ from .exact import (
     convergence_ratio,
     frac,
 )
-from .partitions import even_cover, even_pair_coefficient, interlacing_below, is_conjugate_even
-from .sshl import column_sums, f_one_row, g_one_row, g_skew, tail_weight
+from .partitions import enumerate_partitions, even_pair_coefficient
+from .sshl import column_sums, f_skew, g_skew
 from .weights import (
     INF,
     L_TABLE,
@@ -445,19 +449,29 @@ def pfaffian_exact(rows):
 # tail machinery
 # ---------------------------------------------------------------------------
 
+def _pairs(xs, ys):
+    """The variable pairs of a Cauchy-type sum: (x, y) in xs x ys, or with ys empty x_i, x_j, i < j."""
+    return list(itertools.product(xs, ys) if ys else itertools.combinations(xs, 2))
+
+
+def _kernel_product(pairs, params):
+    """prod Pi(x; y) over the pairs, the closed form of the plain Cauchy / Littlewood sum."""
+    return math.prod((cauchy_kernel(x, y, params) for x, y in pairs), start=ONE)
+
+
 def exact_tail(name, xs, ys, cap, params, f_inner=(), g_inner=()):
     """Partial sum and exact tail of a one-largest-part sum truncated at cap.
 
-    The sum is column_sums(xs, ys, c, params, f_inner, g_inner) with its
-    two variables (x and y, or x1 and x2 with ys empty).  The convergence
-    ratio of the two variables is checked first: outside [0, 1) the tail
-    would be negative, so no truncated report could pass.  Returns
-    (partial, tail): the partial sum at cap, and the kernel's exact
-    infinite sum (cap = math.inf) minus it.
+    The sum is column_sums(xs, ys, c, params, f_inner, g_inner).  The
+    convergence ratio of every variable pair (_pairs) is checked first:
+    outside [0, 1) the tail would be negative, so no truncated report
+    could pass.  Returns (partial, tail): the partial sum at cap, and the
+    kernel's exact infinite sum (cap = math.inf) minus it.
     """
-    ratio = convergence_ratio(*xs, *ys, params)
-    if not ZERO <= ratio < ONE:
-        raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
+    for pair in _pairs(xs, ys):
+        ratio = convergence_ratio(*pair, params)
+        if not ZERO <= ratio < ONE:
+            raise NotAdmissible(f"{name}: convergence ratio {ratio} not in [0, 1)")
     partial, total = (sum(column_sums(xs, ys, c, params, f_inner, g_inner).values(), ZERO)
                       for c in (cap, math.inf))
     return partial, total - partial
@@ -479,23 +493,27 @@ def check_cauchy_closed_form(x, y, params):
     return _exact_report("cauchy-closed-form", lhs, cauchy_kernel(x, y, params))
 
 
-def check_skew_cauchy(lam, mu, x, y, cap, params):
-    """Skew Cauchy identity with one x and one y variable, truncated at parts <= cap.
+def check_skew_cauchy(lam, mu, xs, ys, cap, params):
+    """Skew Cauchy identity in xs and ys (at least one of each), truncated at parts <= cap.
 
-    (1/Pi) * sum over outer kappa of g_{kappa/lam}(y) f_{kappa/mu}(x)
-    equals the finite sum over inner nu of f_{lam/nu}(x) g_{mu/nu}(y);
-    the outer side is the kernel's sum with inner partitions mu (f side)
-    and lam (g side), truncated at cap with the exact tail of
-    exact_tail("skew-cauchy", (x,), (y,), cap, params, mu, lam).
+    (1 / prod_{i,j} Pi(x_i; y_j)) * sum over outer kappa of
+    g_{kappa/lam}(ys) f_{kappa/mu}(xs) equals the finite sum over nu of
+    f_{lam/nu}(xs) g_{mu/nu}(ys), nu in the box of lam and mu (f_skew and
+    g_skew are 0 unless nu lies inside both).  The outer side is the
+    kernel's sum with inner partitions mu (f side) and lam (g side),
+    truncated at cap with the exact tail of exact_tail("skew-cauchy", xs,
+    ys, cap, params, mu, lam).
     """
-    _require_admissible([(x, y)], params)
-    pre = ONE / cauchy_kernel(x, y, params)
-    outer, tail = exact_tail("skew-cauchy", (x,), (y,), cap, params, f_inner=mu, g_inner=lam)
-    below_lam = set(interlacing_below(lam))
-    rhs = ZERO
-    for nu in interlacing_below(mu):
-        if nu in below_lam:
-            rhs += f_one_row(nu, lam, x, params) * g_one_row(nu, mu, y, params)
+    xs, ys = tuple(xs), tuple(ys)
+    if not xs or not ys:
+        raise InvalidParams("skew Cauchy needs at least one x and one y variable")
+    pairs = _pairs(xs, ys)
+    _require_admissible(pairs, params)
+    pre = ONE / _kernel_product(pairs, params)
+    outer, tail = exact_tail("skew-cauchy", xs, ys, cap, params, f_inner=mu, g_inner=lam)
+    box = enumerate_partitions(min(lam[0] if lam else 0, mu[0] if mu else 0),
+                               min(len(lam), len(mu)))
+    rhs = sum((f_skew(nu, lam, xs, params) * g_skew(nu, mu, ys, params) for nu in box), ZERO)
     return _truncated_report(
         f"skew-cauchy[{lam}/{mu}]", pre * outer, rhs, pre * tail,
         detail=f"cap={cap}",
@@ -503,44 +521,36 @@ def check_skew_cauchy(lam, mu, x, y, cap, params):
 
 
 def check_skew_littlewood(mu, xs, cap, params):
-    """Skew Littlewood identity; exact for one variable, truncated for two.
+    """Skew Littlewood identity in any number (at least one) of variables.
 
-    One variable: both conjugate-even sums collapse to single terms, the
-    even cover above and the even core below; the one below is
-    sshl.tail_weight(mu, x), and the equality is exact.  Two variables:
-    the cover side is an infinite sum over conjugate-even lam, the
-    kernel's Littlewood form with inner partition mu, truncated by largest
-    part with the exact tail of exact_tail("skew-littlewood", xs,
-    (), cap, params, f_inner=mu).
+    The sum over conjugate-even lam of even_pair_coefficient(lam)
+    f_{lam/mu}(xs) equals prod_{i<j} Pi(x_i; x_j) times the finite sum over
+    conjugate-even nu of even_pair_coefficient(nu) g_{mu/nu}(xs); nu runs
+    over the conjugate-even partitions in mu's box (g_skew is 0 off the
+    chains).  The left side is the kernel's Littlewood form with inner
+    partition mu.  With one variable it is a finite sum (the even cover of
+    mu is the one lam), read exactly at cap = math.inf, and the report is
+    exact; with more it is truncated by largest part with the exact tail
+    of exact_tail("skew-littlewood", xs, (), cap, params, f_inner=mu).
     """
     xs = tuple(xs)
-    _require_admissible(itertools.combinations(xs, 2), params)
-    if len(xs) == 1:
-        lam = even_cover(mu)
-        lhs = even_pair_coefficient(lam, params) * f_one_row(mu, lam, xs[0], params)
-        return _exact_report(f"skew-littlewood-1var[{mu}]", lhs, tail_weight(mu, xs[0], params))
-    if len(xs) != 2:
-        raise InvalidParams("truncated skew Littlewood implemented for one or two variables")
-    pre = cauchy_kernel(*xs, params)
-    # right side: finite sum over conjugate-even nu reachable below mu
+    if not xs:
+        raise InvalidParams("skew Littlewood needs at least one variable")
+    pairs = _pairs(xs, ())
+    _require_admissible(pairs, params)
     rhs = ZERO
-    for nu in sorted(_even_below(mu)):
+    for half in enumerate_partitions(mu[0] if mu else 0, len(mu) // 2):
+        nu = tuple(p for h in half for p in (h, h))  # the conjugate-even nu in mu's box
         w = g_skew(nu, mu, xs, params)
-        if w != 0:
+        if w:  # most of the box is off the chains; its pairing coefficients are not needed
             rhs += even_pair_coefficient(nu, params) * w
-    rhs *= pre
+    rhs *= _kernel_product(pairs, params)
+    name = f"skew-littlewood-{len(xs)}var[{mu}]"
+    if len(xs) == 1:
+        lhs = sum(column_sums(xs, (), math.inf, params, f_inner=mu).values(), ZERO)
+        return _exact_report(name, lhs, rhs)
     lhs, tail = exact_tail("skew-littlewood", xs, (), cap, params, f_inner=mu)
-    return _truncated_report(f"skew-littlewood-2var[{mu}]", lhs, rhs, tail, detail=f"cap={cap}")
-
-
-def _even_below(mu):
-    """Conjugate-even partitions reachable below mu by up to two interlacing steps."""
-    found = set()
-    for nu in interlacing_below(mu):
-        for nu2 in interlacing_below(nu):
-            if is_conjugate_even(nu2):
-                found.add(nu2)
-    return found
+    return _truncated_report(name, lhs, rhs, tail, detail=f"cap={cap}")
 
 
 def refined_cauchy_rhs(xs, ys, u, params):
@@ -601,10 +611,8 @@ def _refined_report(name, xs, ys, u, cap, params, closed_form):
     pairs), then the sum is scanned, and only then is closed_form() called
     for the refined right side.
     """
-    if ys:
-        plain, pairs, step = "Cauchy", list(itertools.product(xs, ys)), 1
-    else:
-        plain, pairs, step = "Littlewood", list(itertools.combinations(xs, 2)), 2
+    plain, step = ("Cauchy", 1) if ys else ("Littlewood", 2)
+    pairs = _pairs(xs, ys)
     if not (ZERO <= u <= ONE):
         raise InvalidParams("certified tail needs u in [0, 1]")
     params.require_probabilistic()
@@ -618,10 +626,7 @@ def _refined_report(name, xs, ys, u, cap, params, closed_form):
         for i in range(1, len(xs) - length + 1, step):
             coeff *= ONE - u * params.q**i
         lhs += coeff * term
-    closed = ONE
-    for x, y in pairs:
-        closed *= cauchy_kernel(x, y, params)
-    tail = closed - total
+    tail = _kernel_product(pairs, params) - total
     if tail < 0:
         raise InvalidParams(f"plain {plain} partial sum exceeded its closed form")
     return _truncated_report(name, lhs, rhs, tail, detail=f"cap={cap}")
@@ -689,8 +694,8 @@ SUITE = (
     ("reflection", lambda p, x, y, cap: check_reflection(p, x)),
     ("r-stochastic", lambda p, x, y, cap: check_r_stochastic(p, x, y)),
     ("cauchy-closed-form", lambda p, x, y, cap: check_cauchy_closed_form(x, y, p)),
-    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((), (), x, y, max(cap, 12), p)),
-    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((1,), (), x, y, max(cap, 12), p)),
+    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((), (), (x,), (y,), max(cap, 12), p)),
+    ("skew-cauchy", lambda p, x, y, cap: check_skew_cauchy((1,), (), (x,), (y,), max(cap, 12), p)),
     ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((3, 1), (x,), cap, p)),
     ("skew-littlewood", lambda p, x, y, cap: check_skew_littlewood((), (x, y), max(cap, 3), p)),
     ("refined-cauchy", lambda p, x, y, cap: check_refined_cauchy((x,), (y,), p.u, cap, p)),

@@ -129,7 +129,7 @@ def test_criterion_06_skew_littlewood_one_variable(params):
 
 
 def test_criterion_07_cauchy_identity(params):
-    rep = check_skew_cauchy((), (), X, Y, 40, params)
+    rep = check_skew_cauchy((), (), (X,), (Y,), 40, params)
     bound_ok = rep.tail_bound < F(1, 10**6)
     closed = check_cauchy_closed_form(X, Y, params)
     record_acceptance(
@@ -145,7 +145,7 @@ def test_criterion_08_skew_cauchy(params):
     ok = True
     for lam in shapes:
         for mu in shapes:
-            rep = check_skew_cauchy(lam, mu, X, Y, 20, params)
+            rep = check_skew_cauchy(lam, mu, (X,), (Y,), 20, params)
             if not rep.passed:
                 ok = False
     record_acceptance(8, f"skew Cauchy truncated, all {len(shapes)}^2 shape pairs with parts<=3", ok)

@@ -122,6 +122,22 @@ def test_fixture_particle_dual():
         assert st.count() == t - FIXTURE_HEIGHTS[(t, t)]
 
 
+@pytest.mark.parametrize("h, t, T", [
+    ({(0, 0): 0}, 2, 0),
+    ({(0, 0): 0}, -1, 0),
+    (FIXTURE_HEIGHTS, 9, 8),
+    (FIXTURE_HEIGHTS, -1, 8),
+    ({}, 0, None),
+])
+def test_particles_from_heights_refuses_a_time_off_the_lattice(h, t, T):
+    with pytest.raises(InconsistentHeights,
+                       match=rf"^time {t} outside the lattice 0 <= t <= T = {T}$"):
+        particles_from_heights(h, t)
+    # the lattice's own end times still read
+    assert particles_from_heights({(0, 0): 0}, 0) == ParticleState(0, ())
+    assert particles_from_heights(FIXTURE_HEIGHTS, 8).positions == FIXTURE_PARTICLES[8]
+
+
 def test_sampled_heights_monotone_and_round_trip(params):
     for seed in range(5):
         h = ds6v_sample(6, RandomSource(seed, 4), params)

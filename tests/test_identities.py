@@ -38,8 +38,9 @@ from spinhl.identities import (
     reflection_sides,
     run_suite,
 )
-from spinhl.partitions import pairing_factor
-from spinhl.sshl import column_sums
+from spinhl.partitions import (even_cover, even_pair_coefficient, interlacing_below,
+                               is_conjugate_even, pairing_factor)
+from spinhl.sshl import column_sums, f_one_row, g_skew, tail_weight
 from spinhl.transitions import p_bwd, p_fwd
 from spinhl.weights import INF, L, M, Mstar, R, Rstar
 
@@ -423,14 +424,14 @@ def test_exact_tail_is_the_geometric_tail(point):
 
 
 def test_skew_cauchy_empty(params):
-    rep = check_skew_cauchy((), (), X, Y, 40, params)
+    rep = check_skew_cauchy((), (), (X,), (Y,), 40, params)
     assert rep.passed
     assert rep.tail_bound < F(1, 10**6)
 
 
 def test_skew_cauchy_small_shapes(params):
     for lam, mu in [((1,), ()), ((2, 1), (1, 1)), ((3, 1), (2, 2)), ((2,), (3, 1))]:
-        rep = check_skew_cauchy(lam, mu, X, Y, 30, params)
+        rep = check_skew_cauchy(lam, mu, (X,), (Y,), 30, params)
         assert rep.passed, (lam, mu, rep)
 
 
@@ -438,7 +439,7 @@ def test_skew_cauchy_monotone_certificate(params):
     # increasing the cap never turns pass into fail, and the bound shrinks
     prev = None
     for cap in (12, 16, 20, 24):
-        rep = check_skew_cauchy((1,), (), X, Y, cap, params)
+        rep = check_skew_cauchy((1,), (), (X,), (Y,), cap, params)
         assert rep.passed
         if prev is not None:
             assert rep.tail_bound < prev
@@ -448,7 +449,7 @@ def test_skew_cauchy_monotone_certificate(params):
 def test_skew_cauchy_requires_admissible():
     bad = ModelParams.make("1/3", "-1/2")
     with pytest.raises(NotAdmissible):
-        check_skew_cauchy((), (), F(1), F(1), 10, bad)
+        check_skew_cauchy((), (), (F(1),), (F(1),), 10, bad)
 
 
 def test_skew_littlewood_one_variable(params):
@@ -473,12 +474,93 @@ def test_skew_checks_small_cap(params, which, cap):
     # the tail is exact at every cap, including one below the largest fixed
     # part (lo = 1 for skew Cauchy here), where the partial sum is empty
     if which == "skew-cauchy":
-        lo, rep = 1, check_skew_cauchy((1,), (), X, Y, cap, params)
+        lo, rep = 1, check_skew_cauchy((1,), (), (X,), (Y,), cap, params)
     else:
         lo, rep = 0, check_skew_littlewood((), (X, Y), cap, params)
     assert rep.passed and rep.tail_bound >= 0
     if cap < lo:  # nothing is retained: the tail is the whole sum
         assert rep.lhs == 0 and rep.tail_bound == rep.rhs
+
+
+SKEW_SHAPES = [((), ()), ((1,), ()), ((2, 1), (1,)), ((3, 1), (2, 2)), ((2,), (1, 1))]
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+@pytest.mark.parametrize("nx, ny", [(2, 1), (1, 2), (2, 2)])
+def test_skew_cauchy_in_several_variables(point, nx, ny):
+    params = FIXTURE_POINTS[point]
+    xs, ys = params.x[0:2 * nx:2], params.x[1:2 * ny:2]
+    for lam, mu in SKEW_SHAPES:
+        rep = check_skew_cauchy(lam, mu, xs, ys, 12, params)
+        assert rep.name == f"skew-cauchy[{lam}/{mu}]" and rep.mode == "truncated"
+        assert rep.passed, (xs, ys, lam, mu, rep)
+        assert type(rep.tail_bound) is F and rep.tail_bound >= 0
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+@pytest.mark.parametrize("n", [3, 4])
+def test_skew_littlewood_in_several_variables(point, n):
+    params = FIXTURE_POINTS[point]
+    xs = params.x[:n]
+    for mu in [(), (1,), (2, 1), (3, 1)]:
+        rep = check_skew_littlewood(mu, xs, 12, params)
+        assert rep.name == f"skew-littlewood-{n}var[{mu}]" and rep.mode == "truncated"
+        assert rep.passed, (xs, mu, rep)
+        assert type(rep.tail_bound) is F and rep.tail_bound >= 0
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_skew_littlewood_two_variables_as_before(point):
+    # the two-variable right side summed over the conjugate-even partitions
+    # two interlacing steps below mu, and the left side and tail were
+    # exact_tail's: the sum over mu's box gives the same three rationals
+    params = FIXTURE_POINTS[point]
+    xs = params.x[:2]
+    for mu in [(), (1,), (2, 1), (3, 1), (2, 2), (3, 2, 1)]:
+        rep = check_skew_littlewood(mu, xs, 12, params)
+        below = {nu2 for nu in interlacing_below(mu) for nu2 in interlacing_below(nu)
+                 if is_conjugate_even(nu2)}
+        rhs = cauchy_kernel(*xs, params) * sum(
+            even_pair_coefficient(nu, params) * g_skew(nu, mu, xs, params) for nu in below)
+        lhs, tail = exact_tail("skew-littlewood", xs, (), 12, params, f_inner=mu)
+        assert (rep.lhs, rep.rhs, rep.tail_bound) == (lhs, rhs, tail), mu
+        assert rep.name == f"skew-littlewood-2var[{mu}]" and rep.passed
+
+
+def test_skew_littlewood_one_variable_is_the_sandwich(params):
+    # acceptance 6's 200 random shapes: the one-variable report's left side
+    # is the even cover's single term and its right side the even core's,
+    # sshl.tail_weight, so the report reads as the closed formula did
+    rng = random.Random(606)
+    for _ in range(200):
+        mu = tuple(sorted((rng.randint(1, 8) for _ in range(rng.randint(0, 6))), reverse=True))
+        rep = check_skew_littlewood(mu, (X,), 0, params)
+        cover = even_cover(mu)
+        assert rep.lhs == even_pair_coefficient(cover, params) * f_one_row(mu, cover, X, params)
+        assert rep.rhs == tail_weight(mu, X, params)
+        assert rep.name == f"skew-littlewood-1var[{mu}]" and rep.mode == "exact" and rep.passed
+
+
+@pytest.mark.parametrize("xs, ys", [((), (Y,)), ((X,), ()), ((), ())])
+def test_skew_cauchy_needs_an_x_and_a_y(params, xs, ys):
+    # column_sums reads an empty ys as the Littlewood form, so the check refuses it
+    with pytest.raises(InvalidParams, match="^skew Cauchy needs at least one x and one y"):
+        check_skew_cauchy((1,), (), xs, ys, 12, params)
+
+
+def test_skew_littlewood_needs_a_variable(params):
+    with pytest.raises(InvalidParams, match="^skew Littlewood needs at least one variable$"):
+        check_skew_littlewood((1,), (), 12, params)
+
+
+@pytest.mark.parametrize("xs", [(F(3), F(1, 4), F(1, 5)), (F(1, 4), F(1, 5), F(3))])
+def test_skew_littlewood_refuses_a_divergent_pair(xs):
+    # (3, 1/4) is admissible at s = 1/2, but its convergence ratio is 10/7;
+    # every pair is checked, so the divergent one may come after a good one
+    params = ModelParams.make("1/2", "1/2")
+    with pytest.raises(NotAdmissible,
+                       match=r"^skew-littlewood: convergence ratio 10/7 not in \[0, 1\)$"):
+        check_skew_littlewood((1,), xs, 12, params)
 
 
 def test_refined_cauchy_n1_closed_form(params):
