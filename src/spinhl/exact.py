@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -222,8 +223,8 @@ def _absorb(pool, h, words):
 
     Each word meets the four pool entries in turn, each through one hash
     step.  RandomSource.substream runs this once per key entry;
-    RandomSource.cell_words runs it once per lattice row and does the
-    column words of all its cells together, in lanes.
+    RandomSource.cell_words does the same steps for the words of all its
+    rows, and of all its columns, together, in lanes.
     """
     pool = list(pool)
     for w in words:
@@ -281,7 +282,8 @@ def _pcg64(pool):
 # The state after seeding and one step is init * A + inc * B (mod 2^128).
 _FIRST_A = _PCG_MULT * _PCG_MULT & _M128
 _FIRST_B = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _M128
-_BAND = 512  # cells seeded together by RandomSource.cell_words
+_FIRST_2B = 2 * _FIRST_B & _M128  # inc = raw << 1 | 1, so inc * B = raw * 2B + B
+_BAND = 512  # cells seeded together by RandomSource.cell_words; a power of two
 _LANES = sys.byteorder == "little"  # the lane packing reads machine words as little-endian
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
@@ -320,65 +322,103 @@ def half_quadrant(entries, error):
 
 
 def _bands(T):
-    """(band, n) for RandomSource.cell_words: whole anti-diagonals of about _BAND cells each."""
+    """(band, n) for RandomSource.cell_words: the growth order cut every _BAND cells.
+
+    band lists the (total, first i, last i) runs of anti_diagonals(T) in
+    it, so a cut may fall inside a diagonal; n counts its cells, _BAND for
+    every band but the last.
+    """
     band, n = [], 0
-    for diag in anti_diagonals(T):
-        band.append(diag)
-        n += diag[2] - diag[1] + 1
-        if n >= _BAND or diag[0] == 2 * T:  # a full band, or the last diagonal
-            yield band, n
-            band, n = [], 0
+    for t, lo, hi in anti_diagonals(T):
+        while lo <= hi:
+            end = min(hi, lo + _BAND - n - 1)
+            band.append((t, lo, end))
+            n += end - lo + 1
+            lo = end + 1
+            if n == _BAND:
+                yield band, n
+                band, n = [], 0
+    if band:
+        yield band, n
+
+
+_LANE_CONSTS = {}  # lane count -> _lane_consts(lanes): one entry per power of two up to _BAND
+
+
+def _lane_consts(lanes):
+    """The constants _band_words packs into each of its lanes, built once per lane count.
+
+    ones holds 1 in each 64-bit lane, so ones * c is c in every lane; gen
+    is _GENERATE with its xor patterns in lanes; first_b is _FIRST_B in each
+    256-bit lane, and rotl the (shift, top, bottom) masks of the six output
+    rotation steps.
+    """
+    c = _LANE_CONSTS.get(lanes)
+    if c is None:
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * lanes, "little")
+        wide = int.from_bytes((b"\1" + bytes(31)) * lanes, "little")  # 1 in each 256-bit lane
+        rotl = []
+        for b in range(6):
+            s = 1 << b
+            wrap = (1 << s) - 1  # the low bits of a lane, where its top s bits go
+            rotl.append((s, ones * (_M64 ^ wrap), ones * wrap))
+        gen = tuple((idx, ones * x, m) for idx, x, m in _GENERATE)
+        c = _LANE_CONSTS[lanes] = (ones, ones * _M32, ones << 32, gen,
+                                   wide * _M128, wide * _FIRST_B, rotl, ones * _M63)
+    return c
 
 
 def _band_words(band, n, T, rows, cols):
-    """(i, j, u) of RandomSource.cell_words for the n cells of the diagonals in band.
+    """(i, j, u) of RandomSource.cell_words for the n cells of band, in order.
 
-    The cells are seeded side by side, one lane per cell: their four pool
-    words in 64-bit lanes, their PCG64 state after one step in 256-bit
-    lanes.  Bit-reversing a rotated word is rotating the reversed word the
-    other way, so the band reverses its xor-shifted PCG64 outputs in one
-    byte translation and then rotates every lane left by its own amount,
-    one big-int step per bit of the amounts.  The result is a zip of the
-    i and j ranges with the list of words, so no Python frame runs per cell.
+    The cells are seeded side by side, one lane per cell, in as many lanes
+    as the power of two at or above n (at least 8), so that the lane
+    constants (_lane_consts) serve every band of that width: their four
+    pool words and the 32-bit words of generate_state in 64-bit lanes,
+    their PCG64 state after one step in 256-bit lanes.  The increment's
+    ``<< 1 | 1`` is folded into the step's constants (inc B = raw 2B + B),
+    and the state's two 64-bit words are read out of their lanes once, so
+    the output's xor-fold, bit reversal and rotation run on 64-bit lanes.
+    Bit-reversing a rotated word is rotating the reversed word the other
+    way, so the band reverses the two state words in one byte translation
+    each and then rotates every lane left by its own amount, one big-int
+    step per bit of the amounts.  The result is a zip of the i and j
+    ranges with the list of words, so no Python frame runs per cell.
     """
-    ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * n, "little")  # 1 in each 64-bit lane
-    m32 = ones * _M32
+    lanes = max(8, 1 << (n - 1).bit_length())
+    ones, m32, lift, gen, m128, first_b, rotl, m63 = _lane_consts(lanes)
     pool = []
     for row, col in zip(rows, cols):
         r = int.from_bytes(b"".join(row[8 * lo - 8:8 * hi] for _, lo, hi in band), "little")
         c = int.from_bytes(b"".join(col[8 * (T - t + lo):8 * (T - t + hi + 1)]
                                     for t, lo, hi in band), "little")
-        r = (r + (ones << 32) - c) & m32  # lifting each lane by 2^32 stops borrows
+        r = (r + lift - c) & m32  # lifting each lane by 2^32 stops borrows
         pool.append((r ^ (r >> 16)) & m32)
     w = []
-    for idx, x, m in _GENERATE:
-        v = ((pool[idx] ^ ones * x) * m) & m32
-        w.append(memoryview(((v ^ (v >> 16)) & m32).to_bytes(8 * n, "little")).cast("I")[::2])
-    # init and inc as 128-bit numbers in 256-bit lanes, low 32-bit word first
-    init, inc = bytearray(32 * n), bytearray(32 * n)
-    for dst, order in ((init, (2, 3, 0, 1)), (inc, (6, 7, 4, 5))):
-        view = memoryview(dst).cast("I")
-        for pos, k in enumerate(order):
-            view[pos::8] = w[k]
-    wide = int.from_bytes((b"\1" + bytes(31)) * n, "little")  # 1 in each 256-bit lane
-    m128 = wide * _M128
-    inc = (int.from_bytes(inc, "little") << 1 | wide) & m128
+    for idx, x, m in gen:
+        v = ((pool[idx] ^ x) * m) & m32
+        w.append((v ^ (v >> 16)) & m32)
+    # init and the raw increment as 128-bit numbers in 256-bit lanes, low word first
+    init, raw = bytearray(32 * lanes), bytearray(32 * lanes)
+    for dst, lo, hi in ((init, w[3] << 32 | w[2], w[1] << 32 | w[0]),
+                        (raw, w[7] << 32 | w[6], w[5] << 32 | w[4])):
+        view = memoryview(dst).cast("Q")
+        view[0::4] = memoryview(lo.to_bytes(8 * lanes, "little")).cast("Q")
+        view[1::4] = memoryview(hi.to_bytes(8 * lanes, "little")).cast("Q")
+    # only the low 128 bits of a lane are read, so the sum is left unreduced
     state = (((int.from_bytes(init, "little") * _FIRST_A) & m128)
-             + ((inc * _FIRST_B) & m128)) & m128
-    low = int.from_bytes((b"\xff" * 8 + bytes(24)) * n, "little")  # low word of each lane
-    x = (state ^ (state >> 64)) & low
-    # reversing all the bytes reverses the lanes too, so read them from the end;
-    # u and rot are back in 64-bit lanes, in cell order, rot in the top six bits
-    rev = memoryview(x.to_bytes(32 * n, "little").translate(_REV8)[::-1]).cast("Q")
-    u = int.from_bytes(rev[::-4].tobytes(), "little")
-    rot = int.from_bytes(memoryview(state.to_bytes(32 * n, "little")).cast("Q")[1::4].tobytes(),
-                         "little") >> 58
-    for b in range(6):  # rotate the lanes whose rot has bit b by 2^b
-        s = 1 << b
-        wrap = (1 << s) - 1  # the low bits of a lane, where its top s bits go
-        left = ((u << s) & ones * (_M64 ^ wrap)) | ((u >> (64 - s)) & ones * wrap)
-        u ^= (u ^ left) & ((rot >> b) & ones) * _M64
-    u = memoryview((u & ones * _M63).to_bytes(8 * n, "little")).cast("Q").tolist()
+             + ((int.from_bytes(raw, "little") * _FIRST_2B) & m128) + first_b)
+    # the state's bytes in reverse are each lane's words in reverse, byte-reversed,
+    # with the lanes last to first: stepping back four words from the end reads
+    # the low words in cell order, from one word before the end the high words
+    words = memoryview(state.to_bytes(32 * lanes, "big")).cast("Q")
+    high = int.from_bytes(words[-2::-4].tobytes().translate(_REV8), "little")
+    u = int.from_bytes(words[::-4].tobytes().translate(_REV8), "little") ^ high
+    # the rotation's top six bits, reversed, are the low six bits of the reversed high word
+    for k, (s, top, bottom) in enumerate(rotl):  # rotate the lanes whose rot has bit k by 2^k
+        left = ((u << s) & top) | ((u >> (64 - s)) & bottom)
+        u ^= (u ^ left) & ((high >> (5 - k)) & ones) * _M64
+    u = memoryview((u & m63).to_bytes(8 * lanes, "little")).cast("Q")[:n].tolist()
     i = chain.from_iterable(range(lo, hi + 1) for _, lo, hi in band)
     j = chain.from_iterable(range(t - lo, t - hi - 1, -1) for t, lo, hi in band)
     return zip(i, j, u)
@@ -476,33 +516,46 @@ class RandomSource(_WordBits):
 
         The cells are seeded in bands.  Absorbing i takes this source's
         pool to a row that every j shares; the hashed words of j at the
-        next depth form a column that every i shares, hashed by the steps
-        5 to 8 of this source's hash schedule (_schedule), which do not
-        depend on i.  Both are made once per index, premultiplied by the
-        mix constants, and laid out as
-        64-bit lanes so that the rows and columns of one diagonal are
-        contiguous byte slices.  The cells of about _BAND cells' worth of
-        whole anti-diagonals are then packed side by side in a few Python
-        ints, one lane per cell, so each hash step, the PCG64 step and each
-        bit of the output rotation is one integer operation per band
-        (_band_words).  Each band comes as one zip of C-level iterators,
-        chained with itertools.chain, and a band is let go before the next
-        is seeded, so only one is held at a time.
+        next depth form a column that every i shares.  Their hash steps
+        come from this source's hash schedule (_schedule): steps 1 to 4
+        for i and 5 to 8 for j, none of which depends on the index, so the
+        four rows are hashed for all i at once, in T 64-bit lanes, and the
+        four columns likewise for all j, descending, a few dozen big-int
+        operations in all.  Premultiplied by the mix constants, they are
+        laid out so that the rows and columns of one diagonal are
+        contiguous byte slices.  The growth order is cut every _BAND
+        cells, inside a diagonal where the count falls there, and the
+        cells of a band are packed side by side in a few Python ints, one
+        lane per cell, so each hash step, the PCG64 step and each bit of
+        the output rotation is one integer operation per band
+        (_band_words).  The last band is padded to a power of two, so the
+        lane constants are built once per power of two up to _BAND and
+        kept in a bounded table (_lane_consts), whatever T is.  Each band
+        comes as one zip of C-level iterators, chained with
+        itertools.chain, and a band is let go before the next is seeded,
+        so only one is held at a time.
         """
         if not _LANES:
             return ((i, t - i, self.substream(i, t - i)._load())
                     for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1))
         pool, h = self._mixed
-        rows = [bytearray() for _ in range(4)]
-        for i in range(1, T + 1):
-            for lane, p in zip(rows, _absorb(pool, h, (i,))[0]):
-                lane += ((_MIX_L * p) & _M32).to_bytes(8, "little")
-        steps = _schedule(h, _MULT_A, 8)[4:]  # the second key word's steps, one per pool entry
-        cols = [bytearray() for _ in range(4)]
-        for j in range(T, 0, -1):  # descending, so a diagonal's columns ascend with i
-            for lane, (x, m) in zip(cols, steps):
-                v = ((j ^ x) * m) & _M32
-                lane += ((_MIX_R * (v ^ (v >> 16))) & _M32).to_bytes(8, "little")
+        ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * T, "little")
+        m32 = ones * _M32
+
+        def hashed(index, x, m):  # _hashmix of every lane's index
+            v = ((index ^ ones * x) * m) & m32
+            return (v ^ (v >> 16)) & m32
+
+        i = int.from_bytes(array("Q", range(1, T + 1)).tobytes(), "little")
+        j = int.from_bytes(array("Q", range(T, 0, -1)).tobytes(), "little")  # descending
+        steps = _schedule(h, _MULT_A, 8)  # four steps for i, one per pool entry, then four for j
+        rows, cols = [], []
+        for p, row_step, col_step in zip(pool, steps, steps[4:]):
+            # _mix of p with each hashed i; lifting each lane by 2^32 stops borrows
+            v = (_MIX_R * hashed(i, *row_step)) & m32
+            r = (ones * (((_MIX_L * p) & _M32) + (1 << 32)) - v) & m32
+            rows.append(((_MIX_L * ((r ^ (r >> 16)) & m32)) & m32).to_bytes(8 * T, "little"))
+            cols.append(((_MIX_R * hashed(j, *col_step)) & m32).to_bytes(8 * T, "little"))
         return chain.from_iterable(_band_words(band, n, T, rows, cols) for band, n in _bands(T))
 
     def _load(self):

@@ -520,18 +520,34 @@ def check_skew_cauchy(lam, mu, xs, ys, cap, params):
     )
 
 
+def _even_inner(mu, n):
+    """The conjugate-even nu that can lie n interlacing steps below mu.
+
+    A chain nu = nu_0 < ... < nu_n = mu of interlacing steps holds
+    mu_{i+n} <= nu_i <= mu_i, so the half h_k = nu_{2k-1} = nu_{2k} lies in
+    [mu_{2k-1+n}, mu_{2k}]: a product of ranges, kept where non-increasing.
+    g_skew(nu, mu, n variables) is 0 for every other nu in mu's box.
+    """
+    m = (0, *mu, *[0] * n)  # m[i] is mu_i, 0 past len(mu)
+    halves = itertools.product(*(range(m[2 * k - 1 + n], m[2 * k] + 1)
+                                 for k in range(1, len(mu) // 2 + 1)))
+    return [tuple(p for h in half if h for p in (h, h))
+            for half in halves if all(a >= b for a, b in zip(half, half[1:]))]
+
+
 def check_skew_littlewood(mu, xs, cap, params):
     """Skew Littlewood identity in any number (at least one) of variables.
 
     The sum over conjugate-even lam of even_pair_coefficient(lam)
     f_{lam/mu}(xs) equals prod_{i<j} Pi(x_i; x_j) times the finite sum over
     conjugate-even nu of even_pair_coefficient(nu) g_{mu/nu}(xs); nu runs
-    over the conjugate-even partitions in mu's box (g_skew is 0 off the
-    chains).  The left side is the kernel's Littlewood form with inner
-    partition mu.  With one variable it is a finite sum (the even cover of
-    mu is the one lam), read exactly at cap = math.inf, and the report is
-    exact; with more it is truncated by largest part with the exact tail
-    of exact_tail("skew-littlewood", xs, (), cap, params, f_inner=mu).
+    over the conjugate-even partitions within the interlacing bounds of mu
+    (_even_inner; g_skew is 0 off the chains).  The left side is the
+    kernel's Littlewood form with inner partition mu.  With one variable
+    it is a finite sum (the even cover of mu is the one lam), read exactly
+    at cap = math.inf, and the report is exact; with more it is truncated
+    by largest part with the exact tail of exact_tail("skew-littlewood",
+    xs, (), cap, params, f_inner=mu).
     """
     xs = tuple(xs)
     if not xs:
@@ -539,10 +555,9 @@ def check_skew_littlewood(mu, xs, cap, params):
     pairs = _pairs(xs, ())
     _require_admissible(pairs, params)
     rhs = ZERO
-    for half in enumerate_partitions(mu[0] if mu else 0, len(mu) // 2):
-        nu = tuple(p for h in half for p in (h, h))  # the conjugate-even nu in mu's box
+    for nu in _even_inner(mu, len(xs)):
         w = g_skew(nu, mu, xs, params)
-        if w:  # most of the box is off the chains; its pairing coefficients are not needed
+        if w:  # nu may still be off the chains, and needs no pairing coefficient then
             rhs += even_pair_coefficient(nu, params) * w
     rhs *= _kernel_product(pairs, params)
     name = f"skew-littlewood-{len(xs)}var[{mu}]"

@@ -358,12 +358,15 @@ def sweep(T, rng, params, per_cell_streams):
     after its neighbours (i-1, j-1), (i, j-1) and (i-1, j).  Without
     per_cell_streams, cell is rng itself, so sequential draws follow this
     order.  With them, a RandomSource yields words: cell is the first word
-    of rng.substream(i, j) in read order, seeded in bands
-    (RandomSource.cell_words), and exact.CellBits(cell, rng, i, j) reads
-    all of that substream's bits.  Any other bit source with bit() and
-    substream(*key) is asked for cell = rng.substream(i, j), once per
-    cell.  params must be in probabilistic mode; that is checked here at
-    once, also when T = 0 has no cells.
+    of rng.substream(i, j) in read order, and exact.CellBits(cell, rng, i,
+    j) reads all of that substream's bits.  RandomSource.cell_words seeds
+    them in fixed-width bands: the rows and columns the cells share are
+    hashed lane-wise, for all indices at once, this order is cut every
+    _BAND cells, and each band width's lane constants are built once, in
+    a table with at most one entry per power of two.  Any other bit
+    source with bit() and substream(*key) is asked for cell =
+    rng.substream(i, j), once per cell.  params must be in probabilistic
+    mode; that is checked here at once, also when T = 0 has no cells.
     """
     compiled(params).require_probabilistic()
     if per_cell_streams and type(rng) is RandomSource:

@@ -1,5 +1,6 @@
 """Core scalar arithmetic, admissibility, and the exact categorical sampler."""
 
+import collections
 import itertools
 import random
 import tracemalloc
@@ -577,6 +578,41 @@ def test_cell_words_are_the_first_words_of_the_cell_substreams(seed, stream, pke
         assert u == parent.substream(i, j)._load(), (i, j)
     for i, j, u in got[:: max(1, len(got) // 9)]:
         assert u == _first_bits(parent.substream(i, j)), (i, j)
+
+
+def test_cell_words_in_small_bands(monkeypatch):
+    # at 8 and 16 cells a band, T = 0..20 cuts bands inside diagonals, ends
+    # bands on a diagonal's last cell and leaves one-cell last bands
+    parent = RandomSource(5, 1).substream(2**33, 4)
+    parent.bit()
+    seen = set()
+    for band in (8, 16):
+        monkeypatch.setattr(exact, "_BAND", band)
+        for T in range(21):
+            bands = list(exact._bands(T))
+            assert sum(n for _, n in bands) == T * (T + 1) // 2
+            assert all(n == band for _, n in bands[:-1])
+            for runs, _ in bands[:-1]:
+                t, _, hi = runs[-1]
+                seen.add("ends a diagonal" if hi == t // 2 else "cuts a diagonal")
+            if len(bands) > 1 and bands[-1][1] == 1:
+                seen.add("one-cell last band")
+            got = list(parent.cell_words(T))
+            assert [(i, j) for i, j, _ in got] == [
+                (i, t - i) for t, lo, hi in anti_diagonals(T) for i in range(lo, hi + 1)]
+            for i, j, u in got:
+                assert u == parent.substream(i, j)._load(), (band, T, i, j)
+    assert seen == {"ends a diagonal", "cuts a diagonal", "one-cell last band"}
+
+
+def test_lane_constants_are_built_once_per_power_of_two_width():
+    # the table is keyed by lane count, a power of two from 8 to _BAND,
+    # whatever T is
+    src = RandomSource(3, 1)
+    widths = {1 << k for k in range(3, _BAND.bit_length())}
+    for T in range(301):
+        collections.deque(src.cell_words(T), maxlen=0)
+        assert set(exact._LANE_CONSTS) <= widths, T
 
 
 def test_cell_words_without_lane_packing_are_the_same(monkeypatch):

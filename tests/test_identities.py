@@ -1,5 +1,6 @@
 """Identity verifier: local equations exactly, global sums with certified tails."""
 
+import itertools
 import random
 import re
 from fractions import Fraction as F
@@ -38,8 +39,8 @@ from spinhl.identities import (
     reflection_sides,
     run_suite,
 )
-from spinhl.partitions import (even_cover, even_pair_coefficient, interlacing_below,
-                               is_conjugate_even, pairing_factor)
+from spinhl.partitions import (enumerate_partitions, even_cover, even_pair_coefficient,
+                               interlacing_below, is_conjugate_even, pairing_factor)
 from spinhl.sshl import column_sums, f_one_row, g_skew, tail_weight
 from spinhl.transitions import p_bwd, p_fwd
 from spinhl.weights import INF, L, M, Mstar, R, Rstar
@@ -525,6 +526,28 @@ def test_skew_littlewood_two_variables_as_before(point):
         lhs, tail = exact_tail("skew-littlewood", xs, (), 12, params, f_inner=mu)
         assert (rep.lhs, rep.rhs, rep.tail_bound) == (lhs, rhs, tail), mu
         assert rep.name == f"skew-littlewood-2var[{mu}]" and rep.passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_skew_littlewood_sums_only_the_interlacing_box(params, n):
+    # every conjugate-even nu of mu's box that _even_inner drops has
+    # g_skew = 0, so the right side is the sum over the whole box
+    xs = params.x[:n]
+    rng = random.Random(2300 + n)
+    shapes = [(), (1,), (1, 1), (2, 1), (3, 1), (2, 2), (3, 2, 1), (4, 4, 4, 3, 2, 2, 1)]
+    shapes += [tuple(sorted((rng.randint(1, 5) for _ in range(rng.randint(2, 6))), reverse=True))
+               for _ in range(6)]
+    for mu in shapes:
+        kept = identities._even_inner(mu, n)
+        box = [tuple(p for h in half for p in (h, h))
+               for half in enumerate_partitions(mu[0] if mu else 0, len(mu) // 2)]
+        assert len(set(kept)) == len(kept) and set(kept) <= set(box), mu
+        g = {nu: g_skew(nu, mu, xs, params) for nu in box}
+        assert all(not w for nu, w in g.items() if nu not in kept), mu
+        rhs = sum((even_pair_coefficient(nu, params) * w for nu, w in g.items()), ZERO)
+        for x, y in itertools.combinations(xs, 2):
+            rhs *= cauchy_kernel(x, y, params)
+        assert check_skew_littlewood(mu, xs, 4, params).rhs == rhs, mu
 
 
 def test_skew_littlewood_one_variable_is_the_sandwich(params):

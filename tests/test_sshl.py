@@ -425,6 +425,22 @@ def test_f_and_g_match_the_symmetrization_formula(n, top):
             assert f_skew((), lam, xs, params) == _f_over_g(lam, params) * g, (lam, params)
 
 
+def test_one_row_f_and_g_at_large_parts_match_the_symmetrization_formula():
+    # one variable and one part k <= 40: g_(k)(y) = phi_k(y) and
+    # f_(k)(x) = (1-s^2)/(1-q) phi_k(x), far past the parts the chain
+    # enumerations above reach
+    for params in FIXTURE_POINTS:
+        q, s = params.q, params.s
+        for v in params.x:
+            for k in range(41):
+                lam = (k,) if k else ()
+                g = _symmetrized_g(lam, (v,), params)
+                assert g_one_row((), lam, v, params) == g, (k, v, params)
+                assert f_one_row((), lam, v, params) == _f_over_g(lam, params) * g, (k, v, params)
+                if k:
+                    assert _f_over_g(lam, params) == (1 - s * s) / (1 - q)
+
+
 @pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
 def test_column_sums_match_the_symmetrization_formula(point):
     # the kernel against an oracle that shares no code with the lattice: f and
