@@ -143,21 +143,16 @@ def paths_from_heights(h):
     a + c = b + d, so the right edge carries 1 - d, which check_heights has
     made 0 or 1.  Diagonal vertices may absorb or emit paths.
     Returns (vertical, horizontal): sets of edge-origin lattice points,
-    where horizontal (i, j) means the edge (i, j) -> (i+1, j).
+    where horizontal (i, j) means the edge (i, j) -> (i+1, j).  The cells
+    must be those of one lattice 0 <= i <= j <= T (exact.half_quadrant's
+    rule; InconsistentHeights names the first missing cell); the empty
+    lattice has no edges.
     """
+    half_quadrant(((f"cell {c}", c, v) for c, v in h.items()), InconsistentHeights)
     check_heights(h)
-    T = max(j for (_, j) in h)
-    vert = set()
-    for (i, j), v in h.items():
-        if i >= 1 and (i - 1, j) in h:
-            if v - h[(i - 1, j)] == 1:
-                vert.add((i, j))
-    horiz = set()
-    # at i = 1 the horizontal edge is always occupied (h(0, .) = 0), the boundary inflow
-    for j in range(1, T + 1):
-        for i in range(1, j + 1):
-            if h[(i - 1, j)] == h[(i - 1, j - 1)]:
-                horiz.add((i - 1, j))
+    vert = {(i, j) for (i, j), v in h.items() if i and v - h[i - 1, j] == 1}
+    # the edge (0, j) -> (1, j) is always occupied (h(0, .) = 0): the boundary inflow
+    horiz = {(i, j) for (i, j), v in h.items() if i < j and v == h[i, j - 1]}
     return vert, horiz
 
 
@@ -191,10 +186,13 @@ class ParticleState:
 def particles_from_heights(h, t):
     """Particle state at time t: site i occupied iff h(t-i+1, t) - h(t-i, t) = 0.
 
-    InconsistentHeights if t is not a time of the lattice, 0 <= t <= T.
+    InconsistentHeights if t is not a time of the lattice, 0 <= t <= T, or
+    the lattice is empty.
     """
+    if not h:
+        raise InconsistentHeights(f"time {t} outside the lattice: the lattice is empty")
     if (t, t) not in h:  # also every t < 0: the lattice has no negative time
-        T = max((j for _, j in h), default=None)
+        T = max(j for _, j in h)
         raise InconsistentHeights(f"time {t} outside the lattice 0 <= t <= T = {T}")
     pos = []
     for i in range(1, t + 1):

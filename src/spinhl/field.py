@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 
 from .exact import CellBits, InvalidParams, InvalidPath, ONE, ZERO, half_quadrant
-from .identities import cauchy_kernel
+from .identities import _kernel_product
 from .partitions import interlaces
 from .sshl import f_one_row, g_one_row, tail_weight
 from .transitions import boundary_forward, bulk_forward, sweep
@@ -167,13 +167,13 @@ def normalization(vertices, params):
     swept cells are those between the path and the column i = 0: the
     triangle 1 <= a <= b <= n under the anchor and, for each up-step into
     row b at column a, the cells (1..a, b).  The all-vertical path on
-    column 0 has partition function one.
+    column 0 has partition function one.  The spectral pairs are read
+    cell by cell as the product reaches them, so a missing x_i raises
+    where it is first needed.
     """
     vs = validate_path(vertices)
     n = vs[0][0]
     cells = [(a, b) for b in range(1, n + 1) for a in range(1, b + 1)]
     cells += [(a, d) for (_, b), (c, d) in zip(vs, vs[1:]) if d == b + 1 for a in range(1, c + 1)]
-    z = ONE
-    for a, b in cells:
-        z *= cauchy_kernel(params.spectral(a - 1), params.spectral(b), params)
-    return z
+    return _kernel_product(((params.spectral(a - 1), params.spectral(b)) for a, b in cells),
+                           params)

@@ -35,7 +35,8 @@ over its variable pairs (``_pairs``, ``_kernel_product``).
   coefficient; these lie in [0, 1] for u in [0, 1] in probabilistic mode,
   so the tail is dominated by the tail of the plain (unrefined) identity,
   whose total is a known closed form; the bound is closed_form -
-  retained_plain_sum, an exact rational.
+  retained_plain_sum, an exact rational.  The determinant and Pfaffian
+  closed forms share one refinement cell (``_refinement_cell``).
 """
 
 from __future__ import annotations
@@ -70,17 +71,19 @@ from .weights import (
     column_weights,
     pair_ints,
     r_row,
-    rstar_row,
 )
 
 
 def cauchy_kernel(x, y, params):
-    """Pi(x; y) = (1 - qxy)/(1 - xy), the single-cell Cauchy normalization."""
-    q = params.q
-    den = ONE - x * y
-    if den == 0:
+    """Pi(x; y) = (1 - qxy)/(1 - xy), the single-cell Cauchy normalization.
+
+    It is the crossing row's slot 0 over its slot 3 (weights.r_row), the
+    factor by which each RSTAR entry exceeds the R entry of its slot.
+    """
+    r = r_row(*pair_ints(x, y, params))
+    if not r[3]:
         raise InvalidParams("1 - x y vanished in Cauchy kernel")
-    return (ONE - q * x * y) / den
+    return Fraction(r[0], r[3])
 
 
 @dataclass
@@ -260,8 +263,8 @@ def _intertwining_star(x, y, params):
     """
     l_row, mstar_row = VertexRow(y, params), VertexRow(x, params)
     qn, qd, P, Q = pair_ints(x, y, params)
-    rstar = rstar_row(qn, qd, P, Q)  # rstar[0] is also RSTAR's denominator
-    _check_den(rstar[0], "1 - x y")
+    rstar = r_row(qn, qd, P, Q)  # read by RSTAR_SLOTS; rstar[3] is RSTAR's denominator
+    _check_den(rstar[3], "1 - x y")
     _check_den(mstar_row.base * l_row.base, "1 - s x")
 
     def block(I, J):
@@ -273,8 +276,8 @@ def _intertwining_star(x, y, params):
             if I is not J:
                 raise InvalidParams(f"occupancies ({I}, {J}): INF stands for column 0, "
                                     "in both rows")
-            return l_row.vd * mstar_row.vd * rstar[0]
-        return l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[0]
+            return l_row.vd * mstar_row.vd * rstar[3]
+        return l_row.base * mstar_row.base * qd ** (I + J + 2) * rstar[3]
 
     return block, den
 
@@ -455,7 +458,11 @@ def _pairs(xs, ys):
 
 
 def _kernel_product(pairs, params):
-    """prod Pi(x; y) over the pairs, the closed form of the plain Cauchy / Littlewood sum."""
+    """prod Pi(x; y) over the pairs, read one at a time.
+
+    It is the closed form of the plain Cauchy / Littlewood sum, and
+    field.normalization's path partition function.
+    """
     return math.prod((cauchy_kernel(x, y, params) for x, y in pairs), start=ONE)
 
 
@@ -568,30 +575,33 @@ def check_skew_littlewood(mu, xs, cap, params):
     return _truncated_report(name, lhs, rhs, tail, detail=f"cap={cap}")
 
 
+def _refinement_cell(x, y, u, params, form):
+    """(1 - u q + (u - 1) q x y) / ((1 - x y)(1 - q x y)), a cell of the refined closed forms.
+
+    form ("determinant" or "Pfaffian") names the matrix in the
+    InvalidParams raised when the denominator vanishes.
+    """
+    q = params.q
+    den = (ONE - x * y) * (ONE - q * x * y)
+    if den == 0:
+        raise InvalidParams(f"{form} cell denominator vanished")
+    return (ONE - u * q + (u - ONE) * q * x * y) / den
+
+
+def _q_product(pairs, params):
+    """prod (1 - q x y) over the pairs."""
+    return math.prod((ONE - params.q * x * y for x, y in pairs), start=ONE)
+
+
 def refined_cauchy_rhs(xs, ys, u, params):
     """Determinant closed form of the refined Cauchy identity."""
-    n = len(xs)
-    q = params.q
-    num = ONE
-    for xi in xs:
-        for yj in ys:
-            num *= ONE - q * xi * yj
-    den = ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            den *= (xs[i] - xs[j]) * (ys[i] - ys[j])
+    # the Vandermonde products of xs and ys, pair (i, j) of each at once
+    den = math.prod(((a - b) * (c - d) for (a, b), (c, d)
+                     in zip(_pairs(xs, ()), _pairs(ys, ()))), start=ONE)
     if den == 0:
         raise DegenerateVandermonde("repeated x or y value")
-    mat = []
-    for xi in xs:
-        row = []
-        for yj in ys:
-            cell_den = (ONE - xi * yj) * (ONE - q * xi * yj)
-            if cell_den == 0:
-                raise InvalidParams("determinant cell denominator vanished")
-            row.append((ONE - u * q + (u - ONE) * q * xi * yj) / cell_den)
-        mat.append(row)
-    return num / den * det_exact(mat)
+    mat = [[_refinement_cell(x, y, u, params, "determinant") for y in ys] for x in xs]
+    return _q_product(_pairs(xs, ys), params) / den * det_exact(mat)
 
 
 def check_refined_cauchy(xs, ys, u, cap, params):
@@ -649,25 +659,16 @@ def _refined_report(name, xs, ys, u, cap, params, closed_form):
 
 def refined_littlewood_rhs(xs, u, params):
     """Pfaffian closed form of the refined Littlewood identity (even variable count)."""
-    q = params.q
-    n = len(xs)
-    pre = ONE
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = xs[i] - xs[j]
-            if d == 0:
-                raise DegenerateVandermonde("repeated x value")
-            pre *= (ONE - q * xs[i] * xs[j]) / d
-    mat = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cell_den = (ONE - xs[i] * xs[j]) * (ONE - q * xs[i] * xs[j])
-            if cell_den == 0:
-                raise InvalidParams("Pfaffian cell denominator vanished")
-            mat[i][j] = (xs[i] - xs[j]) * (ONE - u * q + (u - ONE) * q * xs[i] * xs[j]) / cell_den
-    return pre * pfaffian_exact(mat)
+    pairs = _pairs(xs, ())
+    den = math.prod((a - b for a, b in pairs), start=ONE)
+    if den == 0:
+        raise DegenerateVandermonde("repeated x value")
+    mat = [[ZERO] * len(xs) for _ in xs]
+    for i, j in _pairs(range(len(xs)), ()):
+        a, b = xs[i], xs[j]
+        mat[i][j] = (a - b) * _refinement_cell(a, b, u, params, "Pfaffian")
+        mat[j][i] = -mat[i][j]
+    return _q_product(pairs, params) / den * pfaffian_exact(mat)
 
 
 def check_refined_littlewood(xs, u, cap, params):

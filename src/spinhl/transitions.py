@@ -55,7 +55,7 @@ from .exact import (
     pair_admissible,
 )
 from .partitions import even_core, even_cover, mult_vector
-from .weights import INF, VertexRow, column_weights, r_row, rstar_row
+from .weights import INF, VertexRow, column_weights, r_row
 
 SCAN_CAP = 10_000  # columns past the largest input part before giving up
 
@@ -218,9 +218,10 @@ class CellSampler:
 
       _l, _mstar  the model's VertexRows of y (the L row) and of x (the
                   MSTAR row)
-      _rstar      the five RSTAR numerators of (x, y) over qd (Q - P),
-                  where x y = P / Q, indexed by weights.RSTAR_SLOTS;
-                  built here, once per pair
+      _rstar      the crossing row of (x, y) (weights.r_row), read by
+                  weights.RSTAR_SLOTS as RSTAR's numerators over its
+                  slot 3, qd (Q - P) with x y = P / Q; built here, once
+                  per pair
 
     A context's weights are those of the shared column kernel
     weights.column_weights, its B side (fwd) or A side (bwd): integers over
@@ -238,7 +239,7 @@ class CellSampler:
             raise NotAdmissible(f"({frac(xn, xd)}, {frac(yn, yd)}) not admissible")
         self._l, self._mstar = model.row(yn, yd), model.row(xn, xd)
         # admissibility gives (1 - s^2)(1 - x y) > 0, so 1 - x y never vanishes here
-        self._rstar = rstar_row(model.qn, model.qd, P, Q)
+        self._rstar = r_row(model.qn, model.qd, P, Q)
         self._fwd = {}
         self._bwd = {}
 

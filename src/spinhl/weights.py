@@ -31,9 +31,12 @@ Zero denominators (1 - s x = 0 and the like) raise InvalidParams.
 
 Each formula is written once, on the numerators and denominators of q, s
 and the spectral values: VertexRow gives the row vertices as integer
-numerators over a common denominator, r_row and rstar_row the entries
-of R and RSTAR, and the functions L, M, MSTAR, R and RSTAR return those
-as Fractions.
+numerators over a common denominator, and r_row the crossing row of
+(x, y), five integers that are R's numerators over its slot 0 and, entry
+by entry, RSTAR's over its slot 3: RSTAR = Pi(x; y) R with the Cauchy
+kernel Pi(x; y) = (1 - q x y)/(1 - x y), slot 0 over slot 3 (see
+R_SLOTS and RSTAR_SLOTS).  The functions L, M, MSTAR, R and RSTAR return
+those numerators as Fractions.
 
 column_weights is the one column kernel of the starred exchange
 relation: the integer weights of a column's A- and B-configurations
@@ -155,68 +158,62 @@ def Mstar(I, j, K, l, x, params):
 
 
 def pair_ints(x, y, params):
-    """(qn, qd, P, Q) with q = qn/qd and x y = P/Q: the integers of R and RSTAR."""
+    """(qn, qd, P, Q) with q = qn/qd and x y = P/Q: the arguments of r_row."""
     q = params.q
     return (q.numerator, q.denominator,
             x.numerator * y.numerator, x.denominator * y.denominator)
 
 
-# The nonzero entries (i, j, k, l) of R and RSTAR, by the slot of their
-# numerator (entries may share one).
+# The nonzero entries (i, j, k, l) of R and RSTAR, by the slot of r_row
+# that is their numerator (entries may share one).  R is over slot 0 and
+# RSTAR over slot 3, so each RSTAR entry is Pi(x; y) times the R entry of
+# the same slot.
 R_SLOTS = {
     (0, 0, 0, 0): 0, (1, 1, 1, 1): 0, (1, 0, 1, 0): 1,
     (1, 0, 0, 1): 2, (0, 1, 0, 1): 3, (0, 1, 1, 0): 4,
 }
 RSTAR_SLOTS = {
-    (0, 0, 0, 0): 0, (1, 0, 1, 0): 1, (0, 1, 0, 1): 1,
-    (1, 1, 0, 0): 2, (0, 0, 1, 1): 3, (1, 1, 1, 1): 4,
+    (0, 0, 0, 0): 3, (1, 0, 1, 0): 0, (0, 1, 0, 1): 0,
+    (1, 1, 0, 0): 2, (0, 0, 1, 1): 4, (1, 1, 1, 1): 1,
 }
 
 
 def r_row(qn, qd, P, Q):
-    """R's numerators by R_SLOTS, over qd Q - qn P = qd Q (1 - q x y)."""
+    """The crossing row of (x, y), with x y = P/Q, by R_SLOTS and RSTAR_SLOTS.
+
+    Over slot 0, qd Q (1 - q x y), the slots are R's entries; over slot 3,
+    qd Q (1 - x y), they are RSTAR's.  Each comment reads: as an R entry |
+    as an RSTAR entry.
+    """
     return (
-        qd * Q - qn * P,  # 1
-        qn * (Q - P),  # q (1 - x y) / (1 - q x y)
-        (qd - qn) * Q,  # (1 - q) / (1 - q x y)
-        qd * (Q - P),  # (1 - x y) / (1 - q x y)
-        (qd - qn) * P,  # (1 - q) x y / (1 - q x y)
+        qd * Q - qn * P,  # 1 | (1 - q x y) / (1 - x y)
+        qn * (Q - P),  # q (1 - x y) / (1 - q x y) | q
+        (qd - qn) * Q,  # (1 - q) / (1 - q x y) | (1 - q) / (1 - x y)
+        qd * (Q - P),  # (1 - x y) / (1 - q x y) | 1
+        (qd - qn) * P,  # (1 - q) x y / (1 - q x y) | (1 - q) x y / (1 - x y)
     )
+
+
+def _crossing(slots, den_slot, what, i, j, k, l, x, y, params):
+    """The entry (i, j, k, l) of a crossing vertex: r_row's slot over den_slot."""
+    if not all(map(_is_bit, (i, j, k, l))):
+        return ZERO
+    r = r_row(*pair_ints(x, y, params))
+    den = _check_den(r[den_slot], what)
+    slot = slots.get((i, j, k, l))
+    if slot is None:
+        return ZERO
+    return Fraction(r[slot], den)
 
 
 def R(i, j, k, l, x, y, params):
     """Stochastic crossing vertex; rows sum to one over (k, l)."""
-    if not all(map(_is_bit, (i, j, k, l))):
-        return ZERO
-    qn, qd, P, Q = pair_ints(x, y, params)
-    den = _check_den(qd * Q - qn * P, "1 - q x y")
-    slot = R_SLOTS.get((i, j, k, l))
-    if slot is None:
-        return ZERO
-    return Fraction(r_row(qn, qd, P, Q)[slot], den)
-
-
-def rstar_row(qn, qd, P, Q):
-    """RSTAR's numerators by RSTAR_SLOTS, over qd (Q - P) = qd Q (1 - x y)."""
-    return (
-        qd * (Q - P),  # 1
-        qd * Q - qn * P,  # (1 - q x y) / (1 - x y)
-        (qd - qn) * Q,  # (1 - q) / (1 - x y)
-        (qd - qn) * P,  # (1 - q) x y / (1 - x y)
-        qn * (Q - P),  # q
-    )
+    return _crossing(R_SLOTS, 0, "1 - q x y", i, j, k, l, x, y, params)
 
 
 def Rstar(i, j, k, l, x, y, params):
     """Dual crossing vertex used by the exchange move on mixed (up, down) rows."""
-    if not all(map(_is_bit, (i, j, k, l))):
-        return ZERO
-    qn, qd, P, Q = pair_ints(x, y, params)
-    _check_den(Q - P, "1 - x y")
-    slot = RSTAR_SLOTS.get((i, j, k, l))
-    if slot is None:
-        return ZERO
-    return Fraction(rstar_row(qn, qd, P, Q)[slot], qd * (Q - P))
+    return _crossing(RSTAR_SLOTS, 3, "1 - x y", i, j, k, l, x, y, params)
 
 
 def column_weights(side, l_row, mstar_row, rstar, I, J, i_prev, j_prev, k_h, l_h):
@@ -224,10 +221,10 @@ def column_weights(side, l_row, mstar_row, rstar, I, J, i_prev, j_prev, k_h, l_h
 
     A column of the starred exchange relation has an L vertex (l_row, the
     VertexRow of y), an MSTAR vertex (mstar_row, of x) and an RSTAR
-    crossing (rstar, the rstar_row of (x, y)).  With the crossing to the
-    right of the column (side "B") the configurations are keyed by the
-    crossing's inputs (a, b) = (i_h, j_h); with it to the left (side "A"),
-    by its outputs (a, b) = (k_prev, l_prev).  The labels are a column
+    crossing (rstar, the r_row of (x, y), read by RSTAR_SLOTS).  With the
+    crossing to the right of the column (side "B") the configurations are
+    keyed by the crossing's inputs (a, b) = (i_h, j_h); with it to the left
+    (side "A"), by its outputs (a, b) = (k_prev, l_prev).  The labels are a column
     context: bits, and occupancies >= 0 or both INF (column 0).
 
     Each configuration is checked in this order: the middle occupancy mid

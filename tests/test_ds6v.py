@@ -1,6 +1,7 @@
 """Dynamic six-vertex heights, path reconstruction, and the particle dual."""
 
 import hashlib
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -115,6 +116,21 @@ def test_fixture_round_trips_heights_paths():
         assert (0, j) in horiz
 
 
+@pytest.mark.parametrize("h, missing", [
+    ({(0, 0): 0, (0, 1): 0, (0, 2): 0}, (1, 1)),
+    ({(0, 0): 0, (0, 1): 0, (1, 1): 0, (0, 2): 0, (1, 2): 0}, (2, 2)),
+    ({k: v for k, v in FIXTURE_HEIGHTS.items() if k != (3, 5)}, (3, 5)),
+])
+def test_paths_from_heights_checks_its_lattice(h, missing):
+    # a missing cell is named as heights_from_csv names it; the empty lattice has no edges
+    T = max(j for _, j in h)
+    with pytest.raises(InconsistentHeights, match=re.escape(
+            f"bad lattice data: cell {missing} of 0 <= i <= j <= {T} is missing")):
+        paths_from_heights(h)
+    assert paths_from_heights({}) == (set(), set())
+    assert paths_from_heights(heights_from_csv("i,j,h\n")) == (set(), set())
+
+
 def test_fixture_particle_dual():
     for t in range(9):
         st = particles_from_heights(FIXTURE_HEIGHTS, t)
@@ -130,8 +146,8 @@ def test_fixture_particle_dual():
     ({}, 0, None),
 ])
 def test_particles_from_heights_refuses_a_time_off_the_lattice(h, t, T):
-    with pytest.raises(InconsistentHeights,
-                       match=rf"^time {t} outside the lattice 0 <= t <= T = {T}$"):
+    bound = f" 0 <= t <= T = {T}" if h else ": the lattice is empty"
+    with pytest.raises(InconsistentHeights, match=rf"^time {t} outside the lattice{bound}$"):
         particles_from_heights(h, t)
     # the lattice's own end times still read
     assert particles_from_heights({(0, 0): 0}, 0) == ParticleState(0, ())

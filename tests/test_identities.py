@@ -36,6 +36,8 @@ from spinhl.identities import (
     intertwining_sides,
     intertwining_star_sides,
     pfaffian_exact,
+    refined_cauchy_rhs,
+    refined_littlewood_rhs,
     reflection_sides,
     run_suite,
 )
@@ -614,6 +616,20 @@ def test_refined_cauchy_n3_determinant():
 def test_refined_cauchy_rejects_degenerate(params):
     with pytest.raises(DegenerateVandermonde):
         check_refined_cauchy((X, X), (Y, params.x[2]), params.u, 10, params)
+
+
+def test_refined_closed_forms_raise_in_order(params):
+    # a repeated variable is named before any cell (the cell of 2 and 1/2
+    # also vanishes); a vanishing cell names its matrix
+    u = params.u
+    with pytest.raises(DegenerateVandermonde, match="^repeated x or y value$"):
+        refined_cauchy_rhs((F(2), F(2)), (F(1, 2), Y), u, params)
+    with pytest.raises(InvalidParams, match="^determinant cell denominator vanished$"):
+        refined_cauchy_rhs((X, F(2)), (Y, F(1, 2)), u, params)
+    with pytest.raises(DegenerateVandermonde, match="^repeated x value$"):
+        refined_littlewood_rhs((F(2), F(1, 2), F(2), X), u, params)
+    with pytest.raises(InvalidParams, match="^Pfaffian cell denominator vanished$"):
+        refined_littlewood_rhs((F(2), X, F(1, 2), Y), u, params)
 
 
 def test_refined_littlewood_2n2(params):

@@ -44,7 +44,7 @@ from spinhl.transitions import (
     p_fwd,
     _walk,
 )
-from spinhl.weights import L, Mstar, Rstar, VertexRow, column_weights, pair_ints, rstar_row
+from spinhl.weights import L, Mstar, Rstar, VertexRow, column_weights, pair_ints, r_row
 
 
 X = F(1, 4)
@@ -252,7 +252,7 @@ def test_column_kernel_where_1_minus_s_x_vanishes(q, s, x, y):
     params, x, y = ModelParams.make(q, s), F(x), F(y)
     l_row, mstar_row = VertexRow(y, params), VertexRow(x, params)
     qn, qd, P, Q = pair_ints(x, y, params)
-    rstar = rstar_row(qn, qd, P, Q)
+    rstar = r_row(qn, qd, P, Q)
     assert not l_row.base * mstar_row.base
     for context in GRID_CONTEXTS:
         I, J, ip, jp, k, l = context
@@ -266,7 +266,7 @@ def test_column_kernel_where_1_minus_s_x_vanishes(q, s, x, y):
             else:
                 outcomes, ws = column_weights(side, l_row, mstar_row, rstar, *context)
                 den = (l_row.vd * mstar_row.vd if I is INF
-                       else l_row.base * mstar_row.base * qd ** (I + J + 2)) * rstar[0]
+                       else l_row.base * mstar_row.base * qd ** (I + J + 2)) * rstar[3]
                 assert list(zip(outcomes, (F(w, den) for w in ws))) == expected, (side, context)
             # column 0 has the sentinel weights; a finite column raises
             # "1 - s x vanished" exactly when some configuration conserves paths

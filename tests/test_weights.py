@@ -6,7 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from spinhl.exact import InvalidParams, ModelParams
-from spinhl.weights import INF, L, L_TABLE, M, M_TABLE, MSTAR_TABLE, Mstar, R, Rstar, VertexRow
+from spinhl.identities import cauchy_kernel
+from spinhl.weights import (
+    INF, L, L_TABLE, M, M_TABLE, MSTAR_TABLE, Mstar, R, R_SLOTS, RSTAR_SLOTS, Rstar, VertexRow,
+)
 
 
 X = F(1, 4)
@@ -135,7 +138,7 @@ def test_crossing_entries_are_fractions(all_points):
     # each entry comes alone, as the reduced Fraction of its closed form
     for params in all_points:
         q = params.q
-        for x, y in ((X, Y), (F(0), F(2, 3)), (F(3, 7), F(5, 11))):
+        for x, y in ((X, Y), (F(0), F(2, 3)), (F(3, 7), F(5, 11)), (F(2), F(5, 3))):
             den, dstar = 1 - q * x * y, 1 - x * y
             expect_r = {
                 (0, 0, 0, 0): 1, (1, 1, 1, 1): 1,
@@ -151,6 +154,22 @@ def test_crossing_entries_are_fractions(all_points):
                 for fn, expect in ((R, expect_r), (Rstar, expect_rstar)):
                     got = fn(*entry, x, y, params)
                     assert type(got) is F and got == expect.get(entry, 0), (fn.__name__, entry)
+
+
+def test_rstar_is_the_cauchy_kernel_times_r(all_points):
+    # RSTAR and Pi(x; y) are read off R's row: each RSTAR entry is Pi(x; y)
+    # times the R entry of the same r_row slot, also in identity mode at
+    # x y > 1, where the kernel's denominator 1 - x y is negative
+    r_entry = {slot: entry for entry, slot in R_SLOTS.items()}
+    for params in (*all_points, ModelParams.make(3, "1/2")):
+        for x, y in ((X, Y), (F(0), F(2, 3)), (F(2), F(5, 3)), (F(3), F(1, 2))):
+            kern = cauchy_kernel(x, y, params)
+            assert type(kern) is F and kern == (1 - params.q * x * y) / (1 - x * y)
+            for entry, slot in RSTAR_SLOTS.items():
+                assert Rstar(*entry, x, y, params) == kern * R(*r_entry[slot], x, y, params)
+    for x, y in ((F(2), F(1, 2)), (F(3, 4), F(4, 3))):
+        with pytest.raises(InvalidParams, match=r"^1 - x y vanished in Cauchy kernel$"):
+            cauchy_kernel(x, y, all_points[0])
 
 
 def test_vertex_row_numerators_at_any_exponent(all_points):
