@@ -17,7 +17,10 @@ left over holes (factors b per hole) until it parks (factor 1 - b), is
 forced to park next to the previous particle, or reaches the corner,
 where the parity of t - N(t) decides between parking at site 1 and
 leaving the system.  When no flight reaches the corner, an even corner
-injects a new particle at site 1 with probability c.
+injects a new particle at site 1 with probability c.  Right hops come in
+chains (a particle that hops leaves the next one unblocked), and on a
+word source a chain is decided a word at a time (exact._true_run), with
+the bits its draws one by one would read.
 """
 
 from __future__ import annotations
@@ -27,12 +30,16 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
+from operator import gt
 
 from .exact import (
     InconsistentHeights,
     InvalidParams,
     RandomSource,
+    _bernoulli_words,
+    _true_run,
     bernoulli_draw,
+    check_T,
     half_quadrant,
     sample_bernoulli,
     word_bernoulli,
@@ -60,12 +67,13 @@ def ds6v_sample(T, rng, params, per_cell_streams=True):
     asked for one substream(i, j) per cell.  Either way the draws read
     the same bits, and the heights are the same.
     """
+    cells = sweep(T, rng, params, per_cell_streams)  # checks T and params first
     jumps = compiled(params).jumps
     laws = [None] * (T + 1)  # laws[j] = jumps(j), looked up once, at row j's first draw
     # the neighbours are read from rows[i][j - i + 1] = h(i, j); rows[i][0] pads j = i - 1
     rows = [[0] * (T + 2 - i) for i in range(T + 1)]
     h = {(0, j): 0 for j in range(T + 1)}
-    for i, j, cell in sweep(T, rng, params, per_cell_streams):
+    for i, j, cell in cells:
         up, row, k = rows[i - 1], rows[i], j - i + 1
         base = up[k]
         da = row[k - 1] - base if i < j else base & 1
@@ -122,7 +130,17 @@ def paired_marginals(T, samples, seed, params, per_cell_streams=True):
 
 
 def check_heights(h):
-    """Monotone 0/1 increments in both directions and a zero pinned column."""
+    """Monotone 0/1 increments in both directions and a zero pinned column, on one lattice.
+
+    The cells must be those of one lattice 0 <= i <= j <= T, T the
+    largest j (exact.half_quadrant's rule, which names the first cell
+    outside 0 <= i <= j or else the first missing one).  True, or
+    InconsistentHeights naming the first bad cell.
+    """
+    T = max((j for _, j in h), default=-1)
+    if len(h) != (T + 1) * (T + 2) // 2 or not all(0 <= i <= j for i, j in h):
+        # not all of one lattice's cells, each once: half_quadrant raises naming the first
+        half_quadrant(((f"cell {c}", c, v) for c, v in h.items()), InconsistentHeights)
     for (i, j), v in h.items():
         if i == 0 and v != 0:
             raise InconsistentHeights(f"h(0, {j}) = {v} != 0")
@@ -143,12 +161,10 @@ def paths_from_heights(h):
     a + c = b + d, so the right edge carries 1 - d, which check_heights has
     made 0 or 1.  Diagonal vertices may absorb or emit paths.
     Returns (vertical, horizontal): sets of edge-origin lattice points,
-    where horizontal (i, j) means the edge (i, j) -> (i+1, j).  The cells
-    must be those of one lattice 0 <= i <= j <= T (exact.half_quadrant's
-    rule; InconsistentHeights names the first missing cell); the empty
-    lattice has no edges.
+    where horizontal (i, j) means the edge (i, j) -> (i+1, j).  The heights
+    must pass check_heights, which also checks that the cells are those of
+    one lattice; the empty lattice has no edges.
     """
-    half_quadrant(((f"cell {c}", c, v) for c, v in h.items()), InconsistentHeights)
     check_heights(h)
     vert = {(i, j) for (i, j), v in h.items() if i and v - h[i - 1, j] == 1}
     # the edge (0, j) -> (1, j) is always occupied (h(0, .) = 0): the boundary inflow
@@ -186,21 +202,21 @@ class ParticleState:
 def particles_from_heights(h, t):
     """Particle state at time t: site i occupied iff h(t-i+1, t) - h(t-i, t) = 0.
 
-    InconsistentHeights if t is not a time of the lattice, 0 <= t <= T, or
-    the lattice is empty.
+    Only the cells (c, t), 0 <= c <= t, are read.  InconsistentHeights if
+    t is not a time of the lattice, 0 <= t <= T, or the lattice is empty,
+    or else naming the first of those cells that is missing.
     """
     if not h:
         raise InconsistentHeights(f"time {t} outside the lattice: the lattice is empty")
     if (t, t) not in h:  # also every t < 0: the lattice has no negative time
         T = max(j for _, j in h)
         raise InconsistentHeights(f"time {t} outside the lattice 0 <= t <= T = {T}")
-    pos = []
-    for i in range(1, t + 1):
-        c = t - i + 1
-        if h[(c, t)] - h[(c - 1, t)] == 0:
-            pos.append(i)
-    pos.sort(reverse=True)
-    return ParticleState(t, tuple(pos))
+    try:
+        row = [h[c, t] for c in range(t + 1)]
+    except KeyError as missing:
+        raise InconsistentHeights(
+            f"bad lattice data: cell {missing.args[0]} of time {t} is missing") from None
+    return ParticleState(t, tuple(i for i in range(t, 0, -1) if row[t - i + 1] == row[t - i]))
 
 
 def particle_step(state, rng, params):
@@ -214,65 +230,107 @@ def particle_step(state, rng, params):
     the height field (which tests verify exactly).
 
     Every draw is one sample_bernoulli, looked up once per step
-    (exact.bernoulli_draw): a RandomSource is read a word at a time, any
-    other bit source bit by bit, with the same bits either way.  params
-    must be in probabilistic mode (InvalidParams otherwise).
+    (exact.bernoulli_draw): a RandomSource or CellBits is read a word at a
+    time, any other bit source bit by bit, with the same bits either way.
+    On a word source, an unblocked particle with at least _CHAIN
+    particles left, itself included, hands the chain of right hops that
+    starts with it to exact._true_run.  That decides as many of the next
+    (at most 63) hops as the current word can, at the least leading-ones
+    bound (CompiledModel.bounds) over the columns of those particles, and
+    reads exactly the bits their draws would; the particles that hop land
+    in one extend.  Every other draw, and every draw when bernoulli_draw
+    does not give the word kernel (say, when it is patched), is made one
+    at a time.  The sites come out strictly decreasing, as they are kept.
+
+    t must be an int >= 0, the positions must strictly decrease within
+    1..t and params must be in probabilistic mode (InvalidParams
+    otherwise).
     """
+    t, old = state.t, state.positions
+    if type(t) is not int or t < 0:
+        raise InvalidParams(f"particle state time must be an integer >= 0, got {t!r}")
+    if old and (old[0] > t or old[-1] < 1 or not all(map(gt, old, old[1:]))):
+        raise InvalidParams(f"particle state at t = {t} needs sites strictly decreasing "
+                            f"within 1..{t}, got {old}")
     model = compiled(params)
     model.require_probabilistic()
-    t = state.t
+    return ParticleState(t + 1, _step(t, old, model, bernoulli_draw(rng), rng))
+
+
+# particles left, at least, for _true_run: fewer gain nothing at T = 256, and at T = 32
+# with cold tables a bounds row costs more to build than its chains save
+_CHAIN = 16
+
+
+def _step(t, old, model, draw, rng):
+    """The positions after particle_step from time t and positions old, descending, unchecked."""
     jumps = model.jumps(t + 1)  # (b, c, den) of cell (i, t + 1) at index i - 1
-    draw = bernoulli_draw(rng)
-    corner_parity_even = (t - state.count()) % 2 == 0
-    old = list(state.positions)  # descending
-    occupied_old = set(old)
-    new_positions = []
-    prev_new = None  # position of the already-updated right neighbour
+    n = len(old)
+    bounds = model.bounds(t + 1) if draw is _bernoulli_words and n >= _CHAIN else None
+    new = []  # descending as they come; new[-1] is the updated right neighbour
     corner_used = False
-    for ypos in old:
-        landed = None
-        if prev_new != ypos + 1:  # not blocked by the updated right neighbour
-            _, c, den = jumps[t - ypos]
+    i = 0
+    while i < n:
+        y = old[i]
+        if not new or new[-1] != y + 1:  # not blocked by the updated right neighbour
+            if bounds is not None and n - i >= _CHAIN:
+                m = min(n - i, 63)  # one word decides at most 63 hops
+                ones = min(bounds[t - y:t - old[i + m - 1] + 1])
+                if ones:
+                    r = _true_run(ones, m, rng)
+                    new.extend(map((1).__add__, old[i:i + r]))  # r right hops
+                    i += r
+                    if i == n:
+                        break
+                    y = old[i]
+            _, c, den = jumps[t - y]
             if draw(c, den, rng):
-                landed = ypos + 1  # right hop
-        if landed is None:
-            # leftward flight over the old sites ypos - 1, ..., 1; site sits on column t - site + 1
-            for site in range(ypos - 1, 0, -1):
-                b, _, den = jumps[t - site]
-                if site in occupied_old or not draw(b, den, rng):
-                    landed = site + 1  # forced next to the blocker, or parks right of the hole
-                    break
+                new.append(y + 1)  # right hop
+                i += 1
+                continue
+        # leftward flight over the old sites y - 1, ..., 1, down to the next particle;
+        # site sits on column t - site + 1
+        i += 1
+        blocker = old[i] if i < n else 0
+        for site in range(y - 1, blocker, -1):
+            b, _, den = jumps[t - site]
+            if not draw(b, den, rng):
+                new.append(site + 1)  # parks right of the hole
+                break
+        else:
+            if blocker:
+                new.append(blocker + 1)  # forced next to the blocker
             else:
                 # the corner: park at site 1 or leave the system
                 corner_used = True
-                if corner_parity_even:
-                    landed = 1
-                else:
-                    b, _, den = jumps[t]
-                    landed = None if draw(b, den, rng) else 1
-        if landed is not None:
-            new_positions.append(landed)
-            prev_new = landed
-        # ejected particles leave prev_new untouched (only the leftmost can eject)
-    if not corner_used:
-        if corner_parity_even:
-            _, c, den = jumps[t]
-            if draw(c, den, rng):
-                new_positions.append(1)
+                b, _, den = jumps[t]
+                if (t - n) % 2 == 0 or not draw(b, den, rng):
+                    new.append(1)
+        # ejected particles leave new[-1] untouched (only the leftmost can eject)
+    if not corner_used and (t - n) % 2 == 0:
+        _, c, den = jumps[t]
+        if draw(c, den, rng):
+            new.append(1)
         # odd corner with no incoming flight never creates
-    return ParticleState(t + 1, tuple(sorted(new_positions, reverse=True)))
+    return tuple(new)
 
 
 def particle_trajectory(T, rng, params):
     """Run the particle system from the empty state through time T (sequential draws).
 
-    params must be in probabilistic mode (InvalidParams otherwise), also
-    when T = 0 makes no step.
+    T must be an int >= 0 and params in probabilistic mode (InvalidParams
+    otherwise), also when T = 0 makes no step.  The steps are
+    particle_step's, without its check of each state.
     """
-    compiled(params).require_probabilistic()
+    check_T(T)
+    model = compiled(params)
+    model.require_probabilistic()
+    draw = bernoulli_draw(rng)
     states = [ParticleState(0, ())]
-    for _ in range(T):
-        states.append(particle_step(states[-1], rng, params))
+    positions = ()
+    for t in range(T):
+        positions = _step(t, positions, model, draw, rng)
+        states.append(ParticleState(t + 1, positions))
     return states
 
 

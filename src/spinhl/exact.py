@@ -87,6 +87,12 @@ def frac(value, den=None):
     return Fraction(value)
 
 
+def check_T(T):
+    """InvalidParams unless T, a sampler's last level or time, is an int >= 0 (not a bool)."""
+    if type(T) is not int or T < 0:
+        raise InvalidParams(f"T must be an integer >= 0, got {T!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Global parameters: quantization q, spin s, refinement u, spectral sequence x.
@@ -704,6 +710,50 @@ def _bernoulli_words(num, den, src):
             src._k = unread
             return False
         num, k = r, 0
+
+
+def _true_run(ones, n, src):
+    """How many of n draws in a row _bernoulli_words makes True, off src's current word.
+
+    Every draw's p has at least ones >= 1 leading ones in binary, p >=
+    1 - 2^-ones.  If a draw's unread bits start with g < ones ones and then
+    a zero, that zero is the first difference between u and f, so the draw
+    is True and reads g + 1 bits; no shorter prefix decides it, as p 2^j
+    is not an integer for j <= g.  So r draws in a row read r zeros, up to
+    the first run of `ones` ones, which only the next draw's own p can
+    decide.  The run starts where the word AND-ed with itself shifted,
+    ones - 1 places in doubling steps, has its first one.  Without such a
+    run the draws stop after the word's last zero: the fewer than `ones`
+    ones below it straddle into the next word.  The zeros above the stop
+    are counted with bit_count, and when there are more than n a binary
+    search finds the n-th.  A used-up word is replaced first.  Leaves src
+    after the r-th draw's bits, as r calls of _bernoulli_words would, and
+    returns r.
+    """
+    k = src._k
+    if k:
+        u = src._u & ((1 << k) - 1)
+    else:
+        u, k = src._load(), 63
+    run, width = u, 1  # bit b of run is set when the width bits from bit b down are ones
+    while 2 * width <= ones:
+        run &= run << width
+        width *= 2
+    if width < ones:
+        run &= run << (ones - width)
+    stop = run.bit_length() if run else (u ^ (u + 1)).bit_length() - 1  # bits left unread
+    r = k - stop - (u >> stop).bit_count()
+    if r > n:  # the fewest leading bits that hold n zeros end at the n-th
+        lo, hi = n, k - stop
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid - (u >> (k - mid)).bit_count() < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        stop, r = k - lo, n
+    src._k = stop
+    return r
 
 
 def word_bernoulli(num, den, u):

@@ -39,8 +39,9 @@ def sample_field(T, rng, params, per_cell_streams=True):
     exact.CellBits; a cell whose draws need more than that word's 63 bits
     reads on in the substream itself, so every bit is the substream's.
     """
+    cells = sweep(T, rng, params, per_cell_streams)  # checks T and params first
     field = {(0, j): () for j in range(T + 1)}
-    for i, j, cell_rng in sweep(T, rng, params, per_cell_streams):
+    for i, j, cell_rng in cells:
         if type(cell_rng) is int:
             cell_rng = CellBits(cell_rng, rng, i, j)
         x, y = params.spectral(i - 1), params.spectral(j)

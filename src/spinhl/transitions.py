@@ -50,6 +50,7 @@ from .exact import (
     ZeroSector,
     anti_diagonals,
     _sample_from_cumulative,
+    check_T,
     cumulative_boundaries,
     frac,
     pair_admissible,
@@ -284,6 +285,13 @@ class CompiledModel:
                      built in one pass over xs.  They are the whole law
                      of a cell of the height model (its length patterns)
                      and of the particle system.
+      bounds(j)      for each cell of jumps(j), the leading ones that the
+                     binary expansion of c = c_num / den has at least,
+                     floor(log2(den / (den - c_num))) capped at 64, and 0
+                     unless 0 < c_num < den: one byte per cell, in a
+                     bytes object.  The particle step decides a chain of
+                     right hops off whole words with them
+                     (exact._true_run).
 
     The integer pairs are not reduced: sample_bernoulli, like
     sample_categorical, only compares num * 2^k with a * den, so the
@@ -300,6 +308,7 @@ class CompiledModel:
         self._rows = {}
         self._samplers = {}
         self._jumps = {}
+        self._bounds = {}
 
     def require_probabilistic(self):
         """params.require_probabilistic(), run once per model."""
@@ -337,6 +346,18 @@ class CompiledModel:
             self._jumps[j] = row
         return row
 
+    def bounds(self, j):
+        row = self._bounds.get(j)
+        if row is None:
+            laws = self.jumps(j)
+            out = bytearray(len(laws))
+            for k, (_, c, den) in enumerate(laws):
+                if 0 < c < den:
+                    ones = (den // (den - c)).bit_length() - 1
+                    out[k] = ones if ones < 64 else 64
+            row = self._bounds[j] = bytes(out)
+        return row
+
 
 def compiled(params):
     """The CompiledModel of params, built on first use and stored on params itself."""
@@ -366,9 +387,11 @@ def sweep(T, rng, params, per_cell_streams):
     _BAND cells, and each band width's lane constants are built once, in
     a table with at most one entry per power of two.  Any other bit
     source with bit() and substream(*key) is asked for cell =
-    rng.substream(i, j), once per cell.  params must be in probabilistic
-    mode; that is checked here at once, also when T = 0 has no cells.
+    rng.substream(i, j), once per cell.  T must be an int >= 0 and params
+    in probabilistic mode (InvalidParams otherwise); both are checked here
+    at once, also when T = 0 has no cells.
     """
+    check_T(T)
     compiled(params).require_probabilistic()
     if per_cell_streams and type(rng) is RandomSource:
         return rng.cell_words(T)

@@ -131,6 +131,33 @@ def test_paths_from_heights_checks_its_lattice(h, missing):
     assert paths_from_heights(heights_from_csv("i,j,h\n")) == (set(), set())
 
 
+@pytest.mark.parametrize("h, text", [
+    ({(0, 0): 0, (1, 1): 5}, "bad lattice data: cell (0, 1) of 0 <= i <= j <= 1 is missing"),
+    ({(0, 0): 0, (0, 1): 0, (1, 1): 0, (2, 1): 0},
+     "bad lattice data on cell (2, 1): cell (2, 1) is outside 0 <= i <= j"),
+    ({k: v for k, v in FIXTURE_HEIGHTS.items() if k != (3, 5)},
+     "bad lattice data: cell (3, 5) of 0 <= i <= j <= 8 is missing"),
+], ids=["missing", "outside", "fixture-missing"])
+def test_check_heights_checks_its_lattice(h, text):
+    # exact.half_quadrant's rule, with its texts; the empty lattice passes
+    with pytest.raises(InconsistentHeights, match=re.escape(text)):
+        check_heights(h)
+    assert check_heights({}) is True
+
+
+def test_particles_from_heights_names_the_missing_cell_it_reads():
+    with pytest.raises(InconsistentHeights,
+                       match=re.escape("bad lattice data: cell (0, 1) of time 1 is missing")):
+        particles_from_heights({(0, 0): 0, (1, 1): 0}, 1)
+    # only the cells (c, t) are read: the other times of a broken lattice still read
+    h = {k: v for k, v in FIXTURE_HEIGHTS.items() if k != (3, 5)}
+    with pytest.raises(InconsistentHeights,
+                       match=re.escape("bad lattice data: cell (3, 5) of time 5 is missing")):
+        particles_from_heights(h, 5)
+    for t in (4, 6, 8):
+        assert particles_from_heights(h, t).positions == FIXTURE_PARTICLES[t]
+
+
 def test_fixture_particle_dual():
     for t in range(9):
         st = particles_from_heights(FIXTURE_HEIGHTS, t)
@@ -469,6 +496,96 @@ def test_heights_match_the_pinned_digests(T, per_cell):
                                for i in range(lo, hi + 1)]
     if per_cell:  # a source that is not a RandomSource takes the per-cell children
         assert ds6v_sample(T, _Children(RandomSource(7, 1)), PINNED_POINT) == h
+
+
+# SHA-256 of particles_to_csv(particle_trajectory(256, RandomSource(7, 2), CLI_POINT)),
+# recorded from the step that drew every right hop on its own; the T = 8 golden
+# file never has a chain of right hops long enough for exact._true_run
+CLI_POINT = ModelParams.make("1/3", "-1/2", "1/2", default_spectral(257))
+T256_DIGEST = "55c94d550d0f2ea82ef4c2d4b7ef464a3e7a3e76645abd7b338df46d77e20927"
+# a point whose sites all fill, so the first chain of 16 comes at t = 16, and one whose
+# rows x_j = 0 and columns x_{i-1} = 0 have c = 1, which reads no bit: every chain
+# there holds one, so has bound 0
+PACKED_POINT = ModelParams.make("9/10", "-1/2", "1", [F(1, i + 5) for i in range(257)])
+ZERO_X_POINT = ModelParams.make("1/3", "-1/2", "1/2",
+                                [F(0) if i % 5 == 4 else F(1, i + 4) for i in range(66)])
+
+
+def test_particle_trajectory_matches_the_pinned_digest():
+    states = particle_trajectory(256, RandomSource(7, 2), CLI_POINT)
+    assert hashlib.sha256(particles_to_csv(states).encode()).hexdigest() == T256_DIGEST
+
+
+@pytest.mark.parametrize("point, T, chains", [
+    (CLI_POINT, 256, True), (PACKED_POINT, 256, True), (CLI_POINT, 31, True),
+    (CLI_POINT, 32, True), (CLI_POINT, 33, True), (PACKED_POINT, 16, False),
+    (PACKED_POINT, 17, True), (PACKED_POINT, 32, True), (ZERO_X_POINT, 65, False),
+], ids=["cli-256", "packed-256", "cli-31", "cli-32", "cli-33", "packed-16", "packed-17",
+        "packed-32", "zero-x-65"])
+def test_chains_of_right_hops_read_the_bits_of_their_draws(point, T, chains, monkeypatch):
+    # a RandomSource has its chains of right hops decided by exact._true_run (from 16
+    # particles left and at a bound above 0); a bit-only source, and a RandomSource
+    # under a patched bernoulli_draw, have every draw made on its own: the same
+    # trajectory, the same draws, the same bits read
+    import spinhl.ds6v as ds6v
+    from spinhl import exact
+
+    runs, draws = [], Counter()
+    true_run = ds6v._true_run
+    monkeypatch.setattr(ds6v, "_true_run", lambda ones, n, src: runs.append(n) or true_run(
+        ones, n, src))
+    bare = RandomSource(7, 2)
+    words = particle_trajectory(T, bare, point)
+    assert bool(runs) is chains
+    runs.clear()
+
+    def counted(rng):
+        draw = exact.bernoulli_draw(rng)
+
+        def tally(num, den, src):
+            draws[draw] += 1
+            return draw(num, den, src)
+        return tally
+
+    monkeypatch.setattr(ds6v, "bernoulli_draw", counted)
+    inner, patched = RandomSource(7, 2), RandomSource(7, 2)
+    assert particle_trajectory(T, _Children(inner), point) == words
+    assert particle_trajectory(T, patched, point) == words
+    assert runs == []
+    assert draws[exact._bernoulli_words] == draws[exact._bernoulli_bits] > 0
+    after = [bare.bit() for _ in range(200)]
+    assert [inner.bit() for _ in range(200)] == after == [patched.bit() for _ in range(200)]
+
+
+@pytest.mark.parametrize("state, text", [
+    (ParticleState(3, (5, 1)), "within 1..3, got (5, 1)"),
+    (ParticleState(3, (1, 2)), "within 1..3, got (1, 2)"),
+    (ParticleState(3, (2, 2)), "within 1..3, got (2, 2)"),
+    (ParticleState(3, (3, 0)), "within 1..3, got (3, 0)"),
+    (ParticleState(0, (1,)), "within 1..0, got (1,)"),
+    (ParticleState(-1, ()), "integer >= 0, got -1"),
+    (ParticleState(True, ()), "integer >= 0, got True"),
+    (ParticleState(2.0, ()), "integer >= 0, got 2.0"),
+], ids=["past-t", "increasing", "repeat", "site-0", "t-0", "negative-t", "bool-t", "float-t"])
+def test_particle_step_refuses_an_impossible_state(params, state, text):
+    # a site past t would read jumps[t - site] at a negative index; the sites of
+    # every possible state strictly decrease within 1..t
+    with pytest.raises(InvalidParams, match=re.escape(text)):
+        particle_step(state, RandomSource(1, 2), params)
+    for ok in (ParticleState(0, ()), ParticleState(3, (3, 2, 1)), ParticleState(3, (1,))):
+        assert particle_step(ok, RandomSource(1, 2), params).t == ok.t + 1
+
+
+@pytest.mark.parametrize("T", [-1, True, False, 2.0, "3", None])
+def test_samplers_refuse_a_bad_T(params, T):
+    # as the CLI does, bools included, before anything is drawn or built
+    from spinhl.field import sample_field
+
+    for sampler in (ds6v_sample, sample_field, particle_trajectory):
+        with pytest.raises(InvalidParams, match=re.escape(f"T must be an integer >= 0, got {T!r}")):
+            sampler(T, RandomSource(1, 2), params)
+    with pytest.raises(InvalidParams, match="T must be an integer"):
+        ds6v_sample(T, RandomSource(1, 2), params, per_cell_streams=False)
 
 
 ROUND_TRIP = settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,7 @@
 """Core scalar arithmetic, admissibility, and the exact categorical sampler."""
 
 import collections
+import functools
 import itertools
 import random
 import tracemalloc
@@ -353,6 +354,139 @@ def test_word_kernel_matches_the_bit_loop_on_dyadic_p():
             for u in sorted(words):
                 for scale in (1, 5, 8):
                     _assert_kernel_is_the_loop(num * scale, scale << m, *_twins("cell", u, 0))
+
+
+@functools.cache
+def _leading_ones(num, den):
+    """CompiledModel.bounds by definition: the most L <= 64 with p >= 1 - 2^-L; 0 off 0 < p < 1."""
+    p = F(num, den)
+    if not 0 < p < 1:
+        return 0
+    ones = 0
+    while ones < 64 and p >= 1 - F(1, 2 ** (ones + 1)):
+        ones += 1
+    return ones
+
+
+def test_bounds_are_the_leading_ones_of_c(params):
+    # CompiledModel.bounds, the ones a particle step hands _true_run, on the rows of
+    # real points (one with x = 0, so c = 1, and one with q = 9/10), then on one row
+    # of made-up laws: c = 0, c = den, c / den < 1/2, dyadic, the cap, unreduced
+    from spinhl.transitions import compiled
+
+    for point in (ModelParams.make("1/3", "-1/2", "1/2", [F(0)] + [F(1, i + 4) for i in range(33)]),
+                  ModelParams.make("9/10", "-1/2", "1", [F(1, i + 5) for i in range(34)])):
+        model = compiled(point)
+        for j in (1, 2, 17, 33):
+            row = model.bounds(j)
+            assert type(row) is bytes and model.bounds(j) is row
+            assert list(row) == [_leading_ones(c, den) for _, c, den in model.jumps(j)]
+    model = compiled(params)
+    laws = [(0, 0, 5), (0, 5, 5), (0, 2, 5), (0, 1, 2), (0, 3, 4), (0, 7, 8), (0, 15, 16),
+            (0, 2**63 - 1, 2**63), (0, 2**64 - 1, 2**64), (0, 2**70 - 1, 2**70),
+            (0, 3 * 2**40 - 1, 3 * 2**40)]
+    model.jumps = lambda j: laws
+    assert list(model.bounds(40)) == [0, 0, 0, 1, 2, 3, 4, 63, 64, 64, 41]
+    assert list(model.bounds(40)) == [_leading_ones(c, den) for _, c, den in laws]
+
+
+def _assert_true_run(laws, ones, a, b):
+    """_true_run on a, the bit-by-bit draws on b: all its r draws True, then the same bits."""
+    r = exact._true_run(ones, len(laws), a)
+    assert 0 <= r <= len(laws)
+    assert all(exact._bernoulli_bits(num, den, b) for num, den in laws[:r]), (ones, r)
+    assert [a.bit() for _ in range(200)] == [b.bit() for _ in range(200)], (ones, r)
+    return r
+
+
+def _assert_chain(laws, a, b):
+    """Draws until the first False, through _true_run as ds6v's particle step makes them
+    (at the least bound of the draws left, each undecided draw on its own), and bit by bit:
+    the same True count, then the same bits."""
+    bounds = [_leading_ones(*law) for law in laws]
+    i = 0
+    while i < len(laws):
+        ones = min(bounds[i:])
+        if ones:
+            i += exact._true_run(ones, len(laws) - i, a)
+            if i == len(laws):
+                break
+        if not exact._bernoulli_words(*laws[i], a):
+            break
+        i += 1
+    trues = next((k for k, law in enumerate(laws) if not exact._bernoulli_bits(*law, b)),
+                 len(laws))
+    assert i == trues, laws[:3]
+    assert [a.bit() for _ in range(200)] == [b.bit() for _ in range(200)], laws[:3]
+
+
+def _word(bits):
+    """A 63-bit word that reads bits first and then _FILL's bits."""
+    return int((bits + format(_FILL, "057b") * 2)[:63], 2)
+
+
+def test_true_run_counts_the_zeros_above_the_first_run_of_ones():
+    # each True reads up to its first zero; the run is decided only up to `ones` ones
+    zeros = "0" * 63
+    for offset in (0, 7):
+        a, b = _twins("cell", int(zeros, 2), offset)
+        assert _assert_true_run([(1, 2)] * 100, 1, a, b) == 63 - offset  # the word's zeros
+    a, b = _twins("cell", 0, 0)
+    assert _assert_true_run([(3, 4)] * 5, 2, a, b) == 5  # the chain ends mid-word
+    for bits, ones, r in (("1", 1, 0), ("0110", 2, 1), ("0101101110", 3, 3),
+                          ("101" + "1" * 10, 10, 1), ("1" * 5, 5, 0), ("01" * 31 + "1", 2, 31)):
+        laws = [((1 << ones) - 1, 1 << ones)] * 70
+        a, b = _twins("cell", _word(bits), 0)
+        assert _assert_true_run(laws, ones, a, b) == r, bits
+    # at the word's end: 0 and then 2 ones straddle into the next word, and a used-up word
+    a, b = _twins("cell", _word("0" * 60 + "011"), 0)
+    assert _assert_true_run([(7, 8)] * 70, 3, a, b) == 61
+    a, b = _twins("cell", 0, 63)
+    _assert_true_run([(7, 8)] * 70, 3, a, b)
+
+
+def test_true_run_reads_the_bits_of_the_draws():
+    # laws with p >= 1 - 2^-ones: dyadic p = 1 - 2^-L (which the bit loop ends False
+    # after L ones), p just above that, L >= 63 and the capped bound 64; words with a
+    # run of ones at the top, a run in the middle, trailing ones that straddle into the
+    # next word, all zeros and all ones; a used-up word; n from 1 to past a word
+    rnd = random.Random(25)
+    families = []
+    for ones in (1, 2, 3, 5, 10, 16, 63, 64):
+        dyadic = ((1 << ones) - 1, 1 << ones)
+        families += [[dyadic], [(3 * dyadic[0], 3 * dyadic[1])]]
+        if ones < 64:
+            den = rnd.randint(2, 2**80) << ones + 2
+            families.append([(den - (den >> ones) + rnd.randrange(den >> ones + 1), den)])
+    families += [[(2**70 - 1, 2**70)], [(15, 16), (31, 32), (2**64 - 1, 2**64), (1023, 1024)]]
+    for laws in families:
+        ones = min(_leading_ones(*law) for law in laws)
+        assert ones >= 1
+        words = [0, 2**63 - 1, rnd.getrandbits(63), rnd.getrandbits(63) | 2**63 - 2**50]
+        for g in {0, min(ones, 5) - 1}:
+            words.append(rnd.getrandbits(63) >> g + 1 << g + 1 | (1 << g) - 1)
+        if ones < 40:
+            words.append(rnd.getrandbits(63) & ~((2 << ones) - 1 << 20) | (1 << ones) - 1 << 21)
+        for u in words:
+            for offset in (0, 30, 63):
+                for n in (1, 40, 100):
+                    cycle = [laws[k % len(laws)] for k in range(n)]
+                    _assert_true_run(cycle, ones, *_twins("cell", u, offset))
+                    _assert_chain(cycle, *_twins("cell", u, offset))
+    # and a RandomSource's own words, from every offset
+    for offset in range(64):
+        for laws in ([(7, 8)] * 70, [(1023, 1024)] * 70, [(2**63 - 1, 2**63)] * 70):
+            _assert_chain(laws, *_twins("random-source", rnd.getrandbits(63), offset))
+
+
+def test_chains_of_draws_at_bound_zero_go_one_at_a_time():
+    # p = 1 reads no bit and p < 1/2 or p = 0 has no leading one: a chain that holds one
+    # has bound 0, so every draw goes to the word kernel, up to the first False
+    rnd = random.Random(26)
+    for laws in ([(1, 1)] * 40, [(5, 5), (7, 8)] * 20, [(3, 8), (15, 16)] * 20,
+                 [(0, 4), (255, 256)] * 20, [(255, 256)] * 30 + [(4, 4)]):
+        for _ in range(20):
+            _assert_chain(laws, *_twins("cell", rnd.getrandbits(63), rnd.randrange(64)))
 
 
 def test_sample_bernoulli_reads_words_only_from_the_exact_types():
