@@ -14,7 +14,10 @@ independent streams (the ``SeedSequence`` spawn-key guarantee).
 Categorical sampling is
 done by lazy binary refinement of a uniform dyadic interval against exact
 rational cumulative weights, so sampled laws are exactly the requested
-ones, with no float rounding anywhere.
+ones, with no float rounding anywhere.  Its two-outcome case,
+``sample_bernoulli``, reads a RandomSource or CellBits a word at a time,
+with the same bits; the field's column tables have one or two outcomes,
+so every column draw is forced or takes that path.
 """
 
 from __future__ import annotations

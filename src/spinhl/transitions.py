@@ -49,6 +49,7 @@ from .exact import (
     ZERO,
     ZeroSector,
     anti_diagonals,
+    bernoulli_draw,
     _sample_from_cumulative,
     check_T,
     cumulative_boundaries,
@@ -68,6 +69,16 @@ class TransitionTable:
     k + 1 outcomes; the pairs need not be reduced, because drawing only
     compares num * 2^k with a * den.  The Fraction views (probs, prob,
     as_dict) are read off the same pairs, once, when first asked for.
+
+    Every column table of the field has one or two outcomes: on a finite
+    column conservation on both rows pins a - b, and at the INF column
+    RSTAR_SLOTS holds at most two entries for each pair of crossing bits.
+    A one-outcome table reads no bit, and a two-outcome one, cum =
+    ((w0, total), (total, total)), is the draw sample_bernoulli(w0,
+    total, rng), which reads the same bits as the categorical draw and,
+    on a RandomSource or CellBits, reads them a word at a time
+    (exact.bernoulli_draw).  Wider tables (from_probs) are drawn bit by
+    bit, by _sample_from_cumulative.
     """
 
     __slots__ = ("outcomes", "cum", "_probs")
@@ -110,7 +121,12 @@ class TransitionTable:
         return cls(tuple(outcomes), tuple(cum))
 
     def sample(self, rng):
-        return self.outcomes[_sample_from_cumulative(self.cum, rng)]
+        cum = self.cum
+        if len(cum) == 1:
+            return self.outcomes[0]
+        if len(cum) == 2:
+            return self.outcomes[0 if bernoulli_draw(rng)(*cum[0], rng) else 1]
+        return self.outcomes[_sample_from_cumulative(cum, rng)]
 
     @property
     def probs(self):
@@ -179,7 +195,8 @@ def _walk(side, mid, lam, mu, top):
     side (mid = nu; c_lam, c_mu are i_h, j_h).  top may exceed the largest
     part; the columns past it are all zero.  Every state is 0 or 1 exactly
     when mid ≺ lam and mid ≺ mu (A), or lam ≺ mid and mu ≺ mid (B);
-    ValueError otherwise.
+    ValueError otherwise.  bulk_forward carries the A side's states
+    itself, in its one pass.
     """
     sign = 1 if side == "A" else -1
     I, J, M = mult_vector(lam, top), mult_vector(mu, top), mult_vector(mid, top)
@@ -407,20 +424,43 @@ def sweep(T, rng, params, per_cell_streams):
 # ---------------------------------------------------------------------------
 
 def bulk_forward(kappa, lam, mu, x, y, rng, params):
-    """Sample nu from the forward bulk operator given corner kappa and neighbours lam, mu."""
+    """Sample nu from the forward bulk operator given corner kappa and neighbours lam, mu.
+
+    One pass over the columns h = 0, 1, ...: the crossing states k_h, l_h
+    (those of _walk's A side) are carried from the multiplicities of
+    kappa, lam and mu, and each is checked to be 0 or 1 before its
+    column's table is looked up, with _walk's ValueError.  So a triple
+    that does not interlace is refused at its first bad column, after the
+    columns before it have drawn from rng.  A column table has one or two
+    outcomes (TransitionTable): a forced one is read off with no bit, and
+    a two-outcome one is a Bernoulli draw, bernoulli_draw(rng), looked up
+    once per call.  These are the bits TransitionTable.sample reads.
+    """
     fwd = cell_sampler(x, y, params).fwd
+    draw = bernoulli_draw(rng)
     top = _top(kappa, lam, mu)
-    I, J, ls, ks, _ = _walk("A", kappa, lam, mu, top)
-    mids = []
+    I, J, K = mult_vector(lam, top), mult_vector(mu, top), mult_vector(kappa, top)
+    I[0] = J[0] = INF  # column 0 holds the sentinel
+    k_h, l_h = len(mu) - len(kappa), len(lam) - len(kappa)
     i_h, j_h = 1, 0
+    mids = []
     for h in range(top + 1):
-        i_h, j_h, mid = fwd(I[h], J[h], i_h, j_h, ks[h], ls[h]).sample(rng)
+        if h:
+            k_h += K[h] - J[h]
+            l_h += K[h] - I[h]
+        if not (0 <= k_h <= 1 and 0 <= l_h <= 1):
+            raise ValueError(f"need kappa ≺ lam and kappa ≺ mu; got {kappa}, {lam}, {mu}")
+        tbl = fwd(I[h], J[h], i_h, j_h, k_h, l_h)
+        outs = tbl.outcomes
+        i_h, j_h, mid = outs[0] if len(outs) == 1 or draw(*tbl.cum[0], rng) else outs[1]
         mids.append(mid)
     # past top every context is (0, 0, i, j, 0, 0); the scan ends at carry (0, 0)
     while i_h or j_h:
         if len(mids) > top + SCAN_CAP:
             raise ScanCapExceeded(f"forward scan still alive {SCAN_CAP} columns past {top}")
-        i_h, j_h, mid = fwd(0, 0, i_h, j_h, 0, 0).sample(rng)
+        tbl = fwd(0, 0, i_h, j_h, 0, 0)
+        outs = tbl.outcomes
+        i_h, j_h, mid = outs[0] if len(outs) == 1 or draw(*tbl.cum[0], rng) else outs[1]
         mids.append(mid)
     return _partition(mids)
 

@@ -9,14 +9,17 @@ import pytest
 
 from spinhl.ds6v import ds6v_sample, particle_trajectory
 from spinhl.exact import (
+    CellBits,
     InvalidParams,
     ModelParams,
     NonStochastic,
     NotAdmissible,
     RandomSource,
     ZeroSector,
+    _sample_from_cumulative,
+    default_spectral,
 )
-from spinhl.field import sample_field
+from spinhl.field import field_to_json, sample_field
 from spinhl.identities import FIXTURE_POINTS, cauchy_kernel, intertwining_star_sides
 from spinhl.partitions import (
     enumerate_partitions,
@@ -28,6 +31,7 @@ from spinhl.partitions import (
 from spinhl.sshl import f_one_row, g_one_row, tail_weight
 from spinhl.transitions import (
     INF,
+    TransitionTable,
     backward_prob,
     boundary_backward,
     boundary_forward,
@@ -45,6 +49,7 @@ from spinhl.transitions import (
     _walk,
 )
 from spinhl.weights import L, Mstar, Rstar, VertexRow, column_weights, pair_ints, r_row
+from test_exact import _Exhausted, _Replay
 
 
 X = F(1, 4)
@@ -530,6 +535,135 @@ def test_sampler_agrees_with_exact_law(params):
         assert abs(counts.get(nu, 0) - n * pf) < 5 * max((n * pf * (1 - pf)) ** 0.5, 1.0)
 
 
+@pytest.mark.parametrize("kappa, lam, mu", [
+    ((), (), ()),  # top = 0: every part of nu comes from the scan past top
+    ((1,), (2, 1), (1, 1)),
+    ((2, 1), (3, 1, 1), (2, 2, 1)),
+])
+def test_forward_draws_are_the_exact_law_on_every_tape(params, kappa, lam, mu):
+    # every k-bit tape, played into bulk_forward: the tapes that resolve to nu
+    # bound P(nu) from below, and with the unresolved ones from above
+    k = 12
+    dist, overflow = forward_distribution(kappa, lam, mu, X, Y, params, part_cap=40)
+    assert overflow < F(1, 2**k)
+    counts, unresolved = {}, 0
+    for bits in itertools.product((0, 1), repeat=k):
+        try:
+            nu = bulk_forward(kappa, lam, mu, X, Y, _Replay(bits), params)
+        except _Exhausted:
+            unresolved += 1
+            continue
+        counts[nu] = counts.get(nu, 0) + 1
+    assert set(counts) <= set(dist) and len(counts) > 3
+    for nu, p in dist.items():
+        n = counts.get(nu, 0)
+        assert F(n, 2**k) <= p <= F(n + unresolved, 2**k), nu
+    assert unresolved < 2**k // 4
+    if not lam:  # the scan past top = 0 runs several columns on some tapes
+        assert max(nu[0] for nu in counts if nu) >= 3
+
+
+@pytest.mark.parametrize("point", range(len(FIXTURE_POINTS)))
+def test_column_tables_have_at_most_two_outcomes(point):
+    # conservation on both rows pins a - b on a finite column, and RSTAR has at
+    # most two entries per pair of crossing bits at the INF column, so every
+    # forward and backward table is forced or a Bernoulli draw
+    params = FIXTURE_POINTS[point]
+    sampler = compiled(params).sampler(params.x[0], params.x[1])
+    contexts = [(I, J, *bits)
+                for I, J in [(INF, INF)] + [(I, J) for I in range(7) for J in range(7)]
+                for bits in itertools.product((0, 1), repeat=4)]
+    sizes = {}
+    for context in contexts:
+        for table in (sampler.fwd, sampler.bwd):
+            try:
+                tbl = table(*context)
+            except ZeroSector:
+                continue
+            n = len(tbl.outcomes)
+            assert n == len(tbl.cum), context
+            sizes[n] = sizes.get(n, 0) + 1
+    assert set(sizes) == {1, 2} and sum(sizes.values()) > 200, sizes
+
+
+class _Bare:
+    """A bit source with only bit() and substream(*key), counting the bits it hands out."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.bits = 0
+
+    def bit(self):
+        self.bits += 1
+        return self._inner.bit()
+
+    def substream(self, *key):
+        return _Bare(self._inner.substream(*key))
+
+
+def _twin_sources(kind):
+    """Two sources at the same place: RandomSource(11, 4), or a CellBits of its cell (1, 1)."""
+    if kind == "random":
+        return RandomSource(11, 4), RandomSource(11, 4)
+    parent = RandomSource(11, 4)
+    (i, j, u), = parent.cell_words(1)
+    return CellBits(u, parent, i, j), CellBits(u, parent, i, j)
+
+
+def test_table_draws_read_the_bits_of_the_categorical_draw():
+    # one- and two-outcome tables take the forced and Bernoulli paths, wider
+    # ones the bit-by-bit draw; each reads the bits _sample_from_cumulative reads
+    laws = [(F(1),), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(0), F(1)), (F(1), F(0)),
+            (F(5, 7), F(1, 7), F(1, 7)), (F(1, 4), F(1, 4), F(1, 3), F(1, 6))]
+    for kind in ("random", "cell"):
+        for n, probs in enumerate(laws * 10):
+            tbl = TransitionTable.from_probs(range(len(probs)), probs)
+            src, twin = _twin_sources(kind)
+            for _ in range(n):  # start the draws at different offsets in the word
+                src.bit(), twin.bit()
+            bare = _Bare(twin)
+            assert tbl.sample(src) == _sample_from_cumulative(tbl.cum, bare), (kind, probs)
+            assert [src.bit() for _ in range(200)] == [twin.bit() for _ in range(200)]
+
+
+# staircases: a draw at nearly every column, over 63 bits in all
+_STAIR, _LONG_STAIR = tuple(range(64, 0, -1)), tuple(range(128, 0, -1))
+
+_OPERATOR_CASES = {
+    "bulk_forward": lambda rng, p: bulk_forward(_STAIR, _STAIR, _STAIR, X, Y, rng, p),
+    "boundary_forward": lambda rng, p: boundary_forward(_LONG_STAIR, _LONG_STAIR, X, Y, rng, p),
+    "bulk_backward": lambda rng, p: bulk_backward(_STAIR, _STAIR, _STAIR, X, Y, rng, p),
+}
+
+
+@pytest.mark.parametrize("kind", ["random", "cell"])
+@pytest.mark.parametrize("case", list(_OPERATOR_CASES))
+def test_operators_read_the_bits_of_a_bit_only_source(params, case, kind):
+    # the forced and word draws on a RandomSource or CellBits give the partition
+    # the bit-by-bit draws give on the same bits, and leave the source in step;
+    # the CellBits cell reads on past its first word
+    run = _OPERATOR_CASES[case]
+    for rep in range(4):
+        src, twin = _twin_sources(kind)
+        for _ in range(17 * rep):
+            src.bit(), twin.bit()
+        bare = _Bare(twin)
+        assert run(src, params) == run(bare, params), (case, kind, rep)
+        assert 17 * rep + bare.bits > 63, (case, kind, rep)
+        assert [src.bit() for _ in range(200)] == [twin.bit() for _ in range(200)]
+
+
+@pytest.mark.parametrize("per_cell_streams", [True, False])
+@pytest.mark.parametrize("T", [4, 16, 48])
+def test_fields_are_the_same_on_a_bit_only_source(T, per_cell_streams):
+    params = ModelParams.make("1/3", "-1/2", "1/2", default_spectral(T + 1))
+    for seed in (0, 5):
+        bare = sample_field(T, RandomSource(seed, 2), params, per_cell_streams)
+        wrapped = sample_field(T, _Bare(RandomSource(seed, 2)), params,
+                               per_cell_streams)
+        assert field_to_json(bare) == field_to_json(wrapped), (T, seed)
+
+
 def test_forward_backward_round_trip_support(params):
     rng = RandomSource(3, 2)
     for _ in range(50):
@@ -543,10 +677,27 @@ def test_forward_backward_round_trip_support(params):
     assert interlaces(kap, even_core(nu))
 
 
-def test_walks_check_interlacing_like_interlaces():
-    # the walk's 0/1 state check is the operators' only interlacing check,
-    # and its states count parts above each column, negated on the B side
+def _refusal(run):
+    """The text of the ValueError run() raises, or None when it returns.
+
+    Neither ZeroSector nor NonStochastic (both ValueErrors) may come instead.
+    """
+    try:
+        run()
+    except ValueError as exc:
+        assert type(exc) is ValueError, exc
+        return str(exc)
+    return None
+
+
+def test_walks_check_interlacing_like_interlaces(params):
+    # the walk's 0/1 state check is the interlacing check of bulk_backward
+    # and the exact laws, and its states count parts above each column,
+    # negated on the B side; bulk_forward checks the same states in its own
+    # pass, column by column, and refuses the same triples with the same text
     shapes = enumerate_partitions(3, 3)
+    rng = RandomSource(8, 3)
+    need = "need kappa ≺ lam and kappa ≺ mu; got "
     for p in shapes:
         for a in shapes:
             for b in shapes:
@@ -561,6 +712,17 @@ def test_walks_check_interlacing_like_interlaces():
                     above = [[sum(v > h for v in part) for h in range(4)] for part in (p, a, b)]
                     assert c_a == [sign * (n - m) for n, m in zip(above[1], above[0])]
                     assert c_b == [sign * (n - m) for n, m in zip(above[2], above[0])]
+                text = _refusal(lambda: bulk_forward(p, a, b, X, Y, rng, params))
+                if interlaces(p, a) and interlaces(p, b):
+                    assert text is None, (p, a, b)
+                else:
+                    assert text == f"{need}{p}, {a}, {b}", (p, a, b)
+        for b in shapes:  # the boundary move conditions on the even cover, above every p
+            text = _refusal(lambda: boundary_forward(p, b, X, Y, rng, params))
+            if interlaces(p, b):
+                assert text is None, (p, b)
+            else:
+                assert text == f"{need}{p}, {even_cover(p)}, {b}", (p, b)
 
 
 def test_preconditions(params):
