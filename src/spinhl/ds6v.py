@@ -40,6 +40,7 @@ from .exact import (
     _true_run,
     bernoulli_draw,
     check_T,
+    check_lattice,
     half_quadrant,
     sample_bernoulli,
     word_bernoulli,
@@ -133,14 +134,11 @@ def check_heights(h):
     """Monotone 0/1 increments in both directions and a zero pinned column, on one lattice.
 
     The cells must be those of one lattice 0 <= i <= j <= T, T the
-    largest j (exact.half_quadrant's rule, which names the first cell
-    outside 0 <= i <= j or else the first missing one).  True, or
+    largest j (exact.check_lattice: half_quadrant's rule, which names the
+    first cell outside 0 <= i <= j or else the first missing one).  True, or
     InconsistentHeights naming the first bad cell.
     """
-    T = max((j for _, j in h), default=-1)
-    if len(h) != (T + 1) * (T + 2) // 2 or not all(0 <= i <= j for i, j in h):
-        # not all of one lattice's cells, each once: half_quadrant raises naming the first
-        half_quadrant(((f"cell {c}", c, v) for c, v in h.items()), InconsistentHeights)
+    check_lattice(h, InconsistentHeights)
     for (i, j), v in h.items():
         if i == 0 and v != 0:
             raise InconsistentHeights(f"h(0, {j}) = {v} != 0")

@@ -330,6 +330,17 @@ def half_quadrant(entries, error):
     return out
 
 
+def check_lattice(cells, error):
+    """half_quadrant's rule on a {(i, j): value} dict, naming a bad cell by its place "cell (i, j)".
+
+    A count of the cells, each in 0 <= i <= j, comes first; half_quadrant
+    runs, and raises `error`, only when the count fails.
+    """
+    T = max((j for _, j in cells), default=-1)
+    if len(cells) != (T + 1) * (T + 2) // 2 or not all(0 <= i <= j for i, j in cells):
+        half_quadrant(((f"cell {c}", c, v) for c, v in cells.items()), error)
+
+
 def _bands(T):
     """(band, n) for RandomSource.cell_words: the growth order cut every _BAND cells.
 

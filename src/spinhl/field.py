@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 
-from .exact import CellBits, InvalidParams, InvalidPath, ONE, ZERO, half_quadrant
+from .exact import (CellBits, InvalidParams, InvalidPath, ONE, ZERO, check_lattice,
+                    half_quadrant)
 from .identities import _kernel_product
-from .partitions import interlaces
+from .partitions import interlaces, is_partition
 from .sshl import f_one_row, g_one_row, tail_weight
 from .transitions import boundary_forward, bulk_forward, sweep
 
@@ -58,7 +59,14 @@ def sample_field(T, rng, params, per_cell_streams=True):
 
 
 def check_field_invariants(field):
-    """Interlacing in both directions and the empty pinned column; raises on violation."""
+    """Partitions, the empty pinned column and interlacing both ways, then one lattice.
+
+    True, or ValueError naming the first bad cell (exact.check_lattice's
+    rule for the lattice, as in ds6v.check_heights).
+    """
+    for c, lam in field.items():
+        if not is_partition(lam):
+            raise ValueError(f"not a partition at {c}: {lam}")
     for (i, j), lam in field.items():
         if i == 0 and lam != ():
             raise ValueError(f"boundary column not empty at {(i, j)}")
@@ -66,6 +74,7 @@ def check_field_invariants(field):
             raise ValueError(f"vertical interlacing fails at {(i, j)}")
         if (i + 1, j) in field and not interlaces(lam, field[(i + 1, j)]):
             raise ValueError(f"horizontal interlacing fails at {(i, j)}")
+    check_lattice(field, ValueError)
     return True
 
 

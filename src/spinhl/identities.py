@@ -36,7 +36,8 @@ over its variable pairs (``_pairs``, ``_kernel_product``).
   so the tail is dominated by the tail of the plain (unrefined) identity,
   whose total is a known closed form; the bound is closed_form -
   retained_plain_sum, an exact rational.  The determinant and Pfaffian
-  closed forms share one refinement cell (``_refinement_cell``).
+  closed forms share one refinement cell (``_refinement_cell``) and one
+  skew elimination (``_pfaffian``), which reads a determinant as a Pfaffian.
 """
 
 from __future__ import annotations
@@ -388,64 +389,60 @@ def check_r_stochastic(params, x, y):
 
 
 # ---------------------------------------------------------------------------
-# exact determinant / Pfaffian kernels
+# exact Pfaffian / determinant: one skew elimination
 # ---------------------------------------------------------------------------
 
+def _pfaffian(a):
+    """Pfaffian of the antisymmetric Fraction matrix a (a list of rows, overwritten).
+
+    Skew elimination, two indices at a time: the pivot of index k is its
+    first nonzero a[k][c], c > k, and index c is swapped into k + 1, rows
+    and columns, which negates the Pfaffian.  The pivot a[k][k+1] is a
+    factor, and the trailing block becomes its Schur complement, a[i][j] -=
+    (a[k][i] a[k+1][j] - a[k+1][i] a[k][j]) / a[k][k+1] for i < j,
+    mirrored.  A zero row gives 0.
+    """
+    n, pf = len(a), ONE
+    for k in range(0, n, 2):
+        c = next((c for c in range(k + 1, n) if a[k][c]), None)
+        if c is None:
+            return ZERO
+        if c != k + 1:
+            a[k + 1], a[c] = a[c], a[k + 1]
+            for row in a[k:]:
+                row[k + 1], row[c] = row[c], row[k + 1]
+            pf = -pf
+        rk, rl, p = a[k], a[k + 1], a[k][k + 1]
+        pf *= p
+        for i in range(k + 2, n):
+            row = a[i]
+            for j in range(i + 1, n):
+                row[j] -= (rk[i] * rl[j] - rl[i] * rk[j]) / p
+                a[j][i] = -row[j]
+    return pf
+
+
 def det_exact(rows):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant, (-1)^(n(n-1)/2) times the Pfaffian of [[0, A], [-A^T, 0]] (_pfaffian)."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("determinant needs a square matrix")
-    if n == 0:
-        return ONE
     a = [[frac(v) for v in r] for r in rows]
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = ZERO
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return (-1) ** (n * (n - 1) // 2) * _pfaffian(
+        [[ZERO] * n + r for r in a] + [[-r[j] for r in a] + [ZERO] * n for j in range(n)])
 
 
 def pfaffian_exact(rows):
-    """Exact Pfaffian of an antisymmetric even-dimensional matrix (recursive expansion)."""
+    """Exact Pfaffian of an antisymmetric even-dimensional matrix, by _pfaffian's elimination."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("pfaffian needs a square matrix")
     if n % 2 != 0:
         raise DimensionMismatch("pfaffian needs even dimension")
     a = [[frac(v) for v in r] for r in rows]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != -a[j][i]:
-                raise DimensionMismatch("matrix is not antisymmetric")
-
-    def rec(idx):
-        if not idx:
-            return ONE
-        i0 = idx[0]
-        total = ZERO
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            if a[i0][j] == 0:
-                continue
-            rest = idx[1:pos] + idx[pos + 1:]
-            term = a[i0][j] * rec(rest)
-            total += term if pos % 2 == 1 else -term
-        return total
-
-    return rec(tuple(range(n)))
+    if any(a[i][j] != -a[j][i] for i in range(n) for j in range(i, n)):
+        raise DimensionMismatch("matrix is not antisymmetric")
+    return _pfaffian(a)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,13 @@ from .exact import InvalidParams, ONE, ZERO
 EMPTY = ()
 
 
+def is_partition(p):
+    """True iff the parts of p are weakly decreasing and positive."""
+    return sorted(p, reverse=True) == list(p) and (not p or p[-1] > 0)
+
+
 def validate(p):
-    if any(a <= 0 for a in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if not is_partition(p):
         raise ValueError(f"not a partition: {p}")
     return tuple(p)
 

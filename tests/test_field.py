@@ -34,9 +34,18 @@ def test_sampled_fields_satisfy_invariants(params):
     ({(0, 0): (), (0, 1): (1,)}, "boundary column not empty at (0, 1)"),
     ({(1, 1): (2,), (1, 2): (5, 3)}, "vertical interlacing fails at (1, 1)"),
     ({(1, 2): (2,), (2, 2): (5, 3)}, "horizontal interlacing fails at (1, 2)"),
-], ids=["pinned-column", "vertical", "horizontal"])
+    ({(0, 0): (), (0, 1): (), (1, 1): (0,)}, "not a partition at (1, 1): (0,)"),
+    ({(0, 0): (), (0, 1): (), (1, 1): (-1,)}, "not a partition at (1, 1): (-1,)"),
+    ({(1, 1): (5, 3), (1, 2): (2, 3)}, "not a partition at (1, 2): (2, 3)"),
+    ({(0, 0): (), (5, 2): (1,)},
+     "bad lattice data on cell (5, 2): cell (5, 2) is outside 0 <= i <= j"),
+    ({(0, 0): (), (1, 1): (1,)}, "bad lattice data: cell (0, 1) of 0 <= i <= j <= 1 is missing"),
+], ids=["pinned-column", "vertical", "horizontal", "zero-part", "negative-part", "increasing",
+        "outside", "missing"])
 def test_field_invariants_raise_on_each_violation(field, message):
-    # (2,) does not interlace (5, 3) from below: 2 < 3
+    # (2,) does not interlace (5, 3) from below: 2 < 3.  The cells' partitions
+    # are checked first (so (2, 3) is named, not the interlacing it breaks),
+    # then the per-cell rules, and only then the lattice (exact.check_lattice)
     with pytest.raises(ValueError) as exc:
         check_field_invariants(field)
     assert str(exc.value) == message

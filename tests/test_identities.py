@@ -1,6 +1,7 @@
 """Identity verifier: local equations exactly, global sums with certified tails."""
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from spinhl.exact import (
     ONE,
     ZERO,
     convergence_ratio,
+    default_spectral,
 )
 from spinhl import identities, weights
 from spinhl.identities import (
@@ -650,6 +652,29 @@ def test_refined_littlewood_2n4_pfaffian():
         assert 0 < rep.tail_bound <= F(1, 10**5)
 
 
+@pytest.mark.parametrize("point", FIXTURE_POINTS, ids=["p0", "p1", "p2"])
+def test_refined_identities_hold_exactly_outside_the_unit_interval(point):
+    # the exact infinite sums equal the determinant (n = 1, 2, 3) and
+    # Pfaffian (2m = 2, 4, 6, 8) closed forms at u = -1, 0, 1, ..., m + 1:
+    # u outside [0, 1], where no tail bound applies, and as many values as
+    # a polynomial of degree m in u needs.  The left side is column_sums'
+    # limit by length l, times prod (1 - u q^i) over i = 1, 2, ..., n - l
+    # (Cauchy, n = len(xs)) or i = 1, 3, ... <= n - l (Littlewood)
+    for m, cauchy in [(n, True) for n in (1, 2, 3)] + [(m, False) for m in (1, 2, 3, 4)]:
+        params = ModelParams(point.q, point.s, point.u, default_spectral(2 * m))
+        xs, ys = (params.x[0::2], params.x[1::2]) if cauchy else (params.x, ())
+        sums = column_sums(xs, ys, math.inf, params)
+        for u in map(F, range(-1, m + 2)):
+            lhs = ZERO
+            for length, term in sums.items():
+                for i in range(1, len(xs) - length + 1, 1 if cauchy else 2):
+                    term *= 1 - u * params.q**i
+                lhs += term
+            rhs = (refined_cauchy_rhs(xs, ys, u, params) if cauchy
+                   else refined_littlewood_rhs(xs, u, params))
+            assert lhs == rhs, (m, cauchy, u)
+
+
 def test_pfaffian_and_determinant():
     assert det_exact([[F(1), F(0)], [F(0), F(1)]]) == 1
     assert det_exact([]) == 1
@@ -681,25 +706,98 @@ def test_det_exact_zero_pivot_column_and_non_square_matrices():
             pfaffian_exact(bad)
 
 
-def test_det_exact_against_cofactor_oracle():
-    def cofactor_det(m):
-        n = len(m)
-        if n == 0:
+def cofactor_det(m):
+    """The determinant oracle: cofactor expansion along the first row."""
+    n = len(m)
+    if n == 0:
+        return F(1)
+    if n == 1:
+        return m[0][0]
+    total = F(0)
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * cofactor_det(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def matching_pfaffian(m):
+    """The Pfaffian oracle: expansion over the perfect matchings, (n - 1)!! terms."""
+    def rec(idx):
+        if not idx:
             return F(1)
-        if n == 1:
-            return m[0][0]
-        total = F(0)
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            term = m[0][j] * cofactor_det(minor)
-            total += term if j % 2 == 0 else -term
+        i0, total = idx[0], F(0)
+        for pos in range(1, len(idx)):
+            if m[i0][idx[pos]]:
+                term = m[i0][idx[pos]] * rec(idx[1:pos] + idx[pos + 1:])
+                total += term if pos % 2 == 1 else -term
         return total
 
+    return rec(tuple(range(len(m))))
+
+
+def random_antisymmetric(rng, n, zeros=1 / 3):
+    m = [[F(0)] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() >= zeros:
+            m[i][j] = F(rng.randint(-9, 9), rng.randint(1, 9))
+            m[j][i] = -m[i][j]
+    return m
+
+
+def test_det_exact_against_cofactor_oracle():
     rng = random.Random(23)
     for _ in range(10):
         n = rng.randint(1, 4)
         m = [[F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
         assert det_exact(m) == cofactor_det(m)
+    # a zero (0, 0) entry moves the first pivot past k + 1; about a third of
+    # the entries zero, so some matrices are singular
+    rng = random.Random(29)
+    for n in range(1, 7):
+        for _ in range(6):
+            m = [[F(0) if rng.random() < 1 / 3 else F(rng.randint(-6, 6), rng.randint(1, 5))
+                  for _ in range(n)] for _ in range(n)]
+            m[0][0] = F(0)
+            assert det_exact(m) == cofactor_det(m)
+
+
+def test_pfaffian_exact_against_the_matching_oracle():
+    # about a third of the entries zero: pivots past k + 1, and zero rows
+    rng = random.Random(31)
+    seen_zero = False
+    for n in range(0, 11, 2):
+        for _ in range(8):
+            m = random_antisymmetric(rng, n)
+            assert pfaffian_exact(m) == matching_pfaffian(m)
+            seen_zero |= pfaffian_exact(m) == 0
+    assert seen_zero
+    # a zero first row, and a first pivot that needs a swap
+    m = random_antisymmetric(random.Random(5), 6, zeros=0)
+    for k in range(6):
+        m[0][k] = m[k][0] = F(0)
+    assert pfaffian_exact(m) == 0 == matching_pfaffian(m)
+    m = random_antisymmetric(random.Random(5), 6, zeros=0)
+    m[0][1] = m[1][0] = F(0)
+    assert pfaffian_exact(m) == matching_pfaffian(m) != 0
+
+
+def test_pfaffian_exact_is_multiplied_by_det_b_under_congruence():
+    # Pf(B A B^T) = det(B) Pf(A), with det(B) the product of a triangular
+    # B's diagonal: a 20 x 20 check that needs no (19)!!-term oracle
+    rng, n = random.Random(37), 20
+    a = random_antisymmetric(rng, n)
+    b = [[F(rng.randint(-4, 4), rng.randint(1, 4)) if j < i else F(0) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        b[i][i] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    ba = [[sum((b[i][k] * a[k][j] for k in range(n)), F(0)) for j in range(n)] for i in range(n)]
+    bab = [[sum((ba[i][k] * b[j][k] for k in range(n)), F(0)) for j in range(n)]
+           for i in range(n)]
+    det_b = math.prod((b[i][i] for i in range(n)), start=F(1))
+    assert pfaffian_exact(a) != 0
+    assert pfaffian_exact(bab) == det_b * pfaffian_exact(a)
+    assert det_exact(b) == det_b
 
 
 def test_run_suite_and_corrupt_hook(monkeypatch):
